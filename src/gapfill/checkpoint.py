@@ -34,7 +34,7 @@ from .model import (
     NetworkConfig,
     iter_params,
 )
-from .lstm import PARAM_FIELDS
+from .lstm import PARAM_FIELDS, field_shape
 
 MAGIC = b"GAPFILL\x00"
 FORMAT_VERSION = 1
@@ -101,6 +101,11 @@ def load_checkpoint(path) -> tuple[ModelParams, NormStats]:
     merge_hidden, n_cols = r.unpack("<II")
     if merge_mlp != (1 if merge_hidden > 0 else 0):
         raise CheckpointError(f"{path}: merge flag disagrees with merge width {merge_hidden}")
+    for name, value in (("input_dim", input_dim), ("hidden_dim", hidden_dim), ("n_cols", n_cols)):
+        if value == 0:
+            raise CheckpointError(f"{path}: header field {name} is 0")
+    if n_cols != input_dim:
+        raise CheckpointError(f"{path}: {n_cols} normalization columns for input_dim {input_dim}")
     mean = r.floats((n_cols,))
     std = r.floats((n_cols,))
     cfg = NetworkConfig(
@@ -113,15 +118,7 @@ def load_checkpoint(path) -> tuple[ModelParams, NormStats]:
     d, h = input_dim, hidden_dim
 
     def read_lstm() -> LstmParams:
-        fields = {}
-        for name in PARAM_FIELDS:
-            if name.startswith("w_"):
-                fields[name] = r.floats((h, d))
-            elif name.startswith("u_"):
-                fields[name] = r.floats((h, h))
-            else:
-                fields[name] = r.floats((h,))
-        return LstmParams(**fields)
+        return LstmParams(**{name: r.floats(field_shape(name, d, h)) for name in PARAM_FIELDS})
 
     enc_fw, enc_bw, dec_fw, dec_bw = (read_lstm() for _ in range(4))
     head_fw = Affine(r.floats((d, h)), r.floats((d,)))

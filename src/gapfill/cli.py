@@ -23,6 +23,8 @@ from .data import (
     load_csv,
     normalize,
     normalize_table,
+    read_lines,
+    replace_cells,
     split_train_test,
     synth,
     write_csv,
@@ -175,14 +177,6 @@ def cmd_impute(args) -> int:
     col_idx = [table.column_index(c) for c in columns]
     gaps = _parse_gaps(args.gap)
 
-    with open(args.data) as fh:
-        raw = fh.read()
-    had_newline = raw.endswith("\n")
-    lines = raw.split("\n")
-    if had_newline:
-        lines = lines[:-1]
-    header_offset = len(lines) - table.n_rows  # rows consumed by the header
-
     values = table.values[:, col_idx]
     observed = ~table.missing[:, col_idx].any(axis=1) & np.isfinite(values).all(axis=1)
     in_gap = np.zeros(table.n_rows, dtype=bool)
@@ -191,6 +185,8 @@ def cmd_impute(args) -> int:
             raise DataError(f"gap {start}:{length} runs past the {table.n_rows}-row file")
         in_gap[start:start + length] = True
 
+    # gaps of one length have contexts of one length: each group is one batch
+    groups: dict[int, list[int]] = {}
     for start, length in gaps:
         context = args.context or length
         lo, hi = start - context, start + length + context
@@ -199,19 +195,22 @@ def cmd_impute(args) -> int:
         ctx_rows = np.r_[lo:start, start + length:hi]
         if not observed[ctx_rows].all() or in_gap[ctx_rows].any():
             raise DataError(f"gap {start}:{length}: context rows must be observed values")
-        before = normalize(values[lo:start], stats)
-        after = normalize(values[start + length:hi], stats)
-        filled = denormalize(impute(params, before, after, length, args.variant), stats)
-        for offset in range(length):
-            row = start + offset
-            cells = lines[header_offset + row].split(",")
-            for k, c in enumerate(col_idx):
-                cells[c] = repr(float(filled[offset, k]))
-            lines[header_offset + row] = ",".join(cells)
+        groups.setdefault(length, []).append(start)
 
-    out_text = "\n".join(lines) + ("\n" if had_newline else "")
-    with open(args.out, "w") as fh:
-        fh.write(out_text)
+    lines = read_lines(args.data)
+    for length, starts in groups.items():
+        context = args.context or length
+        before = np.stack([normalize(values[s - context:s], stats) for s in starts])
+        after = np.stack([normalize(values[s + length:s + length + context], stats)
+                          for s in starts])
+        filled = denormalize(impute(params, before, after, length, args.variant), stats)
+        for start, rows in zip(starts, filled):
+            for offset, row in enumerate(rows):
+                replace_cells(lines, table.row_lines[start + offset],
+                              {c: repr(float(v)) for c, v in zip(col_idx, row)})
+
+    with open(args.out, "w", newline="") as fh:
+        fh.write("".join(lines))
     filled_rows = sum(length for _, length in gaps)
     print(f"filled {filled_rows} row(s) across {len(gaps)} gap(s) into {args.out}")
     return EXIT_OK
@@ -255,6 +254,9 @@ def cmd_eval(args) -> int:
             fh.write(borda_rows(tables))
         print(format_borda(tables), end="")
         return EXIT_OK
+    for dataset, variant in report.failed_cells:
+        print(f"error: {dataset} {variant}: {report.cells[(dataset, variant)].error}",
+              file=sys.stderr)
     print(f"warning: {len(report.failed_cells)} cell(s) failed; ranking skipped", file=sys.stderr)
     return EXIT_PARTIAL
 

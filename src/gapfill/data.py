@@ -7,9 +7,10 @@ cells and a boolean mask recording which cells were missing markers.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,6 +34,9 @@ class SeriesTable:
     columns: list[str]
     values: np.ndarray  # (n_rows, n_cols) float64, NaN where missing
     missing: np.ndarray  # (n_rows, n_cols) bool, True where the cell was a marker
+    # set by load_csv: the file line on which each data row starts (the
+    # header and blank lines hold no data row); derived tables drop it
+    row_lines: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_rows(self) -> int:
@@ -58,7 +62,7 @@ class SeriesTable:
     def select(self, selectors) -> "SeriesTable":
         idx = [self.column_index(s) for s in selectors]
         return SeriesTable([self.columns[i] for i in idx],
-                           self.values[:, idx].copy(), self.missing[:, idx].copy())
+                           self.values[:, idx].copy(), self.missing[:, idx].copy(), self.row_lines)
 
 
 def _parse_cell(cell: str, markers: tuple[str, ...]) -> tuple[float, bool]:
@@ -82,11 +86,21 @@ def load_csv(
     `header=None` auto-detects: if any cell of the first row is neither a
     number nor a missing marker, that row is taken as column names.
     `columns` restricts and orders the result (names need a header row;
-    zero-based indices always work).
+    zero-based indices always work). Blank lines are skipped; the table's
+    `row_lines` map every data row back to its line in the file.
     """
     markers = tuple(m.strip() for m in markers)
     with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+        reader = csv.reader(fh)
+        records = list(reader)
+        if reader.line_num == len(records):  # one line per record, the usual case
+            starts = range(len(records))
+        else:  # a quoted cell holds a line break: find where each record starts
+            fh.seek(0)
+            reader = csv.reader(fh)
+            starts = [0] + [reader.line_num for _ in reader][:-1]
+    row_lines = np.array([start for start, row in zip(starts, records) if row], dtype=np.int64)
+    rows = [row for row in records if row]
     if not rows:
         raise DataError(f"{path}: file has no rows")
 
@@ -104,7 +118,7 @@ def load_csv(
     has_header = _is_header(rows[0]) if header is None else header
     if has_header:
         names = [c.strip() for c in rows[0]]
-        rows = rows[1:]
+        rows, row_lines = rows[1:], row_lines[1:]
     else:
         names = [f"col{i}" for i in range(len(rows[0]))]
     if not rows:
@@ -122,7 +136,7 @@ def load_csv(
                 raise DataError(
                     f"{path}: row {r + 1}, column {names[c]!r}: cannot parse {cell!r}"
                 ) from None
-    table = SeriesTable(names, values, missing)
+    table = SeriesTable(names, values, missing, row_lines)
     if columns is not None:
         table = table.select(columns)
     return table
@@ -138,6 +152,32 @@ def write_csv(path, table: SeriesTable, markers: tuple[str, ...] = DEFAULT_MISSI
                 for c in range(table.n_cols)
             ]
             fh.write(",".join(cells) + "\n")
+
+
+def read_lines(path) -> list[str]:
+    """The file's physical lines with their endings, split as `load_csv` splits them."""
+    with open(path, newline="") as fh:
+        return fh.readlines()
+
+
+def replace_cells(lines: list[str], start: int, cells: dict[int, str]) -> None:
+    """Rewrite cells of the CSV record starting at `lines[start]`, in place.
+
+    The record is re-parsed and re-written with the csv module: its other
+    cells keep their values, its line ending is kept, and only cells that
+    need quotes are quoted. The number of lines stays the same, so the
+    line numbers of other records stay valid.
+    """
+    reader = csv.reader(lines[i] for i in range(start, len(lines)))
+    record = next(reader)
+    end = start + reader.line_num
+    for col, text in cells.items():
+        record[col] = text
+    ending = lines[end - 1][len(lines[end - 1].rstrip("\r\n")):]
+    out = io.StringIO()
+    # "\r\n" makes the writer quote any cell holding a line break
+    csv.writer(out, lineterminator="\r\n").writerow(record)
+    lines[start:end] = [out.getvalue()[:-2] + ending] + [""] * (end - start - 1)
 
 
 def split_train_test(table: SeriesTable, test_fraction: float) -> tuple[SeriesTable, SeriesTable]:

@@ -7,6 +7,7 @@ the original (denormalized) units of each dataset.
 from __future__ import annotations
 
 import math
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
@@ -14,6 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .data import (
+    DataError,
     SeriesTable,
     WindowSpec,
     compute_norm_stats,
@@ -22,7 +24,7 @@ from .data import (
     normalize_table,
     split_train_test,
 )
-from .model import NetworkConfig, forward, make_schedule
+from .model import ForwardTrace, NetworkConfig, forward, make_schedule
 from .optim import DivergenceError, TrainConfig, split_validation, train
 
 
@@ -184,7 +186,7 @@ def _train_cell(args):
     label, kind, norm_train, cfg = args
     train_windows = extract_windows(norm_train, cfg.window)
     if len(train_windows) < 2:
-        raise DivergenceError(f"{label}: too few training windows ({len(train_windows)})")
+        raise DataError(f"{label}: too few training windows ({len(train_windows)})")
     fit_windows, val_windows = split_validation(train_windows, cfg.val_fraction)
     net = NetworkConfig(
         input_dim=norm_train.n_cols,
@@ -199,11 +201,20 @@ def _train_cell(args):
     return label, kind, params, log
 
 
+def _describe(exc: Exception) -> str:
+    """A failed cell's error text: the message of an expected failure, the
+    full traceback (a worker's included) of an unexpected one."""
+    if isinstance(exc, (DivergenceError, DataError)):
+        return str(exc)
+    return "".join(traceback.format_exception(exc)).rstrip()
+
+
 def run_benchmark(datasets: list[BenchmarkDataset], variants, cfg: BenchmarkConfig) -> EvalReport:
     """Train every needed network per dataset and score the requested variants.
 
-    A diverging training run marks its dependent cells as failed; the rest
-    of the grid still completes.
+    A training run that fails for any reason (divergence, too little data,
+    a crashed worker) marks its dependent cells as failed with the error;
+    the rest of the grid still completes.
     """
     variants = [ModelVariant(v) for v in variants]
     if not datasets:
@@ -243,43 +254,40 @@ def run_benchmark(datasets: list[BenchmarkDataset], variants, cfg: BenchmarkConf
             for label, kind, fut in futures:
                 try:
                     consume(fut.result())
-                except DivergenceError as exc:
-                    failures[(label, kind)] = str(exc)
+                except Exception as exc:  # one failed cell must not abort the grid
+                    failures[(label, kind)] = _describe(exc)
     else:
         for job in jobs:
             try:
                 consume(_train_cell(job))
-            except DivergenceError as exc:
-                failures[(job[0], job[1])] = str(exc)
+            except Exception as exc:
+                failures[(job[0], job[1])] = _describe(exc)
 
     cells: dict[tuple[str, str], EvalCell] = {}
     for ds in datasets:
         _, stats, test_windows = prepared[ds.label]
-        traces: dict[str, list] = {}
+        traces: dict[str, ForwardTrace] = {}
         for kind in kinds_needed:
             if (ds.label, kind) in failures:
                 continue
             params = trained[(ds.label, kind)]
             schedule = make_schedule(cfg.window.gap_len, params.config.schedule_variant)
-            traces[kind] = [forward(params, w, schedule) for w in test_windows]
+            traces[kind] = forward(params, test_windows, schedule)
         truth_raw = np.concatenate([w.missing for w in test_windows]).ravel()
         for variant in variants:
             kind = _VARIANT_KIND[variant]
             if (ds.label, kind) in failures:
                 cells[(ds.label, variant.value)] = EvalCell(None, failures[(ds.label, kind)])
                 continue
-            preds = []
-            for trace in traces[kind]:
-                if variant is ModelVariant.RNN_FW:
-                    seq = trace.pred_fw
-                elif variant is ModelVariant.RNN_BW:
-                    seq = trace.pred_bw
-                else:
-                    seq = trace.merged
-                preds.append(np.stack(seq))
-            pred_flat = np.concatenate(preds).ravel()
+            trace = traces[kind]
+            if variant is ModelVariant.RNN_FW:
+                pred = trace.pred_fw
+            elif variant is ModelVariant.RNN_BW:
+                pred = trace.pred_bw
+            else:
+                pred = trace.merged
             t = denormalize(truth_raw, stats)
-            p = denormalize(pred_flat, stats)
+            p = denormalize(pred.ravel(), stats)
             cells[(ds.label, variant.value)] = EvalCell(MetricPair(mae(t, p), mre(t, p)))
     return EvalReport(names, [v.value for v in variants], cells, ranges)
 

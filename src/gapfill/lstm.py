@@ -9,6 +9,13 @@ The cell is the standard forget-gate variant without peepholes:
     c' = f * c + i * g
     h' = o * tanh(c')
 
+The four gates are stored fused: one (4h, d+h) weight acting on the
+concatenation [x, h] and one 4h bias, with gate blocks in the order i, f,
+o, g so the three sigmoid gates form one contiguous slice. A step is then
+one matrix product for a whole batch of B states held as (B, .) rows. The
+per-gate tensors `w_i` ... `b_o` are views into the fused arrays, so
+reading or editing them in place reads or edits the cell.
+
 Weights are drawn Uniform(-k, k) with k = 1/sqrt(hidden_dim); biases start
 at zero except the forget bias, which starts at 1 so early training does
 not erase the cell memory.
@@ -29,54 +36,103 @@ PARAM_FIELDS = (
     "b_i", "b_f", "b_g", "b_o",
 )
 
+# block of each gate in the fused arrays: the sigmoid gates first, then g
+_GATE_BLOCK = {"i": 0, "f": 1, "o": 2, "g": 3}
 
-@dataclass
+
+def field_shape(name: str, input_dim: int, hidden_dim: int) -> tuple[int, ...]:
+    """Shape of one per-gate tensor: (h, d) input weights, (h, h) recurrent, (h,) bias."""
+    return {"w": (hidden_dim, input_dim), "u": (hidden_dim, hidden_dim),
+            "b": (hidden_dim,)}[name[0]]
+
+
+def _gate_view(name: str) -> property:
+    kind, block = name[0], _GATE_BLOCK[name[2]]
+
+    def get(self) -> np.ndarray:
+        h, d = self.hidden_dim, self.input_dim
+        rows = slice(block * h, (block + 1) * h)
+        if kind == "b":
+            return self.b[rows]
+        return self.w[rows, :d] if kind == "w" else self.w[rows, d:]
+
+    def set(self, value) -> None:
+        get(self)[...] = value
+
+    return property(get, set, doc=f"view of the {name} block of the fused arrays")
+
+
 class LstmParams:
-    w_i: np.ndarray
-    w_f: np.ndarray
-    w_g: np.ndarray
-    w_o: np.ndarray
-    u_i: np.ndarray
-    u_f: np.ndarray
-    u_g: np.ndarray
-    u_o: np.ndarray
-    b_i: np.ndarray
-    b_f: np.ndarray
-    b_g: np.ndarray
-    b_o: np.ndarray
+    """One cell's parameters: fused weight `w` (4h, d+h) and bias `b` (4h,).
+
+    Built from the twelve per-gate tensors (in PARAM_FIELDS order), or
+    around existing fused arrays with `LstmParams.fused`.
+    """
+
+    def __init__(self, w_i, w_f, w_g, w_o, u_i, u_f, u_g, u_o, b_i, b_f, b_g, b_o):
+        h, d = np.shape(w_i)
+        self.w = np.empty((4 * h, d + h))
+        self.b = np.empty(4 * h)
+        given = dict(zip(PARAM_FIELDS, (w_i, w_f, w_g, w_o, u_i, u_f, u_g, u_o,
+                                        b_i, b_f, b_g, b_o)))
+        for name, value in given.items():
+            if np.shape(value) != field_shape(name, d, h):
+                raise ShapeError(f"{name}: expected shape {field_shape(name, d, h)}, "
+                                 f"got {np.shape(value)}")
+            setattr(self, name, value)
+
+    @classmethod
+    def fused(cls, w: np.ndarray, b: np.ndarray) -> "LstmParams":
+        """Wrap fused arrays without copying them."""
+        if w.ndim != 2 or b.shape != (w.shape[0],) or w.shape[0] % 4 or w.shape[1] <= w.shape[0] // 4:
+            raise ShapeError(f"fused weight {w.shape} and bias {b.shape} do not form a cell")
+        p = cls.__new__(cls)
+        p.w, p.b = w, b
+        return p
+
+    def zeros_like(self) -> "LstmParams":
+        return LstmParams.fused(np.zeros_like(self.w), np.zeros_like(self.b))
+
+    def fields(self) -> dict[str, np.ndarray]:
+        """The per-gate views, keyed in PARAM_FIELDS order."""
+        return {name: getattr(self, name) for name in PARAM_FIELDS}
 
     @property
     def input_dim(self) -> int:
-        return self.w_i.shape[1]
+        return self.w.shape[1] - self.hidden_dim
 
     @property
     def hidden_dim(self) -> int:
-        return self.w_i.shape[0]
+        return self.b.shape[0] // 4
+
+    w_i, w_f, w_g, w_o = (_gate_view(n) for n in PARAM_FIELDS[0:4])
+    u_i, u_f, u_g, u_o = (_gate_view(n) for n in PARAM_FIELDS[4:8])
+    b_i, b_f, b_g, b_o = (_gate_view(n) for n in PARAM_FIELDS[8:12])
 
 
 @dataclass
 class LstmState:
-    h: np.ndarray
+    h: np.ndarray  # (h,) or (B, h)
     c: np.ndarray
 
 
 @dataclass
 class CellTape:
-    """Everything one forward step caches for its backward step."""
+    """What one forward step keeps for its backward step, as (B, .) rows.
 
-    x: np.ndarray
-    h_prev: np.ndarray
-    c_prev: np.ndarray
-    i: np.ndarray
-    f: np.ndarray
-    g: np.ndarray
-    o: np.ndarray
-    c: np.ndarray
-    tanh_c: np.ndarray
+    `c_prev` is the previous step's `c` array itself, not a copy.
+    """
+
+    xh: np.ndarray  # (B, d+h): the input and the previous hidden state side by side
+    act: np.ndarray  # (B, 4h): sigmoid(i, f, o) then tanh(g)
+    c_prev: np.ndarray  # (B, h)
+    c: np.ndarray  # (B, h)
 
 
-def zero_state(hidden_dim: int) -> LstmState:
-    return LstmState(np.zeros(hidden_dim), np.zeros(hidden_dim))
+def zero_state(hidden_dim: int, batch: int | None = None) -> LstmState:
+    """All-zero state: (h,) vectors, or (batch, h) rows."""
+    shape = (hidden_dim,) if batch is None else (batch, hidden_dim)
+    return LstmState(np.zeros(shape), np.zeros(shape))
 
 
 def init_lstm_params(input_dim: int, hidden_dim: int, rng: Rng) -> LstmParams:
@@ -84,35 +140,41 @@ def init_lstm_params(input_dim: int, hidden_dim: int, rng: Rng) -> LstmParams:
     if input_dim < 1 or hidden_dim < 1:
         raise ValueError("input_dim and hidden_dim must be positive")
     k = 1.0 / np.sqrt(hidden_dim)
-    fields = {}
-    for name in PARAM_FIELDS[:4]:
-        fields[name] = rng.uniform_array((hidden_dim, input_dim), -k, k)
-    for name in PARAM_FIELDS[4:8]:
-        fields[name] = rng.uniform_array((hidden_dim, hidden_dim), -k, k)
-    for name in PARAM_FIELDS[8:]:
-        fields[name] = np.zeros(hidden_dim)
-    fields["b_f"] = np.ones(hidden_dim)
-    return LstmParams(**fields)
+    p = LstmParams.fused(np.empty((4 * hidden_dim, input_dim + hidden_dim)),
+                         np.zeros(4 * hidden_dim))
+    for name in PARAM_FIELDS[:8]:
+        setattr(p, name, rng.uniform_array(field_shape(name, input_dim, hidden_dim), -k, k))
+    p.b_f = 1.0
+    return p
 
 
 def zero_lstm_grads(p: LstmParams) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(getattr(p, name)) for name in PARAM_FIELDS}
+    return p.zeros_like().fields()
 
 
 def lstm_step(p: LstmParams, x: np.ndarray, s: LstmState) -> tuple[LstmState, CellTape]:
-    """One forward step; returns the new state and the tape for backward."""
-    if x.shape[0] != p.input_dim:
-        raise ShapeError(f"input has length {x.shape[0]}, cell expects {p.input_dim}")
-    if s.h.shape[0] != p.hidden_dim or s.c.shape[0] != p.hidden_dim:
-        raise ShapeError(f"state has length {s.h.shape[0]}, cell expects {p.hidden_dim}")
-    i = sigmoid(p.w_i @ x + p.u_i @ s.h + p.b_i)
-    f = sigmoid(p.w_f @ x + p.u_f @ s.h + p.b_f)
-    g = np.tanh(p.w_g @ x + p.u_g @ s.h + p.b_g)
-    o = sigmoid(p.w_o @ x + p.u_o @ s.h + p.b_o)
-    c = f * s.c + i * g
-    tc = np.tanh(c)
-    h = o * tc
-    return LstmState(h, c), CellTape(x, s.h, s.c, i, f, g, o, c, tc)
+    """One forward step for one state (1-D) or a batch of states (rows).
+
+    Returns the new state, shaped like the input, and the tape for backward.
+    """
+    d, h = p.input_dim, p.hidden_dim
+    if x.shape[-1] != d:
+        raise ShapeError(f"input has length {x.shape[-1]}, cell expects {d}")
+    if s.h.shape[-1] != h or s.c.shape[-1] != h:
+        raise ShapeError(f"state has length {s.h.shape[-1]}, cell expects {h}")
+    c_prev = np.atleast_2d(s.c)
+    xh = np.concatenate([np.atleast_2d(x), np.atleast_2d(s.h)], axis=1)
+    act = xh @ p.w.T
+    act += p.b
+    act[:, :3 * h] = sigmoid(act[:, :3 * h])
+    np.tanh(act[:, 3 * h:], out=act[:, 3 * h:])
+    c = act[:, h:2 * h] * c_prev
+    c += act[:, :h] * act[:, 3 * h:]
+    h_new = act[:, 2 * h:3 * h] * np.tanh(c)
+    tape = CellTape(xh, act, c_prev, c)
+    if x.ndim == 1:
+        return LstmState(h_new[0], c[0]), tape
+    return LstmState(h_new, c), tape
 
 
 def lstm_step_backward(
@@ -120,42 +182,40 @@ def lstm_step_backward(
     tape: CellTape,
     dh: np.ndarray,
     dc_in: np.ndarray,
-    acc: dict[str, np.ndarray],
+    acc: LstmParams,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Backward through one step.
 
-    `dh`/`dc_in` are the loss gradients w.r.t. this step's h and c outputs.
-    Parameter gradients accumulate into `acc`; returns the gradients w.r.t.
-    the step input, the previous hidden state, and the previous cell memory.
+    `dh`/`dc_in` are the loss gradients w.r.t. this step's h and c outputs
+    (1-D, or one row per batch member). Parameter gradients, summed over
+    the batch, accumulate into the fused arrays of `acc`; returns the
+    gradients w.r.t. the step input, the previous hidden state, and the
+    previous cell memory, shaped like `dh`.
     """
-    do = dh * tape.tanh_c
-    dc = dc_in + dh * tape.o * (1.0 - tape.tanh_c * tape.tanh_c)
-    di = dc * tape.g
-    dg = dc * tape.i
-    df = dc * tape.c_prev
-    dc_prev = dc * tape.f
+    h = p.hidden_dim
+    act = tape.act
+    i, f, o, g = (act[:, k * h:(k + 1) * h] for k in range(4))
+    tc = np.tanh(tape.c)
+    dh2 = np.atleast_2d(dh)
+    dc = dh2 * o * (1.0 - tc * tc)
+    dc += dc_in
+    d_act = np.empty_like(act)
+    # sigmoid gates: d/da sigmoid(a) = s (1 - s)
+    sig = act[:, :3 * h]
+    d_act[:, :h] = dc * g
+    d_act[:, h:2 * h] = dc * tape.c_prev
+    d_act[:, 2 * h:3 * h] = dh2 * tc
+    d_act[:, :3 * h] *= sig * (1.0 - sig)
+    d_act[:, 3 * h:] = dc * i * (1.0 - g * g)
 
-    da_i = di * tape.i * (1.0 - tape.i)
-    da_f = df * tape.f * (1.0 - tape.f)
-    da_g = dg * (1.0 - tape.g * tape.g)
-    da_o = do * tape.o * (1.0 - tape.o)
-
-    acc["w_i"] += np.outer(da_i, tape.x)
-    acc["w_f"] += np.outer(da_f, tape.x)
-    acc["w_g"] += np.outer(da_g, tape.x)
-    acc["w_o"] += np.outer(da_o, tape.x)
-    acc["u_i"] += np.outer(da_i, tape.h_prev)
-    acc["u_f"] += np.outer(da_f, tape.h_prev)
-    acc["u_g"] += np.outer(da_g, tape.h_prev)
-    acc["u_o"] += np.outer(da_o, tape.h_prev)
-    acc["b_i"] += da_i
-    acc["b_f"] += da_f
-    acc["b_g"] += da_g
-    acc["b_o"] += da_o
-
-    dx = p.w_i.T @ da_i + p.w_f.T @ da_f + p.w_g.T @ da_g + p.w_o.T @ da_o
-    dh_prev = p.u_i.T @ da_i + p.u_f.T @ da_f + p.u_g.T @ da_g + p.u_o.T @ da_o
-    return dx, dh_prev, dc_prev
+    acc.w += d_act.T @ tape.xh
+    acc.b += d_act.sum(axis=0)
+    dxh = d_act @ p.w
+    dc_prev = dc * f
+    d = p.input_dim
+    if dh.ndim == 1:
+        return dxh[0, :d], dxh[0, d:], dc_prev[0]
+    return dxh[:, :d], dxh[:, d:], dc_prev
 
 
 def lstm_run(
@@ -177,19 +237,23 @@ def lstm_backward(
     grad_h_seq: list[np.ndarray] | None,
     grad_h_final: np.ndarray | None = None,
     grad_c_final: np.ndarray | None = None,
+    acc: LstmParams | None = None,
 ) -> tuple[dict[str, np.ndarray], list[np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """Backpropagation through time over a taped sequence.
 
     `grad_h_seq[t]` is the loss gradient flowing directly into the step-t
     hidden output (None means all zeros); `grad_h_final`/`grad_c_final` add
-    to the last step's state gradients. Returns parameter gradients, the
-    gradient w.r.t. each input, and the gradient w.r.t. the initial state.
+    to the last step's state gradients. Parameter gradients accumulate into
+    `acc` (a fresh zero cell when None) and are returned per gate, together
+    with the gradient w.r.t. each input and w.r.t. the initial state.
+    Gradients are 1-D unless a batched one is passed in.
     """
     n = len(tapes)
     if grad_h_seq is not None and len(grad_h_seq) != n:
         raise ShapeError(f"got {len(grad_h_seq)} hidden gradients for {n} steps")
+    if acc is None:
+        acc = p.zeros_like()
     hdim = p.hidden_dim
-    acc = zero_lstm_grads(p)
     dh = np.zeros(hdim) if grad_h_final is None else grad_h_final.copy()
     dc = np.zeros(hdim) if grad_c_final is None else grad_c_final.copy()
     dxs: list[np.ndarray] = [None] * n  # type: ignore[list-item]
@@ -198,4 +262,4 @@ def lstm_backward(
             dh = dh + grad_h_seq[t]
         dx, dh, dc = lstm_step_backward(p, tapes[t], dh, dc, acc)
         dxs[t] = dx
-    return acc, dxs, (dh, dc)
+    return acc.fields(), dxs, (dh, dc)

@@ -19,27 +19,30 @@ observations.
 The gradient of the training loss is computed in closed form by
 backpropagation through time, including the paths created by the decoders
 consuming their own predictions.
+
+Everything runs batch-first: B windows of equal shape go through each LSTM
+step together as (B, .) rows. A stream (encoder, self-feeding decoder,
+prediction head) is written once; the backward stream is the same code fed
+the `after` rows in reverse. One window is the case B = 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .lstm import (
-    PARAM_FIELDS,
     CellTape,
     LstmParams,
     init_lstm_params,
     lstm_backward,
-    lstm_run,
     lstm_step,
     lstm_step_backward,
-    zero_lstm_grads,
     zero_state,
 )
-from .numerics import Rng, ShapeError, finite_diff_grad, mse
+from .numerics import Rng, ShapeError, finite_diff_grad
 
 SCHEDULE_VARIANTS = ("linear", "endpoint", "constant")
 
@@ -92,7 +95,14 @@ class Affine:
     b: np.ndarray  # (out_dim,)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.w @ x + self.b
+        """y = W x + b for a vector, or for every row of a stack of them."""
+        return x @ self.w.T + self.b
+
+    def backward(self, x: np.ndarray, dy: np.ndarray, acc: "Affine") -> np.ndarray:
+        """Accumulate the gradients of rows `x` -> `dy` into `acc`; returns dL/dx."""
+        acc.w += dy.reshape(-1, dy.shape[-1]).T @ x.reshape(-1, x.shape[-1])
+        acc.b += dy.reshape(-1, dy.shape[-1]).sum(axis=0)
+        return dy @ self.w
 
 
 @dataclass(frozen=True)
@@ -144,9 +154,8 @@ def iter_params(params: ModelParams) -> list[tuple[str, np.ndarray]]:
     """(path, tensor) pairs in the canonical order used everywhere."""
     out: list[tuple[str, np.ndarray]] = []
     for name in _LSTM_COMPONENTS:
-        lp = getattr(params, name)
-        for field in PARAM_FIELDS:
-            out.append((f"{name}.{field}", getattr(lp, field)))
+        for field, tensor in getattr(params, name).fields().items():
+            out.append((f"{name}.{field}", tensor))
     out.append(("head_fw.w", params.head_fw.w))
     out.append(("head_fw.b", params.head_fw.b))
     out.append(("head_bw.w", params.head_bw.w))
@@ -157,15 +166,21 @@ def iter_params(params: ModelParams) -> list[tuple[str, np.ndarray]]:
     return out
 
 
+def _map_params(params: ModelParams, fn) -> ModelParams:
+    """A new ModelParams whose every array is fn(array)."""
+    def lstm(p: LstmParams) -> LstmParams:
+        return LstmParams.fused(fn(p.w), fn(p.b))
+
+    def affine(a: Affine) -> Affine:
+        return Affine(fn(a.w), fn(a.b))
+
+    return ModelParams(params.config, lstm(params.enc_fw), lstm(params.enc_bw),
+                       lstm(params.dec_fw), lstm(params.dec_bw), affine(params.head_fw),
+                       affine(params.head_bw), [affine(layer) for layer in params.merge])
+
+
 def clone_params(params: ModelParams) -> ModelParams:
-    return ModelParams(
-        params.config,
-        *(LstmParams(**{f: getattr(getattr(params, n), f).copy() for f in PARAM_FIELDS})
-          for n in _LSTM_COMPONENTS),
-        Affine(params.head_fw.w.copy(), params.head_fw.b.copy()),
-        Affine(params.head_bw.w.copy(), params.head_bw.b.copy()),
-        [Affine(layer.w.copy(), layer.b.copy()) for layer in params.merge],
-    )
+    return _map_params(params, np.copy)
 
 
 @dataclass
@@ -173,156 +188,245 @@ class ImputationWindow:
     """One sample: observed rows before a gap, the gap itself, observed rows after.
 
     `missing` holds the ground-truth gap rows and is None in pure inference.
+    A batch of B equal-shape windows is one ImputationWindow whose arrays
+    carry a leading batch axis (see `stack_windows`).
     """
 
-    before: np.ndarray  # (L_b, input_dim)
-    missing: np.ndarray | None  # (T, input_dim)
-    after: np.ndarray  # (L_a, input_dim)
+    before: np.ndarray  # (L_b, input_dim), or (B, L_b, input_dim) for a batch
+    missing: np.ndarray | None  # (T, input_dim), or (B, T, input_dim)
+    after: np.ndarray  # (L_a, input_dim), or (B, L_a, input_dim)
+
+    def take(self, idx) -> "ImputationWindow":
+        """The windows at batch positions `idx` of a batch."""
+        return ImputationWindow(self.before[idx],
+                                None if self.missing is None else self.missing[idx],
+                                self.after[idx])
+
+
+def stack_windows(windows: Sequence[ImputationWindow]) -> ImputationWindow:
+    """Stack windows of equal shape into one batch window."""
+    if not windows:
+        raise ValueError("cannot stack an empty window list")
+    missing = [w.missing for w in windows]
+    has_truth = [m is not None for m in missing]
+    if any(has_truth) and not all(has_truth):
+        raise ValueError("either every window of a batch has ground truth or none has")
+
+    def stack(arrays, name):
+        rows = [np.asarray(a, dtype=np.float64) for a in arrays]
+        rows = [a[:, None] if a.ndim == 1 else a for a in rows]
+        if any(a.shape != rows[0].shape for a in rows):
+            raise ShapeError(f"{name}: windows of a batch must share one shape")
+        return np.stack(rows)
+
+    return ImputationWindow(stack([w.before for w in windows], "before"),
+                            stack(missing, "missing") if all(has_truth) else None,
+                            stack([w.after for w in windows], "after"))
+
+
+@dataclass
+class StreamTrace:
+    """One stream's decoder outputs in processing order, and its tapes.
+
+    For the backward stream processing order is gap positions T..1.
+    """
+
+    h: np.ndarray  # (B, T, hidden)
+    pred: np.ndarray  # (B, T, input_dim): local predictions
+    enc_tapes: list[CellTape] | None
+    dec_tapes: list[CellTape] | None
 
 
 @dataclass
 class ForwardTrace:
-    """Everything one forward pass produced, ordered by gap position."""
+    """Everything one forward pass produced, ordered by gap position.
 
-    h_fw: list[np.ndarray]
-    pred_fw: list[np.ndarray]  # local forward-stream predictions
-    h_bw: list[np.ndarray] | None
-    pred_bw: list[np.ndarray] | None
-    merged: list[np.ndarray]  # the final imputation per gap position
-    merge_hidden_acts: list[np.ndarray] | None
-    enc_fw_tapes: list[CellTape]
-    dec_fw_tapes: list[CellTape]
-    enc_bw_tapes: list[CellTape] | None
-    dec_bw_tapes: list[CellTape] | None  # processing order: gap positions T..1
+    Each array is (T, .) for one window and (B, T, .) for a batch.
+    """
+
+    h_fw: np.ndarray
+    pred_fw: np.ndarray  # local forward-stream predictions
+    h_bw: np.ndarray | None
+    pred_bw: np.ndarray | None
+    merged: np.ndarray  # the final imputation per gap position
+    merge_hidden_acts: np.ndarray | None
 
 
-def _rows(a: np.ndarray, name: str, d: int) -> np.ndarray:
+def _batch_rows(a, name: str, d: int) -> np.ndarray:
+    """Validate a (B, n, d) stack of rows."""
     a = np.asarray(a, dtype=np.float64)
-    if a.ndim == 1:
-        a = a[:, None]
-    if a.ndim != 2 or a.shape[1] != d:
-        raise ShapeError(f"{name}: expected shape (n, {d}), got {a.shape}")
-    if a.shape[0] < 1:
+    if a.ndim != 3 or a.shape[2] != d:
+        raise ShapeError(f"{name}: expected shape (n, {d}), got {a.shape[1:]}")
+    if a.shape[1] < 1:
         raise ShapeError(f"{name}: needs at least one row")
     return a
 
 
-def forward(params: ModelParams, window: ImputationWindow, schedule: ScalingSchedule) -> ForwardTrace:
-    """Run the network over one window.
+def _as_batch(windows) -> tuple[ImputationWindow, bool]:
+    """A batch window from one window, a batch window or a window list; and
+    whether the input was a single window."""
+    if not isinstance(windows, ImputationWindow):
+        return stack_windows(windows), False
+    if np.ndim(windows.before) == 3:
+        return windows, False
+    return stack_windows([windows]), True
 
+
+def _run_stream(enc: LstmParams, dec: LstmParams, head: Affine, context: np.ndarray,
+                gap_len: int, keep_tapes: bool) -> StreamTrace:
+    """Encode `context` (B, L, d) in order, then decode `gap_len` steps.
+
+    The decoder starts from the encoder's final state with the last context
+    row as input and feeds each local prediction into its next step.
+    """
+    enc_tapes: list[CellTape] | None = [] if keep_tapes else None
+    dec_tapes: list[CellTape] | None = [] if keep_tapes else None
+    state = zero_state(enc.hidden_dim, context.shape[0])
+    for x in np.swapaxes(context, 0, 1):
+        state, tape = lstm_step(enc, x, state)
+        if enc_tapes is not None:
+            enc_tapes.append(tape)
+    hs, preds = [], []
+    x = context[:, -1]
+    for _ in range(gap_len):
+        state, tape = lstm_step(dec, x, state)
+        if dec_tapes is not None:
+            dec_tapes.append(tape)
+        hs.append(state.h)
+        x = head.apply(state.h)
+        preds.append(x)
+    return StreamTrace(np.stack(hs, axis=1), np.stack(preds, axis=1), enc_tapes, dec_tapes)
+
+
+def _stream_backward(enc: LstmParams, dec: LstmParams, head: Affine, st: StreamTrace,
+                     d_pred: np.ndarray, dh_merge: np.ndarray | None,
+                     g_enc: LstmParams, g_dec: LstmParams, g_head: Affine) -> None:
+    """Backpropagate one stream, newest decoder step first.
+
+    `d_pred` (B, T, d) is the loss gradient on each local prediction and
+    `dh_merge` (B, T, h) the merge layer's gradient on each decoder hidden
+    vector, both in processing order. The gradient w.r.t. a prediction
+    combines its own loss term with the gradient flowing out of the next
+    step's input, because predictions are self-fed.
+    """
+    B, T, _ = d_pred.shape
+    dh = np.zeros((B, dec.hidden_dim))
+    dc = np.zeros((B, dec.hidden_dim))
+    d_in = None
+    d_preds = np.empty_like(d_pred)
+    for t in reversed(range(T)):
+        d_preds[:, t] = d_pred[:, t] if d_in is None else d_pred[:, t] + d_in
+        dh = dh + d_preds[:, t] @ head.w
+        if dh_merge is not None:
+            dh = dh + dh_merge[:, t]
+        d_in, dh, dc = lstm_step_backward(dec, st.dec_tapes[t], dh, dc, g_dec)
+    head.backward(st.h, d_preds, g_head)
+    lstm_backward(enc, st.enc_tapes, None, dh, dc, acc=g_enc)
+
+
+def _merge_input(schedule: ScalingSchedule, h_fw: np.ndarray, h_bw: np.ndarray) -> np.ndarray:
+    """[gamma_t * h_fw_t, gamma'_t * h_bw_t] for every gap position t."""
+    return np.concatenate([schedule.gamma[:, None] * h_fw,
+                           schedule.gamma_prime[:, None] * h_bw], axis=-1)
+
+
+def _forward(params: ModelParams, batch: ImputationWindow, schedule: ScalingSchedule,
+             keep_tapes: bool) -> tuple[ForwardTrace, StreamTrace, StreamTrace | None]:
+    """The batched forward pass behind `forward` and `loss_and_grads`."""
+    cfg = params.config
+    d, T = cfg.input_dim, schedule.gap_len
+    before = _batch_rows(batch.before, "before", d)
+    after = _batch_rows(batch.after, "after", d)
+    if batch.missing is not None and np.shape(batch.missing)[1] != T:
+        raise ShapeError(f"gap has {np.shape(batch.missing)[1]} rows but schedule covers {T}")
+
+    fw = _run_stream(params.enc_fw, params.dec_fw, params.head_fw, before, T, keep_tapes)
+    if cfg.forward_only:
+        return ForwardTrace(fw.h, fw.pred, None, None, fw.pred, None), fw, None
+    bw = _run_stream(params.enc_bw, params.dec_bw, params.head_bw, after[:, ::-1], T, keep_tapes)
+    h_bw = np.ascontiguousarray(bw.h[:, ::-1])
+    pred_bw = np.ascontiguousarray(bw.pred[:, ::-1])
+    u = _merge_input(schedule, fw.h, h_bw)
+    hidden_acts = None
+    if cfg.merge_hidden > 0:
+        hidden_acts = np.tanh(params.merge[0].apply(u))
+        merged = params.merge[1].apply(hidden_acts)
+    else:
+        merged = params.merge[0].apply(u)
+    return ForwardTrace(fw.h, fw.pred, h_bw, pred_bw, merged, hidden_acts), fw, bw
+
+
+def forward(params: ModelParams, windows, schedule: ScalingSchedule) -> ForwardTrace:
+    """Run the network over one window, or over a batch of equal-shape windows.
+
+    `windows` is an ImputationWindow, a batch window, or a list of windows.
     Stages: both encoders first, then each decoder stream over the whole
     gap (self-feeding its local predictions), and merging last, once both
     hidden sequences exist.
     """
-    cfg = params.config
-    d, h = cfg.input_dim, cfg.hidden_dim
-    T = schedule.gap_len
-    before = _rows(window.before, "before", d)
-    after = _rows(window.after, "after", d)
-    if window.missing is not None:
-        miss = _rows(window.missing, "missing", d)
-        if miss.shape[0] != T:
-            raise ShapeError(f"gap has {miss.shape[0]} rows but schedule covers {T}")
-
-    fw_state, _, enc_fw_tapes = lstm_run(params.enc_fw, list(before), zero_state(h))
-    h_fw, pred_fw, dec_fw_tapes = [], [], []
-    state, x = fw_state, before[-1]
-    for _ in range(T):
-        state, tape = lstm_step(params.dec_fw, x, state)
-        dec_fw_tapes.append(tape)
-        h_fw.append(state.h)
-        x = params.head_fw.apply(state.h)
-        pred_fw.append(x)
-
-    if cfg.forward_only:
-        return ForwardTrace(h_fw, pred_fw, None, None, list(pred_fw), None,
-                            enc_fw_tapes, dec_fw_tapes, None, None)
-
-    bw_state, _, enc_bw_tapes = lstm_run(params.enc_bw, list(after[::-1]), zero_state(h))
-    h_bw_steps, pred_bw_steps, dec_bw_tapes = [], [], []
-    state, x = bw_state, after[0]
-    for _ in range(T):
-        state, tape = lstm_step(params.dec_bw, x, state)
-        dec_bw_tapes.append(tape)
-        h_bw_steps.append(state.h)
-        x = params.head_bw.apply(state.h)
-        pred_bw_steps.append(x)
-    h_bw = h_bw_steps[::-1]
-    pred_bw = pred_bw_steps[::-1]
-
-    merged, hidden_acts = [], ([] if cfg.merge_hidden > 0 else None)
-    for t in range(T):
-        u = np.concatenate([schedule.gamma[t] * h_fw[t], schedule.gamma_prime[t] * h_bw[t]])
-        if cfg.merge_hidden > 0:
-            z = np.tanh(params.merge[0].apply(u))
-            hidden_acts.append(z)
-            merged.append(params.merge[1].apply(z))
-        else:
-            merged.append(params.merge[0].apply(u))
-    return ForwardTrace(h_fw, pred_fw, h_bw, pred_bw, merged, hidden_acts,
-                        enc_fw_tapes, dec_fw_tapes, enc_bw_tapes, dec_bw_tapes)
+    batch, single = _as_batch(windows)
+    trace, _, _ = _forward(params, batch, schedule, keep_tapes=False)
+    if not single:
+        return trace
+    return ForwardTrace(*(None if a is None else a[0] for a in (
+        trace.h_fw, trace.pred_fw, trace.h_bw, trace.pred_bw, trace.merged,
+        trace.merge_hidden_acts)))
 
 
-def loss(trace: ForwardTrace, truth) -> float:
+def _truth_rows(truth, T: int, d: int) -> np.ndarray:
+    truth = np.asarray(truth, dtype=np.float64)
+    if truth.ndim == 1:
+        truth = truth[:, None]
+    if truth.shape[-2] != T:
+        raise ShapeError(f"truth has {truth.shape[-2]} rows for a gap of {T}")
+    if truth.shape[-1] != d:
+        raise ShapeError(f"truth: expected {d} column(s), got shape {truth.shape}")
+    return truth
+
+
+def _loss_terms(trace: ForwardTrace, truth: np.ndarray) -> list[np.ndarray]:
+    """Mean squared error of each loss term, per window: the merged output,
+    then (full network) the forward and the backward stream predictions."""
+    preds = [trace.merged] if trace.pred_bw is None else [
+        trace.merged, trace.pred_fw, trace.pred_bw]
+    return [np.mean((p - truth) ** 2, axis=(-2, -1)) for p in preds]
+
+
+def loss(trace: ForwardTrace, truth):
     """Mean over gap positions of the squared-error terms.
 
     Full network: MSE of the merged output plus MSE of each stream's local
     prediction at every position. Forward-only network: MSE of its single
-    prediction stream.
+    prediction stream. A float for one window, one value per window for a
+    batch.
     """
-    T = len(trace.merged)
-    truth = np.asarray(truth, dtype=np.float64)
-    if truth.ndim == 1:
-        truth = truth[:, None]
-    if truth.shape[0] != T:
-        raise ShapeError(f"truth has {truth.shape[0]} rows for a gap of {T}")
-    total = 0.0
-    for t in range(T):
-        total += mse(truth[t], trace.merged[t])
-        if trace.pred_bw is not None:
-            total += mse(truth[t], trace.pred_fw[t])
-            total += mse(truth[t], trace.pred_bw[t])
-    return total / T
+    truth = _truth_rows(truth, trace.merged.shape[-2], trace.merged.shape[-1])
+    total = sum(_loss_terms(trace, truth))
+    return float(total) if np.ndim(total) == 0 else total
 
 
 def _merge_backward(
     params: ModelParams,
     trace: ForwardTrace,
     schedule: ScalingSchedule,
-    truth: np.ndarray,
-    scale: float,
-    g: dict[str, np.ndarray],
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    d_merged: np.ndarray,
+    g: list[Affine],
+) -> tuple[np.ndarray, np.ndarray]:
     """Backward through the merge layer only, with the trace held fixed.
 
-    Returns the merged-loss gradients w.r.t. each decoder hidden vector at
-    the merge input: the gamma factors multiply straight through, which is
-    what makes the stream weights shape learning as well as prediction.
+    Returns the gradients w.r.t. each decoder hidden vector at the merge
+    input: the gamma factors multiply straight through, which is what makes
+    the stream weights shape learning as well as prediction.
     """
     h = params.config.hidden_dim
-    T = schedule.gap_len
-    dh_fw: list[np.ndarray] = []
-    dh_bw: list[np.ndarray] = []
-    for t in range(T):
-        dxhat = scale * (trace.merged[t] - truth[t])
-        u = np.concatenate([schedule.gamma[t] * trace.h_fw[t],
-                            schedule.gamma_prime[t] * trace.h_bw[t]])
-        if params.config.merge_hidden > 0:
-            z = trace.merge_hidden_acts[t]
-            g["merge.1.w"] += np.outer(dxhat, z)
-            g["merge.1.b"] += dxhat
-            dz = params.merge[1].w.T @ dxhat
-            da = dz * (1.0 - z * z)
-            g["merge.0.w"] += np.outer(da, u)
-            g["merge.0.b"] += da
-            du = params.merge[0].w.T @ da
-        else:
-            g["merge.0.w"] += np.outer(dxhat, u)
-            g["merge.0.b"] += dxhat
-            du = params.merge[0].w.T @ dxhat
-        dh_fw.append(schedule.gamma[t] * du[:h])
-        dh_bw.append(schedule.gamma_prime[t] * du[h:])
-    return dh_fw, dh_bw
+    u = _merge_input(schedule, trace.h_fw, trace.h_bw)
+    if params.config.merge_hidden > 0:
+        z = trace.merge_hidden_acts
+        dz = params.merge[1].backward(z, d_merged, g[1])
+        du = params.merge[0].backward(u, dz * (1.0 - z * z), g[0])
+    else:
+        du = params.merge[0].backward(u, d_merged, g[0])
+    return schedule.gamma[:, None] * du[..., :h], schedule.gamma_prime[:, None] * du[..., h:]
 
 
 def merge_input_grads(
@@ -330,143 +434,76 @@ def merge_input_grads(
     trace: ForwardTrace,
     schedule: ScalingSchedule,
     truth,
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of the merged-output loss w.r.t. each stream's hidden vector
-    entering the merge, with the forward trace held fixed."""
+    entering the merge, with the forward trace held fixed; indexed by gap
+    position like the trace."""
     if params.config.forward_only:
         raise ValueError("forward-only network has no merge layer")
-    truth = _rows(truth, "truth", params.config.input_dim)
-    T = schedule.gap_len
-    scratch = {f"merge.{i}.{f}": np.zeros_like(getattr(layer, f))
-               for i, layer in enumerate(params.merge) for f in ("w", "b")}
-    scale = 2.0 / (T * params.config.input_dim)
-    return _merge_backward(params, trace, schedule, truth, scale, scratch)
+    d, T = params.config.input_dim, schedule.gap_len
+    truth = _truth_rows(truth, T, d)
+    scratch = [Affine(np.zeros_like(layer.w), np.zeros_like(layer.b)) for layer in params.merge]
+    scale = 2.0 / (T * d)
+    return _merge_backward(params, trace, schedule, scale * (trace.merged - truth), scratch)
 
 
 def loss_and_grads(
     params: ModelParams,
-    window: ImputationWindow,
+    windows,
     schedule: ScalingSchedule,
     truth=None,
     term_weights: tuple[float, float, float] = (1.0, 1.0, 1.0),
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Loss and its exact gradient w.r.t. every parameter.
 
-    `term_weights` scales the (merged, forward-stream, backward-stream)
-    loss terms; the default reproduces `loss`. The forward-only network has
-    a single term and ignores the weights.
+    `windows` is one window or a batch (see `forward`); for a batch both the
+    loss and the gradients are summed over its windows. `term_weights`
+    scales the (merged, forward-stream, backward-stream) loss terms; the
+    default reproduces `loss`. The forward-only network has a single term
+    and ignores the weights. Gradients are keyed by `iter_params` path.
     """
     cfg = params.config
-    d, h = cfg.input_dim, cfg.hidden_dim
-    T = schedule.gap_len
+    d, T = cfg.input_dim, schedule.gap_len
+    batch, _ = _as_batch(windows)
     if truth is None:
-        truth = window.missing
+        truth = batch.missing
     if truth is None:
         raise ValueError("training needs ground-truth gap rows")
-    truth = _rows(truth, "truth", d)
-    if truth.shape[0] != T:
-        raise ShapeError(f"truth has {truth.shape[0]} rows for a gap of {T}")
+    truth = _truth_rows(truth, T, d)
+    if truth.ndim == 2:
+        truth = truth[None]
 
-    trace = forward(params, window, schedule)
-    w_merged, w_fw, w_bw = term_weights
+    trace, fw, bw = _forward(params, batch, schedule, keep_tapes=True)
+    terms = _loss_terms(trace, truth)
     coef = 2.0 / (T * d)
-
-    head_fw_g = {"w": np.zeros_like(params.head_fw.w), "b": np.zeros_like(params.head_fw.b)}
-    dec_fw_g = zero_lstm_grads(params.dec_fw)
-
+    g = _map_params(params, np.zeros_like)
     if cfg.forward_only:
-        loss_val = sum(mse(truth[t], trace.merged[t]) for t in range(T)) / T
-        dh_merge_fw = None
+        loss_val = terms[0]
+        d_pred_fw, dh_merge_fw = coef * (fw.pred - truth), None
     else:
-        loss_val = 0.0
-        for t in range(T):
-            loss_val += w_merged * mse(truth[t], trace.merged[t])
-            loss_val += w_fw * mse(truth[t], trace.pred_fw[t])
-            loss_val += w_bw * mse(truth[t], trace.pred_bw[t])
-        loss_val /= T
-        merge_g = {f"merge.{i}.{f}": np.zeros_like(getattr(layer, f))
-                   for i, layer in enumerate(params.merge) for f in ("w", "b")}
+        w_merged, w_fw, w_bw = term_weights
+        loss_val = w_merged * terms[0] + w_fw * terms[1] + w_bw * terms[2]
         dh_merge_fw, dh_merge_bw = _merge_backward(
-            params, trace, schedule, truth, w_merged * coef, merge_g)
-
-    # Forward decoder, newest step first. The gradient w.r.t. a local
-    # prediction combines its own loss term with the gradient flowing out of
-    # the next step's input, because predictions are self-fed.
-    dh_carry = np.zeros(h)
-    dc_carry = np.zeros(h)
-    dx_next: np.ndarray | None = None
-    for t in reversed(range(T)):
-        if cfg.forward_only:
-            d_pred = coef * (trace.pred_fw[t] - truth[t])
-        else:
-            d_pred = (w_fw * coef) * (trace.pred_fw[t] - truth[t])
-        if dx_next is not None:
-            d_pred = d_pred + dx_next
-        head_fw_g["w"] += np.outer(d_pred, trace.h_fw[t])
-        head_fw_g["b"] += d_pred
-        dh = dh_carry + params.head_fw.w.T @ d_pred
-        if dh_merge_fw is not None:
-            dh = dh + dh_merge_fw[t]
-        dx_next, dh_carry, dc_carry = lstm_step_backward(
-            params.dec_fw, trace.dec_fw_tapes[t], dh, dc_carry, dec_fw_g)
-    enc_fw_g, _, _ = lstm_backward(params.enc_fw, trace.enc_fw_tapes, None, dh_carry, dc_carry)
-
-    grads: dict[str, np.ndarray] = {}
-    for field in PARAM_FIELDS:
-        grads[f"enc_fw.{field}"] = enc_fw_g[field]
-        grads[f"dec_fw.{field}"] = dec_fw_g[field]
-    grads["head_fw.w"] = head_fw_g["w"]
-    grads["head_fw.b"] = head_fw_g["b"]
-
-    if cfg.forward_only:
-        for field in PARAM_FIELDS:
-            grads[f"enc_bw.{field}"] = np.zeros_like(getattr(params.enc_bw, field))
-            grads[f"dec_bw.{field}"] = np.zeros_like(getattr(params.dec_bw, field))
-        grads["head_bw.w"] = np.zeros_like(params.head_bw.w)
-        grads["head_bw.b"] = np.zeros_like(params.head_bw.b)
-        for i, layer in enumerate(params.merge):
-            grads[f"merge.{i}.w"] = np.zeros_like(layer.w)
-            grads[f"merge.{i}.b"] = np.zeros_like(layer.b)
-        return loss_val, grads
-
-    # Backward decoder: iterate its processing order in reverse, which walks
-    # the gap from the position nearest the forward observations outward.
-    head_bw_g = {"w": np.zeros_like(params.head_bw.w), "b": np.zeros_like(params.head_bw.b)}
-    dec_bw_g = zero_lstm_grads(params.dec_bw)
-    dh_carry = np.zeros(h)
-    dc_carry = np.zeros(h)
-    dx_next = None
-    for step in reversed(range(T)):
-        t = T - 1 - step  # gap position produced at this step
-        d_pred = (w_bw * coef) * (trace.pred_bw[t] - truth[t])
-        if dx_next is not None:
-            d_pred = d_pred + dx_next
-        head_bw_g["w"] += np.outer(d_pred, trace.h_bw[t])
-        head_bw_g["b"] += d_pred
-        dh = dh_carry + params.head_bw.w.T @ d_pred + dh_merge_bw[t]
-        dx_next, dh_carry, dc_carry = lstm_step_backward(
-            params.dec_bw, trace.dec_bw_tapes[step], dh, dc_carry, dec_bw_g)
-    enc_bw_g, _, _ = lstm_backward(params.enc_bw, trace.enc_bw_tapes, None, dh_carry, dc_carry)
-
-    for field in PARAM_FIELDS:
-        grads[f"enc_bw.{field}"] = enc_bw_g[field]
-        grads[f"dec_bw.{field}"] = dec_bw_g[field]
-    grads["head_bw.w"] = head_bw_g["w"]
-    grads["head_bw.b"] = head_bw_g["b"]
-    for key, val in merge_g.items():
-        grads[key] = val
-    return loss_val, grads
+            params, trace, schedule, (w_merged * coef) * (trace.merged - truth), g.merge)
+        d_pred_fw = (w_fw * coef) * (fw.pred - truth)
+        # the backward stream runs over the gap in reverse: flip to its order
+        _stream_backward(params.enc_bw, params.dec_bw, params.head_bw, bw,
+                         (w_bw * coef) * (bw.pred - truth[:, ::-1]), dh_merge_bw[:, ::-1],
+                         g.enc_bw, g.dec_bw, g.head_bw)
+    _stream_backward(params.enc_fw, params.dec_fw, params.head_fw, fw, d_pred_fw, dh_merge_fw,
+                     g.enc_fw, g.dec_fw, g.head_fw)
+    return float(np.sum(loss_val)), dict(iter_params(g))
 
 
 def backward(
     params: ModelParams,
-    window: ImputationWindow,
+    windows,
     schedule: ScalingSchedule,
     truth=None,
     term_weights: tuple[float, float, float] = (1.0, 1.0, 1.0),
 ) -> dict[str, np.ndarray]:
     """Exact gradient of the window loss w.r.t. every parameter."""
-    return loss_and_grads(params, window, schedule, truth, term_weights)[1]
+    return loss_and_grads(params, windows, schedule, truth, term_weights)[1]
 
 
 def impute(
@@ -476,11 +513,15 @@ def impute(
     gap_len: int,
     variant: str | None = None,
 ) -> np.ndarray:
-    """Fill a gap of `gap_len` rows between observed context; no truth needed."""
+    """Fill gaps of `gap_len` rows between observed context; no truth needed.
+
+    `before`/`after` are (L, d) rows for one gap (1-D when d = 1), giving
+    (gap_len, d); or (B, L, d) stacks for B gaps, giving (B, gap_len, d).
+    """
     schedule = make_schedule(gap_len, variant or params.config.schedule_variant)
-    trace = forward(params, ImputationWindow(np.asarray(before, dtype=np.float64), None,
-                                             np.asarray(after, dtype=np.float64)), schedule)
-    return np.stack(trace.merged)
+    window = ImputationWindow(np.asarray(before, dtype=np.float64), None,
+                              np.asarray(after, dtype=np.float64))
+    return forward(params, window, schedule).merged
 
 
 @dataclass

@@ -45,13 +45,14 @@ def matvec(m: Matrix, v: Vector) -> Vector:
 
 
 def sigmoid(v) -> np.ndarray:
-    """Elementwise logistic function, overflow-safe on both tails."""
-    v = np.asarray(v, dtype=np.float64)
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
+    """Elementwise logistic function, overflow-safe on both tails.
+
+    Uses 1/(1+exp(-v)) = (1 + tanh(v/2))/2: one transcendental ufunc, no
+    masks, and tanh saturates to +-1 where exp would overflow.
+    """
+    out = np.tanh(0.5 * np.asarray(v, dtype=np.float64))
+    out += 1.0
+    out *= 0.5
     return out
 
 

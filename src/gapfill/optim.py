@@ -18,6 +18,7 @@ from .model import (
     loss,
     loss_and_grads,
     make_schedule,
+    stack_windows,
 )
 from .numerics import Rng
 
@@ -159,6 +160,7 @@ def train(
 
     Deterministic for a fixed config and seed: initialization, shuffling,
     and gradient accumulation order are all driven by one seeded stream.
+    Each mini-batch's loss and gradient come from one batched pass.
     """
     T, _ = _check_windows(windows, "training")
     if _check_windows(val_windows, "validation")[0] != T:
@@ -171,43 +173,36 @@ def train(
     log = TrainLog()
     started = time.perf_counter()
     order = list(range(len(windows)))
+    stacked = stack_windows(windows)
+    val_stacked = stack_windows(val_windows)
 
     for epoch in range(1, cfg.epochs + 1):
         rng.shuffle(order)
         epoch_loss = 0.0
         for batch_no, lo in enumerate(range(0, len(order), cfg.batch_size)):
             batch = order[lo:lo + cfg.batch_size]
-            acc: dict[str, np.ndarray] | None = None
-            for idx in batch:
-                w = windows[idx]
-                # the isfinite check below is the divergence guard; silence
-                # numpy's overflow chatter on the way to it
-                with np.errstate(over="ignore", invalid="ignore"):
-                    value, grads = loss_and_grads(params, w, schedule)
-                if not np.isfinite(value):
-                    raise DivergenceError(
-                        f"non-finite training loss at epoch {epoch}, batch {batch_no}",
-                        epoch=epoch, batch=batch_no)
-                epoch_loss += value
-                if acc is None:
-                    acc = grads
-                else:
-                    for key in acc:
-                        acc[key] += grads[key]
-            assert acc is not None
+            # the isfinite check below is the divergence guard; silence
+            # numpy's overflow chatter on the way to it
+            with np.errstate(over="ignore", invalid="ignore"):
+                value, grads = loss_and_grads(params, stacked.take(batch), schedule)
+            if not np.isfinite(value):
+                raise DivergenceError(
+                    f"non-finite training loss at epoch {epoch}, batch {batch_no}",
+                    epoch=epoch, batch=batch_no)
+            epoch_loss += value
             inv = 1.0 / len(batch)
-            for key in acc:
-                acc[key] *= inv
+            for g in grads.values():
+                g *= inv
             if cfg.clip_norm > 0.0:
-                norm = np.sqrt(sum(float(np.sum(g * g)) for g in acc.values()))
+                norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
                 if norm > cfg.clip_norm:
                     scale = cfg.clip_norm / norm
-                    for key in acc:
-                        acc[key] *= scale
+                    for g in grads.values():
+                        g *= scale
                     log.clip_events += 1
-            adam_step(adam, params, acc)
+            adam_step(adam, params, grads)
         train_loss = epoch_loss / len(order)
-        val_loss = evaluate_loss(params, val_windows, schedule)
+        val_loss = evaluate_loss(params, val_stacked, schedule)
         if not np.isfinite(val_loss):
             raise DivergenceError(f"non-finite validation loss at epoch {epoch}", epoch=epoch)
         log.rows.append(TrainLogRow(epoch, train_loss, val_loss, time.perf_counter() - started))
@@ -221,14 +216,14 @@ def train(
     return clone_params(best), log
 
 
-def evaluate_loss(params: ModelParams, windows: list[ImputationWindow], schedule) -> float:
-    """Mean window loss, no parameter updates."""
-    if not windows:
-        raise ValueError("cannot evaluate on an empty window set")
-    total = 0.0
-    for w in windows:
-        total += loss(forward(params, w, schedule), w.missing)
-    return total / len(windows)
+def evaluate_loss(params: ModelParams, windows, schedule) -> float:
+    """Mean window loss over a window list or a batch window, no parameter updates."""
+    if not isinstance(windows, ImputationWindow):
+        if not windows:
+            raise ValueError("cannot evaluate on an empty window set")
+        windows = stack_windows(windows)
+    losses = loss(forward(params, windows, schedule), windows.missing)
+    return float(np.sum(losses)) / losses.shape[0]
 
 
 def split_validation(windows: list[ImputationWindow], fraction: float = 0.1

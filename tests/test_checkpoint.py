@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -92,3 +94,44 @@ def test_unsupported_version_rejected(tmp_path):
     (tmp_path / "v99.ckpt").write_bytes(bytes(raw))
     with pytest.raises(CheckpointError, match="version"):
         load_checkpoint(tmp_path / "v99.ckpt")
+
+
+@pytest.mark.parametrize("cfg", [
+    NetworkConfig(input_dim=1, hidden_dim=3),
+    NetworkConfig(input_dim=2, hidden_dim=4, merge_hidden=3),
+    NetworkConfig(input_dim=3, hidden_dim=2, forward_only=True),
+])
+def test_save_load_save_is_byte_identical(tmp_path, cfg):
+    params = init_model_params(cfg, Rng(12))
+    first, second = tmp_path / "first.ckpt", tmp_path / "second.ckpt"
+    save_checkpoint(first, params, make_stats(cfg.input_dim))
+    loaded, stats = load_checkpoint(first)
+    save_checkpoint(second, loaded, stats)
+    assert first.read_bytes() == second.read_bytes()
+
+
+# header byte offsets: magic, version, input_dim, hidden_dim, 4 flag bytes, merge width, n_cols
+_INPUT_DIM, _HIDDEN_DIM, _N_COLS = len(MAGIC) + 4, len(MAGIC) + 8, len(MAGIC) + 20
+
+
+def _patched(tmp_path, offset, value):
+    params = init_model_params(NetworkConfig(input_dim=1, hidden_dim=2), Rng(0))
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, params, make_stats())
+    raw = bytearray(path.read_bytes())
+    raw[offset:offset + 4] = struct.pack("<I", value)
+    patched = tmp_path / "patched.ckpt"
+    patched.write_bytes(bytes(raw))
+    return patched
+
+
+def test_column_count_must_match_input_dim(tmp_path):
+    with pytest.raises(CheckpointError, match="2 normalization columns for input_dim 1"):
+        load_checkpoint(_patched(tmp_path, _N_COLS, 2))
+
+
+@pytest.mark.parametrize("field, offset", [
+    ("input_dim", _INPUT_DIM), ("hidden_dim", _HIDDEN_DIM), ("n_cols", _N_COLS)])
+def test_zero_dimension_rejected(tmp_path, field, offset):
+    with pytest.raises(CheckpointError, match=f"{field} is 0"):
+        load_checkpoint(_patched(tmp_path, offset, 0))

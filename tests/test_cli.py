@@ -1,10 +1,18 @@
+import csv
+import io
+import math
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gapfill.checkpoint import load_checkpoint
+from gapfill.checkpoint import load_checkpoint, save_checkpoint
 from gapfill.cli import main
-from gapfill.data import load_csv
-from gapfill.model import init_model_params, iter_params
+from gapfill.data import NormStats, load_csv
+from gapfill.model import NetworkConfig, init_model_params, iter_params
 from gapfill.numerics import Rng
 
 TRAIN_CFG = """
@@ -180,6 +188,34 @@ class TestImpute:
         table = load_csv(out)
         assert not table.missing.any()
 
+    def test_blank_line_after_the_gap_does_not_shift_the_writes(self, tmp_path, trained,
+                                                                 sine_csv):
+        lines = sine_csv.read_text().splitlines()
+        lines.insert(50, "")  # after data row 48 (line 0 is the header)
+        blanked = tmp_path / "blanked.csv"
+        blanked.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "filled.csv"
+        assert main(["impute", "--checkpoint", str(trained), "--data", str(blanked),
+                     "--gap", "20:2", "--out", str(out)]) == 0
+        filled = out.read_text().splitlines()
+        assert len(filled) == len(lines)
+        changed = [i for i, (a, b) in enumerate(zip(lines, filled)) if a != b]
+        assert changed == [21, 22]
+
+    def test_gaps_of_equal_length_are_filled_like_single_gaps(self, tmp_path, trained,
+                                                              sine_csv):
+        together = tmp_path / "together.csv"
+        args = ["impute", "--checkpoint", str(trained), "--data", str(sine_csv)]
+        assert main(args + ["--gap", "40:3", "--gap", "90:3", "--gap", "150:5",
+                            "--out", str(together)]) == 0
+        table = load_csv(together).values[:, 0]
+        for gap in ("40:3", "90:3", "150:5"):
+            alone = tmp_path / f"alone-{gap.replace(':', '-')}.csv"
+            assert main(args + ["--gap", gap, "--out", str(alone)]) == 0
+            start, length = map(int, gap.split(":"))
+            single = load_csv(alone).values[start:start + length, 0]
+            assert np.allclose(table[start:start + length], single, rtol=0, atol=1e-12)
+
     def test_context_must_be_observed(self, tmp_path, trained, sine_csv, capsys):
         lines = sine_csv.read_text().splitlines()
         lines[51] = "NA"  # data row 50 (line 0 is the header)
@@ -234,6 +270,97 @@ columns = 0
         cfg.write_text("[eval]\nvariants = seq2seq\n")
         assert main(["eval", "--config", str(cfg)]) == 1
         assert "dataset" in capsys.readouterr().err
+
+
+def _physical_lines(text):
+    return io.StringIO(text, newline="").readlines()
+
+
+def _record_blocks(text):
+    """The text of each CSV record, blank lines included, in file order."""
+    lines = _physical_lines(text)
+    reader = csv.reader(lines)
+    blocks, start = [], 0
+    for _ in reader:
+        blocks.append("".join(lines[start:reader.line_num]))
+        start = reader.line_num
+    return blocks
+
+
+def _cell_text(value, quote, split_line):
+    text = repr(value)
+    if split_line:
+        return f'"{text}\n"'  # a quoted cell holding a line break spans two lines
+    return f'"{text}"' if quote else text
+
+
+@st.composite
+def csv_layouts(draw):
+    """A numeric CSV with blank lines, quoted and multi-line cells, LF or CRLF
+    endings, with or without a header; plus one or two fillable gaps."""
+    n_rows = draw(st.integers(24, 36))
+    n_cols = draw(st.integers(1, 3))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    header = draw(st.booleans())
+    blank_before = draw(st.sets(st.integers(0, n_rows - 1), max_size=4))
+    column = draw(st.integers(0, n_cols - 1))
+    half = n_rows // 2
+    gaps = []
+    for lo, hi in draw(st.sampled_from([[(0, half)], [(half, n_rows)],
+                                        [(0, half), (half, n_rows)]])):
+        length = draw(st.integers(1, 3))  # the gap and its context stay inside [lo, hi)
+        gaps.append((draw(st.integers(lo + length, hi - 2 * length)), length))
+    blocks, line_of_row = [], []  # the text of each record; the block of each data row
+    if header:
+        names = ['"t,0"'] + [f"c{k}" for k in range(1, n_cols)]
+        blocks.append(",".join(names) + eol)
+    for r in range(n_rows):
+        blocks += [eol] if r in blank_before else []
+        cells = [_cell_text(draw(st.integers(-800, 800)) / 8.0, draw(st.booleans()),
+                            draw(st.integers(0, 9)) == 0) for _ in range(n_cols)]
+        line_of_row.append(len(blocks))
+        blocks.append(",".join(cells) + eol)
+    if draw(st.booleans()):
+        blocks.append(eol)  # a trailing blank line
+    elif draw(st.booleans()):
+        blocks[-1] = blocks[-1][:-len(eol)]  # no final line ending
+    return blocks, line_of_row, column, gaps, eol
+
+
+@given(csv_layouts())
+@settings(max_examples=40, deadline=None)
+def test_impute_changes_only_gap_cells(layout):
+    blocks, line_of_row, column, gaps, eol = layout
+    text = "".join(blocks)
+    with tempfile.TemporaryDirectory() as work:
+        ckpt, data, out = (os.path.join(work, n) for n in ("m.ckpt", "in.csv", "out.csv"))
+        params = init_model_params(NetworkConfig(input_dim=1, hidden_dim=2), Rng(0))
+        save_checkpoint(ckpt, params, NormStats(np.zeros(1), np.ones(1)))
+        with open(data, "w", newline="") as fh:
+            fh.write(text)
+        argv = ["impute", "--checkpoint", ckpt, "--data", data, "--column", str(column),
+                "--out", out]
+        for start, length in gaps:
+            argv += ["--gap", f"{start}:{length}"]
+        assert main(argv) == 0
+        with open(out, newline="") as fh:
+            result = fh.read()
+
+    gap_blocks = {line_of_row[r] for start, length in gaps for r in range(start, start + length)}
+    out_blocks = _record_blocks(result)
+    assert len(out_blocks) == len(blocks)
+    for b, (block, got) in enumerate(zip(blocks, out_blocks)):
+        if b not in gap_blocks:
+            assert got == block  # copied byte for byte
+            continue
+        assert got.endswith(eol) == block.endswith(eol)
+        old, new = (next(csv.reader(_physical_lines(t))) for t in (block, got))
+        assert len(new) == len(old)
+        for k, (a, c) in enumerate(zip(old, new)):
+            if k == column:
+                assert math.isfinite(float(c))
+            else:
+                assert a == c
 
 
 class TestGradcheck:
@@ -315,6 +442,43 @@ train_log = {tmp_path / 'log'}
 """)
         assert main(["train", "--config", str(cfg)]) == 1
         assert "data.columns" in capsys.readouterr().err
+
+
+def test_eval_dataset_with_too_few_windows_exits_two(tmp_path, capsys):
+    good, short = tmp_path / "good.csv", tmp_path / "short.csv"
+    assert main(["synth", "--kind", "sine", "--n", "140", "--seed", "1",
+                 "--period", "16", "--out", str(good)]) == 0
+    assert main(["synth", "--kind", "sine", "--n", "22", "--seed", "1",
+                 "--period", "16", "--out", str(short)]) == 0
+    cfg = tmp_path / "eval.cfg"
+    cfg.write_text(f"""
+[model]
+hidden_dim = 3
+[training]
+epochs = 1
+[data]
+before_len = 4
+gap_len = 3
+after_len = 4
+test_fraction = 0.5
+[paths]
+report = {tmp_path / 'report'}
+borda = {tmp_path / 'borda'}
+[eval]
+variants = seq2seqImp,seq2seq
+
+[dataset:good]
+path = {good}
+
+[dataset:short]
+path = {short}
+""")
+    assert main(["eval", "--config", str(cfg), "--jobs", "2"]) == 2
+    rows = (tmp_path / "report.csv").read_text().splitlines()[1:]
+    status = {tuple(r.split(",")[:2]): r.split(",")[-1] for r in rows}
+    assert status[("good:0", "seq2seqImp")] == "ok"
+    assert status[("short:0", "seq2seqImp")] == "failed"
+    assert "2 cell(s) failed" in capsys.readouterr().err
 
 
 def test_parallel_eval_matches_sequential(tmp_path):

@@ -1,9 +1,19 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapfill.data import SeriesTable, WindowSpec, synth
+import gapfill.eval as eval_module
+from gapfill.data import (
+    DataError,
+    SeriesTable,
+    WindowSpec,
+    compute_norm_stats,
+    normalize_table,
+    synth,
+)
 from gapfill.eval import (
     BenchmarkConfig,
     BenchmarkDataset,
@@ -13,6 +23,7 @@ from gapfill.eval import (
     ModelVariant,
     borda,
     borda_points,
+    _train_cell,
     borda_rows,
     format_borda,
     format_report,
@@ -215,6 +226,52 @@ class TestRunBenchmark:
         datasets = [BenchmarkDataset("x", table), BenchmarkDataset("x", table)]
         with pytest.raises(ValueError, match="unique"):
             run_benchmark(datasets, ["seq2seq"], tiny_benchmark_config())
+
+
+class TestCellIsolation:
+    # 22 rows at test_fraction 0.5 leave 11 training rows: one 11-row window
+    SHORT = 22
+
+    def test_too_few_training_windows_is_a_data_error(self):
+        train_part = synth("sine", 11, 0.0, seed=0, period=15.0)  # one 4+3+4 window
+        norm = normalize_table(train_part, compute_norm_stats(train_part))
+        with pytest.raises(DataError, match="too few training windows"):
+            _train_cell(("short", "full", norm, tiny_benchmark_config()))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_data_error_fails_only_its_cells(self, jobs):
+        datasets = [BenchmarkDataset("ok", synth("sine", 120, 0.05, seed=0, period=15.0)),
+                    BenchmarkDataset("short", synth("sine", self.SHORT, 0.0, seed=0,
+                                                    period=15.0))]
+        cfg = tiny_benchmark_config(epochs=1)
+        cfg.jobs = jobs
+        report = run_benchmark(datasets, ["seq2seqImp", "seq2seq"], cfg)
+        assert sorted(report.failed_cells) == [("short", "seq2seq"), ("short", "seq2seqImp")]
+        assert "too few training windows" in report.cells[("short", "seq2seq")].error
+        assert report.cells[("ok", "seq2seqImp")].metrics is not None
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the patched trainer reaches pool workers only through fork")
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_unexpected_exception_fails_only_its_cell(self, jobs, monkeypatch):
+        real_train = eval_module.train
+
+        def flaky_train(net, *args):
+            if net.forward_only:
+                raise RuntimeError("worker blew up")
+            return real_train(net, *args)
+
+        monkeypatch.setattr(eval_module, "train", flaky_train)
+        cfg = tiny_benchmark_config(epochs=1)
+        cfg.jobs = jobs
+        report = run_benchmark([BenchmarkDataset("d", synth("sine", 120, 0.05, seed=0,
+                                                            period=15.0))],
+                               ["seq2seqImp", "seq2seq"], cfg)
+        assert report.failed_cells == [("d", "seq2seq")]
+        error = report.cells[("d", "seq2seq")].error
+        assert error.endswith("RuntimeError: worker blew up")
+        assert "in flaky_train" in error  # the traceback, a worker's included, is kept
+        assert report.cells[("d", "seq2seqImp")].metrics is not None
 
 
 class TestFormatting:

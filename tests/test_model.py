@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gapfill.lstm import PARAM_FIELDS
 from gapfill.model import (
@@ -19,6 +21,7 @@ from gapfill.model import (
     loss_and_grads,
     make_schedule,
     merge_input_grads,
+    stack_windows,
 )
 from gapfill.numerics import Rng, ShapeError, mse
 
@@ -340,3 +343,77 @@ class TestParamPlumbing:
         window = ImputationWindow(np.ones((2, 2)), np.zeros((2, 2)), np.ones((2, 2)))
         trace = forward(params, window, make_schedule(2))
         assert len(trace.merge_hidden_acts) == 2
+
+
+class TestBatchedPath:
+    """The batched path against the stacked single-window (B = 1) results."""
+
+    @given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 8), d=st.integers(1, 3),
+           h=st.integers(1, 5), gap=st.integers(1, 5), before_len=st.integers(1, 4),
+           after_len=st.integers(1, 4), variant=st.sampled_from(SCHEDULE_VARIANTS),
+           merge_hidden=st.sampled_from([0, 3]), forward_only=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_stacked_single_windows(self, seed, batch, d, h, gap, before_len,
+                                            after_len, variant, merge_hidden, forward_only):
+        rng = Rng(seed)
+        cfg = NetworkConfig(input_dim=d, hidden_dim=h, schedule_variant=variant,
+                            merge_hidden=merge_hidden, forward_only=forward_only)
+        params = init_model_params(cfg, rng)
+        windows = [random_window(rng, d, before_len, gap, after_len) for _ in range(batch)]
+        schedule = make_schedule(gap, variant)
+
+        batched = forward(params, windows, schedule)
+        singles = [forward(params, w, schedule) for w in windows]
+        for name in ("h_fw", "pred_fw", "h_bw", "pred_bw", "merged", "merge_hidden_acts"):
+            got = getattr(batched, name)
+            if got is None:
+                assert all(getattr(s, name) is None for s in singles), name
+                continue
+            want = np.stack([getattr(s, name) for s in singles])
+            assert got.shape == want.shape, name
+            assert np.allclose(got, want, rtol=0, atol=1e-12), name
+
+        truth = np.stack([w.missing for w in windows])
+        per_window = loss(batched, truth)
+        assert per_window.shape == (batch,)
+        assert np.allclose(per_window, [loss(s, w.missing) for s, w in zip(singles, windows)],
+                           rtol=0, atol=1e-12)
+
+        value, grads = loss_and_grads(params, windows, schedule)
+        single_results = [loss_and_grads(params, w, schedule) for w in windows]
+        assert value == pytest.approx(sum(v for v, _ in single_results), rel=0, abs=1e-12)
+        assert [p for p, _ in iter_params(params)] == list(grads)
+        for path in grads:
+            summed = sum(g[path] for _, g in single_results)
+            assert np.allclose(grads[path], summed, rtol=0, atol=1e-12), path
+
+        filled = impute(params, np.stack([w.before for w in windows]),
+                        np.stack([w.after for w in windows]), gap)
+        assert np.allclose(filled, np.stack([s.merged for s in singles]), rtol=0, atol=1e-12)
+
+    def test_batch_window_and_window_list_agree(self):
+        rng = Rng(41)
+        params = init_model_params(NetworkConfig(input_dim=2, hidden_dim=3), rng)
+        windows = [random_window(rng, 2, 3, 2, 4) for _ in range(5)]
+        schedule = make_schedule(2)
+        from_list = forward(params, windows, schedule)
+        from_batch = forward(params, stack_windows(windows), schedule)
+        assert np.array_equal(from_list.merged, from_batch.merged)
+        assert np.array_equal(stack_windows(windows).take([3, 1]).before,
+                              np.stack([windows[3].before, windows[1].before]))
+
+    def test_windows_of_different_shapes_rejected(self):
+        rng = Rng(43)
+        params = init_model_params(NetworkConfig(input_dim=1, hidden_dim=2), rng)
+        windows = [random_window(rng, 1, 3, 2, 3), random_window(rng, 1, 4, 2, 3)]
+        with pytest.raises(ShapeError, match="before"):
+            forward(params, windows, make_schedule(2))
+
+    def test_in_place_gate_edits_reach_the_fused_cell(self):
+        params = init_model_params(NetworkConfig(input_dim=1, hidden_dim=3), Rng(47))
+        fused = params.enc_fw.w.copy()
+        params.enc_fw.w_i += 5.0
+        params.enc_fw.b_o[...] = -1.0
+        assert np.array_equal(params.enc_fw.w[:3, :1], fused[:3, :1] + 5.0)
+        assert np.array_equal(params.enc_fw.w[3:, :], fused[3:, :])
+        assert np.array_equal(params.enc_fw.b_o, np.full(3, -1.0))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -48,6 +49,13 @@ class TestActivations:
         out = sigmoid(np.array([-1e6, 1e6]))
         assert np.all(np.isfinite(out))
         assert out[0] == 0.0 and out[1] == 1.0
+
+    def test_saturation_raises_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with np.errstate(all="raise"):
+                out = sigmoid(np.array([-1e6, 1e6, -1e300, 1e300]))
+        assert np.array_equal(out, [0.0, 1.0, 0.0, 1.0])
 
     @given(st.floats(-700, 700))
     @settings(max_examples=100)
