@@ -243,14 +243,14 @@ def cmd_eval(args) -> int:
     report = run_benchmark(datasets, cfg.eval["variants"], bench)
     with open(cfg.paths["report"] + ".txt", "w") as fh:
         fh.write(format_report(report))
-    with open(cfg.paths["report"] + ".csv", "w") as fh:
+    with open(cfg.paths["report"] + ".csv", "w", newline="") as fh:
         fh.write(report_rows(report))
     print(format_report(report), end="")
     if report.complete:
         tables = [borda(report, "mae"), borda(report, "mre")]
         with open(cfg.paths["borda"] + ".txt", "w") as fh:
             fh.write(format_borda(tables))
-        with open(cfg.paths["borda"] + ".csv", "w") as fh:
+        with open(cfg.paths["borda"] + ".csv", "w", newline="") as fh:
             fh.write(borda_rows(tables))
         print(format_borda(tables), end="")
         return EXIT_OK

@@ -6,6 +6,8 @@ the original (denormalized) units of each dataset.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -292,9 +294,23 @@ def run_benchmark(datasets: list[BenchmarkDataset], variants, cfg: BenchmarkConf
     return EvalReport(names, [v.value for v in variants], cells, ranges)
 
 
+def _format_table(headers: list[str], rows: list[list[str]]) -> str:
+    """Left-aligned columns two spaces apart, a dashed rule under the headers."""
+    widths = [max(len(headers[i]), *(len(r[i]) for r in rows)) for i in range(len(headers))]
+    lines = ["  ".join(c.ljust(w) for c, w in zip(row, widths))
+             for row in [headers, ["-" * w for w in widths], *rows]]
+    return "\n".join(lines) + "\n"
+
+
+def _csv_text(rows: list[list]) -> str:
+    """CSV text, one line per row; a field with a comma, quote or line break is quoted."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 def format_report(report: EvalReport) -> str:
     """Aligned text table: one row per dataset, columns Range then variants."""
-    headers = ["dataset", "range"] + list(report.variants)
     rows = []
     for ds in report.datasets:
         lo, hi = report.ranges[ds]
@@ -303,25 +319,18 @@ def format_report(report: EvalReport) -> str:
             cell = report.cells[(ds, v)]
             row.append("FAILED" if cell.metrics is None else f"{cell.metrics.mae:.4g}")
         rows.append(row)
-    widths = [max(len(headers[i]), *(len(r[i]) for r in rows)) for i in range(len(headers))]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths))]
-    lines.append("  ".join("-" * w for w in widths))
-    for row in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-    return "\n".join(lines) + "\n"
+    return _format_table(["dataset", "range"] + list(report.variants), rows)
 
 
 def report_rows(report: EvalReport) -> str:
     """Machine-readable CSV rows: dataset,variant,mae,mre,status."""
-    lines = ["dataset,variant,mae,mre,status"]
+    rows = [["dataset", "variant", "mae", "mre", "status"]]
     for ds in report.datasets:
         for v in report.variants:
-            cell = report.cells[(ds, v)]
-            if cell.metrics is None:
-                lines.append(f"{ds},{v},,,failed")
-            else:
-                lines.append(f"{ds},{v},{cell.metrics.mae!r},{cell.metrics.mre!r},ok")
-    return "\n".join(lines) + "\n"
+            m = report.cells[(ds, v)].metrics
+            rows.append([ds, v, "", "", "failed"] if m is None
+                        else [ds, v, repr(m.mae), repr(m.mre), "ok"])
+    return _csv_text(rows)
 
 
 def format_borda(tables: list[BordaTable]) -> str:
@@ -329,19 +338,12 @@ def format_borda(tables: list[BordaTable]) -> str:
     if not tables:
         return ""
     models = tables[0].models
-    headers = ["metric"] + models
     rows = [[t.metric.upper()] + [f"{t.totals[m]:g}" for m in models] for t in tables]
-    widths = [max(len(headers[i]), *(len(r[i]) for r in rows)) for i in range(len(headers))]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths))]
-    lines.append("  ".join("-" * w for w in widths))
-    for row in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-    return "\n".join(lines) + "\n"
+    return _format_table(["metric"] + models, rows)
 
 
 def borda_rows(tables: list[BordaTable]) -> str:
-    lines = ["metric,model,points"]
+    rows = [["metric", "model", "points"]]
     for t in tables:
-        for m in t.models:
-            lines.append(f"{t.metric},{m},{t.totals[m]!r}")
-    return "\n".join(lines) + "\n"
+        rows.extend([t.metric, m, repr(t.totals[m])] for m in t.models)
+    return _csv_text(rows)

@@ -142,8 +142,11 @@ def init_lstm_params(input_dim: int, hidden_dim: int, rng: Rng) -> LstmParams:
     k = 1.0 / np.sqrt(hidden_dim)
     p = LstmParams.fused(np.empty((4 * hidden_dim, input_dim + hidden_dim)),
                          np.zeros(4 * hidden_dim))
-    for name in PARAM_FIELDS[:8]:
-        setattr(p, name, rng.uniform_array(field_shape(name, input_dim, hidden_dim), -k, k))
+    # one stream call per weight kind; the draws land in PARAM_FIELDS order
+    gates = [*rng.uniform_array((4, hidden_dim, input_dim), -k, k),
+             *rng.uniform_array((4, hidden_dim, hidden_dim), -k, k)]
+    for name, draw in zip(PARAM_FIELDS[:8], gates):
+        setattr(p, name, draw)
     p.b_f = 1.0
     return p
 

@@ -9,6 +9,7 @@ object and must stay confined to a single owner at a time.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -17,6 +18,7 @@ Vector = np.ndarray
 Matrix = np.ndarray
 
 _MASK64 = (1 << 64) - 1
+_XORSHIFT_MULT = 0x2545F4914F6CDD1D
 
 
 class ShapeError(ValueError):
@@ -103,6 +105,53 @@ def _splitmix64(x: int) -> int:
     return z ^ (z >> 31)
 
 
+def _xorshift_steps(x: np.ndarray, steps: int) -> np.ndarray:
+    """Row t: the uint64 states `x` after t + 1 xorshift64 updates.
+
+    The same recurrence as `Rng.u64`, on many states at once; uint64
+    left shifts drop the bits above 2^64 that `u64` masks off.
+    """
+    out = np.empty((steps, x.shape[0]), dtype=np.uint64)
+    tmp = np.empty_like(out[0])
+    prev = x
+    for row in out:
+        np.right_shift(prev, 12, out=tmp)
+        np.bitwise_xor(prev, tmp, out=row)
+        np.left_shift(row, 25, out=tmp)
+        row ^= tmp
+        np.right_shift(row, 27, out=tmp)
+        row ^= tmp
+        prev = row
+    return out
+
+
+@lru_cache(maxsize=None)
+def _jump_tables(steps: int) -> tuple[tuple[int, ...], ...]:
+    """Byte-lookup tables of the state update applied `steps` times.
+
+    The update is linear over GF(2), so its power is a 64x64 bit matrix M:
+    M @ x is the xor of the columns picked by the set bits of x. Table b
+    maps a byte value v to the xor of the columns of bits 8b..8b+7 set in
+    v, so one jump is 8 lookups.
+    """
+    basis = np.uint64(1) << np.arange(64, dtype=np.uint64)
+    cols = _xorshift_steps(basis, steps)[-1]
+    tables = []
+    for byte in range(8):
+        table = np.zeros(1, dtype=np.uint64)
+        for col in cols[8 * byte:8 * byte + 8]:
+            table = np.concatenate((table, table ^ col))
+        tables.append(tuple(table.tolist()))
+    return tuple(tables)
+
+
+def _jump(tables: tuple[tuple[int, ...], ...], x: int) -> int:
+    out = 0
+    for byte, table in enumerate(tables):
+        out ^= table[(x >> (8 * byte)) & 0xFF]
+    return out
+
+
 class Rng:
     """xorshift64* pseudo-random stream.
 
@@ -126,7 +175,7 @@ class Rng:
         x = (x ^ (x << 25)) & _MASK64
         x ^= x >> 27
         self._state = x
-        return (x * 0x2545F4914F6CDD1D) & _MASK64
+        return (x * _XORSHIFT_MULT) & _MASK64
 
     def random(self) -> float:
         """Uniform float in [0, 1)."""
@@ -150,12 +199,26 @@ class Rng:
         return mu + sigma * z
 
     def uniform_array(self, shape, lo: float, hi: float) -> np.ndarray:
+        """The next prod(shape) `uniform(lo, hi)` draws, bit for bit, in order.
+
+        The draws are cut into lanes of `lane` steps, a power of two near
+        sqrt(n). Each lane starts `lane` steps after the previous one (one
+        table jump), and all lanes step together as a uint64 vector.
+        """
         if isinstance(shape, int):
             shape = (shape,)
-        out = np.empty(int(np.prod(shape)), dtype=np.float64)
-        for i in range(out.shape[0]):
-            out[i] = self.uniform(lo, hi)
-        return out.reshape(shape)
+        n = int(np.prod(shape))
+        lane = 1 << (n.bit_length() // 2)
+        tables = _jump_tables(lane)
+        starts = [self._state]
+        while len(starts) * lane < n:
+            starts.append(_jump(tables, starts[-1]))
+        states = _xorshift_steps(np.array(starts, dtype=np.uint64), lane)
+        # the current state, then the state after each draw, in draw order
+        chain = np.concatenate((np.array(starts[:1], dtype=np.uint64), states.T.ravel()))[:n + 1]
+        self._state = int(chain[-1])
+        u = ((chain[1:] * np.uint64(_XORSHIFT_MULT)) >> 11).astype(np.float64) * (1.0 / (1 << 53))
+        return (lo + (hi - lo) * u).reshape(shape)
 
     def normal_array(self, shape, mu: float = 0.0, sigma: float = 1.0) -> np.ndarray:
         if isinstance(shape, int):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import time
 from dataclasses import dataclass, field
 
@@ -251,7 +252,9 @@ def write_train_log(log: TrainLog, text_path, rows_path) -> None:
         lines.append(f"gradient clipping triggered {log.clip_events} time(s)")
     with open(text_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-    with open(rows_path, "w") as fh:
-        fh.write("epoch,train_loss,val_loss,elapsed\n")
+    with open(rows_path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["epoch", "train_loss", "val_loss", "elapsed"])
         for row in log.rows:
-            fh.write(f"{row.epoch},{row.train_loss!r},{row.val_loss!r},{row.elapsed:.3f}\n")
+            writer.writerow([row.epoch, repr(row.train_loss), repr(row.val_loss),
+                             f"{row.elapsed:.3f}"])

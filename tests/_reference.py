@@ -113,3 +113,90 @@ def enumerate_window_starts(n_rows, total, stride):
         if s % stride == 0 and s + total <= n_rows:
             starts.append(s)
     return starts
+
+
+_M64 = 0xFFFFFFFFFFFFFFFF
+
+
+class ScalarXorshiftStar:
+    """splitmix64-seeded xorshift64*, one draw per call, Box-Muller normals.
+
+    Mirrors the documented stream of `gapfill.numerics.Rng` from its
+    definition: seed scramble, state recurrence, output multiplier, the top
+    53 bits as a float in [0, 1), and a cached second normal deviate.
+    """
+
+    def __init__(self, seed):
+        z = ((seed & _M64) + 0x9E3779B97F4A7C15) & _M64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+        z ^= z >> 31
+        self.state = z if z else 0x9E3779B97F4A7C15
+        self.spare = None
+
+    def next_u64(self):
+        s = self.state
+        s ^= s >> 12
+        s ^= (s << 25) & _M64
+        s ^= s >> 27
+        self.state = s
+        return (s * 0x2545F4914F6CDD1D) & _M64
+
+    def unit(self):
+        return (self.next_u64() >> 11) / 9007199254740992.0  # 2**53
+
+    def uniform(self, lo, hi):
+        return lo + (hi - lo) * self.unit()
+
+    def normal(self, mu=0.0, sigma=1.0):
+        if self.spare is not None:
+            z, self.spare = self.spare, None
+            return mu + sigma * z
+        u1 = self.unit()
+        while u1 <= 0.0:
+            u1 = self.unit()
+        u2 = self.unit()
+        r = math.sqrt(-2.0 * math.log(u1))
+        self.spare = r * math.sin(2.0 * math.pi * u2)
+        return mu + sigma * (r * math.cos(2.0 * math.pi * u2))
+
+
+def init_params_scalar(seed, input_dim, hidden_dim, merge_hidden):
+    """Freshly initialized network parameters as {path: (shape, flat list)}.
+
+    Draw order: the four LSTMs (enc_fw, enc_bw, dec_fw, dec_bw), each its
+    input weights w_i, w_f, w_g, w_o then recurrent weights u_i .. u_o,
+    uniform in +-1/sqrt(h); then head_fw.w, head_bw.w in +-1/sqrt(h); then
+    the merge weights in +-1/sqrt(fan_in). Biases are drawn from nothing:
+    b_f is 1, every other bias 0.
+    """
+    rng = ScalarXorshiftStar(seed)
+    d, h = input_dim, hidden_dim
+    out = {}
+
+    def draw(path, rows, cols, k):
+        out[path] = ((rows, cols), [rng.uniform(-k, k) for _ in range(rows * cols)])
+
+    def const(path, n, value):
+        out[path] = ((n,), [value] * n)
+
+    for comp in ("enc_fw", "enc_bw", "dec_fw", "dec_bw"):
+        k = 1.0 / math.sqrt(h)
+        for gate in "ifgo":
+            draw(f"{comp}.w_{gate}", h, d, k)
+        for gate in "ifgo":
+            draw(f"{comp}.u_{gate}", h, h, k)
+        for gate in "ifgo":
+            const(f"{comp}.b_{gate}", h, 1.0 if gate == "f" else 0.0)
+    for head in ("head_fw", "head_bw"):
+        draw(f"{head}.w", d, h, 1.0 / math.sqrt(h))
+        const(f"{head}.b", d, 0.0)
+    if merge_hidden:
+        draw("merge.0.w", merge_hidden, 2 * h, 1.0 / math.sqrt(2 * h))
+        const("merge.0.b", merge_hidden, 0.0)
+        draw("merge.1.w", d, merge_hidden, 1.0 / math.sqrt(merge_hidden))
+        const("merge.1.b", d, 0.0)
+    else:
+        draw("merge.0.w", d, 2 * h, 1.0 / math.sqrt(2 * h))
+        const("merge.0.b", d, 0.0)
+    return out

@@ -1,7 +1,8 @@
 """Schema smoke test of the benchmark script (opt-in: `pytest -m bench`).
 
-Runs one short `train` workload in a subprocess and checks that its result
-line carries every end-to-end metric BENCHMARK.json declares, with its unit.
+Runs each workload for one call (`--seconds 0`) in a subprocess, so its
+output checks run, and checks that its result line carries every
+end-to-end metric BENCHMARK.json declares, with its unit.
 """
 
 import json
@@ -15,9 +16,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.mark.bench
-def test_train_workload_result_line_matches_the_declared_metrics():
+@pytest.mark.parametrize("workload", ["train", "impute", "eval"])
+def test_workload_result_line_matches_the_declared_metrics(workload):
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "train", "--seed", "1",
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",
          "--seconds", "0", "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=600, check=False)
     assert proc.returncode == 0, proc.stderr

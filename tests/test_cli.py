@@ -265,6 +265,40 @@ columns = 0
         out = capsys.readouterr().out
         assert "seq2seqImp" in out
 
+    def test_report_csvs_quote_a_dataset_name_with_comma_and_quote(self, tmp_path):
+        data = tmp_path / "wave.csv"
+        assert main(["synth", "--kind", "sine", "--n", "120", "--seed", "2",
+                     "--period", "16", "--out", str(data)]) == 0
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text(f"""
+[model]
+hidden_dim = 3
+[training]
+epochs = 1
+[data]
+before_len = 4
+gap_len = 3
+after_len = 4
+test_fraction = 0.5
+[paths]
+report = {tmp_path / 'report'}
+borda = {tmp_path / 'borda'}
+[eval]
+variants = seq2seqImp,RNN_FW
+
+[dataset:site,north "A"]
+path = {data}
+""")
+        assert main(["eval", "--config", str(cfg)]) == 0
+        with open(tmp_path / "report.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["dataset", "variant", "mae", "mre", "status"]
+        assert [r[:2] for r in rows[1:]] == [['site,north "A":0', "seq2seqImp"],
+                                             ['site,north "A":0', "RNN_FW"]]
+        assert all(len(r) == 5 and r[4] == "ok" for r in rows[1:])
+        with open(tmp_path / "borda.csv", newline="") as fh:
+            assert all(len(r) == 3 for r in csv.reader(fh))
+
     def test_eval_without_datasets_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "eval.cfg"
         cfg.write_text("[eval]\nvariants = seq2seq\n")

@@ -1,3 +1,4 @@
+import csv
 import multiprocessing
 
 import numpy as np
@@ -288,6 +289,43 @@ class TestFormatting:
         report.cells[("d1", "B")] = EvalCell(None, "diverged")
         assert "FAILED" in format_report(report)
         assert "d1,B,,,failed" in report_rows(report)
+
+    def test_text_tables_are_aligned_columns(self):
+        report = grid_report({"d1": [1.0, 2.0], "long-dataset:0": [0.5, 0.123456]},
+                             ["A", "seq2seqImp"])
+        report.ranges["d1"] = (-1.5, 20.0)
+        assert format_borda([borda(report, "mae"), borda(report, "mre")]) == (
+            "metric  A  seq2seqImp\n"
+            "------  -  ----------\n"
+            "MAE     3  3         \n"
+            "MRE     3  3         \n")
+        report.cells[("d1", "A")] = EvalCell(None, "diverged")
+        assert format_report(report) == (
+            "dataset         range      A       seq2seqImp\n"
+            "--------------  ---------  ------  ----------\n"
+            "d1              [-1.5,20]  FAILED  2         \n"
+            "long-dataset:0  [0,1]      0.5     0.1235    \n")
+        assert report_rows(report) == (
+            "dataset,variant,mae,mre,status\n"
+            "d1,A,,,failed\n"
+            "d1,seq2seqImp,2.0,0.2,ok\n"
+            "long-dataset:0,A,0.5,0.05,ok\n"
+            "long-dataset:0,seq2seqImp,0.123456,0.0123456,ok\n")
+
+    def test_csv_rows_round_trip_names_with_commas_and_quotes(self):
+        name, model = 'site,north "A":0', 'm,"x"'
+        report = grid_report({name: [1.0, 2.0], "plain": [0.5, 0.9]}, ["A", model])
+        report.cells[("plain", "A")] = EvalCell(None, "diverged")
+        rows = list(csv.reader(report_rows(report).splitlines()))
+        assert rows == [["dataset", "variant", "mae", "mre", "status"],
+                        [name, "A", "1.0", "0.1", "ok"],
+                        [name, model, "2.0", "0.2", "ok"],
+                        ["plain", "A", "", "", "failed"],
+                        ["plain", model, "0.9", "0.09", "ok"]]
+        report.cells[("plain", "A")] = EvalCell(MetricPair(0.5, 0.05))
+        tables = [borda(report, "mae")]
+        rows = list(csv.reader(borda_rows(tables).splitlines()))
+        assert rows == [["metric", "model", "points"], ["mae", "A", "4.0"], ["mae", model, "2.0"]]
 
     def test_borda_tables(self):
         report = grid_report({"d1": [1.0, 2.0], "d2": [0.5, 0.9]}, ["A", "B"])

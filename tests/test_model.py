@@ -25,7 +25,7 @@ from gapfill.model import (
 )
 from gapfill.numerics import Rng, ShapeError, mse
 
-from _reference import network_forward_scalar
+from _reference import init_params_scalar, network_forward_scalar
 from test_lstm import all_zero_params
 
 
@@ -335,6 +335,20 @@ class TestParamPlumbing:
         for (pa, ta), (pb, tb) in zip(iter_params(a), iter_params(b)):
             assert pa == pb
             assert np.array_equal(ta, tb)
+
+    @pytest.mark.parametrize("hidden_dim", [1, 16, 64, 256])
+    @pytest.mark.parametrize("merge_hidden", [0, 3])
+    @pytest.mark.parametrize("input_dim", [1, 2])
+    def test_init_matches_the_scalar_stream_oracle(self, input_dim, hidden_dim, merge_hidden):
+        cfg = NetworkConfig(input_dim=input_dim, hidden_dim=hidden_dim, merge_hidden=merge_hidden)
+        seed = 1000 * input_dim + hidden_dim + merge_hidden
+        expected = init_params_scalar(seed, input_dim, hidden_dim, merge_hidden)
+        got = iter_params(init_model_params(cfg, Rng(seed)))
+        assert [path for path, _ in got] == list(expected)
+        for path, tensor in got:
+            shape, values = expected[path]
+            assert tensor.shape == shape, path
+            assert tensor.tobytes() == np.array(values, dtype=np.float64).tobytes(), path
 
     def test_merge_mlp_shapes(self):
         params = init_model_params(NetworkConfig(input_dim=2, hidden_dim=3, merge_hidden=5), Rng(0))

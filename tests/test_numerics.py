@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from gapfill.numerics import Rng, ShapeError, finite_diff_grad, matvec, mse, sigmoid, tanh
 
+from _reference import ScalarXorshiftStar
+
 
 class TestMatvec:
     def test_identity(self):
@@ -167,3 +169,43 @@ class TestRng:
         rng = Rng(5)
         draws = [rng.randrange(7) for _ in range(2000)]
         assert set(draws) == set(range(7))
+
+
+# array sizes straddling lane boundaries: lanes are a power of two near
+# sqrt(n) steps long, so 64 is 8 lanes of 8 and 4096 is 64 lanes of 64
+_LANE_EDGES = [2, 3, 4, 7, 8, 9, 63, 64, 65, 4095, 4096, 4097, 8191, 8192, 8193]
+_SHAPES = st.one_of(
+    st.integers(0, 300),
+    st.sampled_from(_LANE_EDGES),
+    st.tuples(st.integers(0, 70), st.integers(0, 70)),
+    st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5)),
+)
+
+
+class TestUniformArrayStream:
+    @given(seed=st.integers(0, 2**64 - 1), shape=_SHAPES,
+           pre=st.lists(st.sampled_from(["uniform", "normal"]), max_size=6),
+           lo=st.floats(-1e3, 1e3), span=st.floats(0.0, 1e3))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_sequential_scalar_stream(self, seed, shape, pre, lo, span):
+        hi = lo + span
+        rng, oracle = Rng(seed), ScalarXorshiftStar(seed)
+        for kind in pre:
+            assert getattr(rng, kind)(-1.0, 2.0) == getattr(oracle, kind)(-1.0, 2.0)
+        if oracle.spare is None:  # leave a spare normal pending on both sides
+            assert rng.normal() == oracle.normal()
+
+        out = rng.uniform_array(shape, lo, hi)
+        n = int(np.prod(shape))
+        expected = np.array([oracle.uniform(lo, hi) for _ in range(n)], dtype=np.float64)
+        assert out.shape == (shape if isinstance(shape, tuple) else (shape,))
+        assert out.tobytes() == expected.tobytes()
+        # the spare normal survives and the stream resumes where n draws leave it
+        assert rng.normal() == oracle.normal()
+        assert rng.u64() == oracle.next_u64()
+        assert rng.normal() == oracle.normal()
+
+    def test_scalar_draws_match_the_oracle(self):
+        rng, oracle = Rng(2**63 + 5), ScalarXorshiftStar(2**63 + 5)
+        assert [rng.u64() for _ in range(1000)] == [oracle.next_u64() for _ in range(1000)]
+        assert [rng.normal() for _ in range(101)] == [oracle.normal() for _ in range(101)]

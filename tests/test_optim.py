@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -219,3 +221,7 @@ def test_write_train_log(tmp_path):
     lines = rows.read_text().strip().splitlines()
     assert lines[0] == "epoch,train_loss,val_loss,elapsed"
     assert len(lines) == 1 + len(log.rows)
+    parsed = list(csv.reader(lines[1:]))
+    assert [[int(r[0]), float(r[1]), float(r[2])] for r in parsed] == [
+        [row.epoch, row.train_loss, row.val_loss] for row in log.rows]
+    assert rows.read_bytes().count(b"\r") == 0
