@@ -173,12 +173,13 @@ def cmd_impute(args) -> int:
     columns = args.column or ["0"]
     if len(columns) != d:
         raise DataError(f"checkpoint expects {d} column(s), got {len(columns)} --column flags")
-    table = load_csv(args.data)
-    col_idx = [table.column_index(c) for c in columns]
+    if args.context is not None and args.context < 1:
+        raise DataError(f"--context must be at least 1, got {args.context}")
+    table = load_csv(args.data, columns=columns)
     gaps = _parse_gaps(args.gap)
 
-    values = table.values[:, col_idx]
-    observed = ~table.missing[:, col_idx].any(axis=1) & np.isfinite(values).all(axis=1)
+    values = table.values
+    observed = ~table.missing.any(axis=1) & np.isfinite(values).all(axis=1)
     in_gap = np.zeros(table.n_rows, dtype=bool)
     for start, length in gaps:
         if start + length > table.n_rows:
@@ -207,7 +208,7 @@ def cmd_impute(args) -> int:
         for start, rows in zip(starts, filled):
             for offset, row in enumerate(rows):
                 replace_cells(lines, table.row_lines[start + offset],
-                              {c: repr(float(v)) for c, v in zip(col_idx, row)})
+                              {c: repr(float(v)) for c, v in zip(table.file_fields, row)})
 
     with open(args.out, "w", newline="") as fh:
         fh.write("".join(lines))
@@ -224,10 +225,9 @@ def cmd_eval(args) -> int:
         raise ConfigError("eval needs at least one [dataset:NAME] section")
     datasets = []
     for spec in cfg.datasets:
-        table = load_csv(spec.path, markers=spec.missing)
-        for col in spec.columns:
-            idx = table.column_index(col)
-            datasets.append(BenchmarkDataset(f"{spec.name}:{idx}", table.select([idx])))
+        table = load_csv(spec.path, columns=spec.columns, markers=spec.missing)
+        for j, field in enumerate(table.file_fields):
+            datasets.append(BenchmarkDataset(f"{spec.name}:{field}", table.select([j])))
     d = cfg.data
     bench = BenchmarkConfig(
         window=WindowSpec(d["before_len"], d["gap_len"], d["after_len"], d["train_stride"]),

@@ -35,8 +35,10 @@ class SeriesTable:
     values: np.ndarray  # (n_rows, n_cols) float64, NaN where missing
     missing: np.ndarray  # (n_rows, n_cols) bool, True where the cell was a marker
     # set by load_csv: the file line on which each data row starts (the
-    # header and blank lines hold no data row); derived tables drop it
+    # header and blank lines hold no data row) and the field index of each
+    # column in the file's records; select keeps both, derived tables drop them
     row_lines: np.ndarray | None = field(default=None, repr=False, compare=False)
+    file_fields: list[int] | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_rows(self) -> int:
@@ -50,29 +52,25 @@ class SeriesTable:
         return self.values[:, self.column_index(sel)]
 
     def column_index(self, sel) -> int:
-        if isinstance(sel, int) or (isinstance(sel, str) and sel.lstrip("-").isdigit()):
-            idx = int(sel)
-            if not 0 <= idx < self.n_cols:
-                raise DataError(f"column index {idx} out of range (table has {self.n_cols})")
-            return idx
-        if sel in self.columns:
-            return self.columns.index(sel)
-        raise DataError(f"unknown column {sel!r}; available: {self.columns}")
+        return _column_index(self.columns, sel)
 
     def select(self, selectors) -> "SeriesTable":
         idx = [self.column_index(s) for s in selectors]
-        return SeriesTable([self.columns[i] for i in idx],
-                           self.values[:, idx].copy(), self.missing[:, idx].copy(), self.row_lines)
+        fields = None if self.file_fields is None else [self.file_fields[i] for i in idx]
+        return SeriesTable([self.columns[i] for i in idx], self.values[:, idx].copy(),
+                           self.missing[:, idx].copy(), self.row_lines, fields)
 
 
-def _parse_cell(cell: str, markers: tuple[str, ...]) -> tuple[float, bool]:
-    text = cell.strip()
-    if text in markers:
-        return math.nan, True
-    try:
-        return float(text), False
-    except ValueError:
-        raise DataError(f"cannot parse cell {cell!r}") from None
+def _column_index(names: list[str], sel) -> int:
+    """Resolve a column name, or a zero-based index given as int or decimal string."""
+    if isinstance(sel, int) or (isinstance(sel, str) and sel.removeprefix("-").isdecimal()):
+        idx = int(sel)
+        if not 0 <= idx < len(names):
+            raise DataError(f"column index {idx} out of range (table has {len(names)})")
+        return idx
+    if sel in names:
+        return names.index(sel)
+    raise DataError(f"unknown column {sel!r}; available: {names}")
 
 
 def load_csv(
@@ -86,10 +84,12 @@ def load_csv(
     `header=None` auto-detects: if any cell of the first row is neither a
     number nor a missing marker, that row is taken as column names.
     `columns` restricts and orders the result (names need a header row;
-    zero-based indices always work). Blank lines are skipped; the table's
-    `row_lines` map every data row back to its line in the file.
+    zero-based indices always work). Only the returned columns are parsed
+    as numbers, so other columns may hold any text. Blank lines are
+    skipped; the table's `row_lines` map every data row back to its line in
+    the file and its `file_fields` every column to its field in a record.
     """
-    markers = tuple(m.strip() for m in markers)
+    markers = frozenset(m.strip() for m in markers)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         records = list(reader)
@@ -104,19 +104,9 @@ def load_csv(
     if not rows:
         raise DataError(f"{path}: file has no rows")
 
-    def _is_header(row: list[str]) -> bool:
-        for cell in row:
-            text = cell.strip()
-            if text in markers:
-                continue
-            try:
-                float(text)
-            except ValueError:
-                return True
-        return False
-
-    has_header = _is_header(rows[0]) if header is None else header
-    if has_header:
+    if header is None:
+        header = not all(_is_number_or_marker(cell, markers) for cell in rows[0])
+    if header:
         names = [c.strip() for c in rows[0]]
         rows, row_lines = rows[1:], row_lines[1:]
     else:
@@ -124,34 +114,57 @@ def load_csv(
     if not rows:
         raise DataError(f"{path}: no data rows")
     width = len(names)
-    values = np.empty((len(rows), width))
-    missing = np.zeros((len(rows), width), dtype=bool)
     for r, row in enumerate(rows):
         if len(row) != width:
             raise DataError(f"{path}: row {r + 1} has {len(row)} cells, expected {width}")
-        for c, cell in enumerate(row):
-            try:
-                values[r, c], missing[r, c] = _parse_cell(cell, markers)
-            except DataError:
-                raise DataError(
-                    f"{path}: row {r + 1}, column {names[c]!r}: cannot parse {cell!r}"
-                ) from None
-    table = SeriesTable(names, values, missing, row_lines)
-    if columns is not None:
-        table = table.select(columns)
-    return table
+
+    fields = list(range(width)) if columns is None else [_column_index(names, s) for s in columns]
+    values = np.empty((len(rows), len(fields)))
+    missing = np.empty((len(rows), len(fields)), dtype=bool)
+    for j, c in enumerate(fields):
+        cells = [row[c].strip() for row in rows]
+        missing[:, j] = [cell in markers for cell in cells]
+        try:  # numpy parses each str as float() does, so _first_bad_cell finds the culprit
+            values[:, j] = np.array(["nan" if cell in markers else cell for cell in cells],
+                                    dtype=np.float64)
+        except ValueError:
+            raise _first_bad_cell(path, rows, names, sorted(set(fields)), markers) from None
+    return SeriesTable([names[c] for c in fields], values, missing, row_lines, fields)
+
+
+def _is_number_or_marker(cell: str, markers) -> bool:
+    text = cell.strip()
+    if text in markers:
+        return True
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _first_bad_cell(path, rows, names, fields, markers) -> DataError:
+    """The error naming the first cell of `fields` that is neither a number nor a marker."""
+    for r, row in enumerate(rows):
+        for c in fields:
+            if not _is_number_or_marker(row[c], markers):
+                return DataError(
+                    f"{path}: row {r + 1}, column {names[c]!r}: cannot parse {row[c]!r}")
+    # reached only if numpy's cast ever rejects a cell that float() accepts
+    return DataError(f"{path}: column {names[fields[0]]!r}: cannot parse a cell")
 
 
 def write_csv(path, table: SeriesTable, markers: tuple[str, ...] = DEFAULT_MISSING_MARKERS) -> None:
     """Write a table with a header row; missing cells become the first marker."""
+    cols = [
+        [markers[0] if miss else repr(v) for v, miss in zip(table.values[:, c].tolist(),
+                                                             table.missing[:, c].tolist())]
+        for c in range(table.n_cols)
+    ]
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(table.columns) + "\n")
-        for r in range(table.n_rows):
-            cells = [
-                markers[0] if table.missing[r, c] else repr(float(table.values[r, c]))
-                for c in range(table.n_cols)
-            ]
-            fh.write(",".join(cells) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(table.columns)
+        writer.writerows(zip(*cols))
 
 
 def read_lines(path) -> list[str]:

@@ -5,6 +5,7 @@ deliberately sharing no code with the package, so that agreement between
 the two is evidence rather than tautology.
 """
 
+import csv
 import math
 
 
@@ -200,3 +201,81 @@ def init_params_scalar(seed, input_dim, hidden_dim, merge_hidden):
         draw("merge.0.w", d, 2 * h, 1.0 / math.sqrt(2 * h))
         const("merge.0.b", d, 0.0)
     return out
+
+
+def load_csv_scalar(path, columns=None, markers=("NA", ""), header=None):
+    """`load_csv` one cell at a time: `float(cell.strip())`, markers compared after strip.
+
+    Returns (names, values, missing, row_lines, fields) as lists; raises
+    ValueError with the message `load_csv` gives. Only the selected columns
+    are parsed, each data row in file order and, within a row, the
+    selected fields in file order.
+    """
+    markers = [m.strip() for m in markers]
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        rows, row_lines, line = [], [], 0
+        for record in reader:
+            if record:
+                rows.append(record)
+                row_lines.append(line)
+            line = reader.line_num
+    if not rows:
+        raise ValueError(f"{path}: file has no rows")
+
+    def numeric_or_marker(cell):
+        text = cell.strip()
+        if text in markers:
+            return True
+        try:
+            float(text)
+        except ValueError:
+            return False
+        return True
+
+    def is_index(sel):
+        return isinstance(sel, int) or (isinstance(sel, str)
+                                        and sel.removeprefix("-").isdecimal())
+
+    if header is None:
+        header = not all(numeric_or_marker(cell) for cell in rows[0])
+    if header:
+        names = [cell.strip() for cell in rows[0]]
+        rows, row_lines = rows[1:], row_lines[1:]
+    else:
+        names = ["col" + str(i) for i in range(len(rows[0]))]
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    for r in range(len(rows)):
+        if len(rows[r]) != len(names):
+            raise ValueError(f"{path}: row {r + 1} has {len(rows[r])} cells, "
+                             f"expected {len(names)}")
+
+    fields = []
+    for sel in (range(len(names)) if columns is None else columns):
+        if is_index(sel):
+            if not 0 <= int(sel) < len(names):
+                raise ValueError(f"column index {int(sel)} out of range "
+                                 f"(table has {len(names)})")
+            fields.append(int(sel))
+        elif sel in names:
+            fields.append(names.index(sel))
+        else:
+            raise ValueError(f"unknown column {sel!r}; available: {names}")
+
+    parsed = {}
+    for r in range(len(rows)):
+        for c in sorted(set(fields)):
+            cell = rows[r][c]
+            text = cell.strip()
+            if text in markers:
+                parsed[r, c] = (math.nan, True)
+                continue
+            try:
+                parsed[r, c] = (float(text), False)
+            except ValueError:
+                raise ValueError(f"{path}: row {r + 1}, column {names[c]!r}: "
+                                 f"cannot parse {cell!r}") from None
+    values = [[parsed[r, c][0] for c in fields] for r in range(len(rows))]
+    missing = [[parsed[r, c][1] for c in fields] for r in range(len(rows))]
+    return [names[c] for c in fields], values, missing, row_lines, fields

@@ -228,6 +228,40 @@ class TestImpute:
                      "--gap", "51:3", "--out", str(tmp_path / "y.csv")]) == 1
         assert "observed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("context", ["-1", "0", "-5"])
+    def test_context_below_one_is_a_usage_error(self, tmp_path, sine_csv, trained, capsys,
+                                                context):
+        out = tmp_path / "x.csv"
+        assert main(["impute", "--checkpoint", str(trained), "--data", str(sine_csv),
+                     "--gap", "50:5", "--context", context, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--context" in err
+        assert not out.exists()
+
+    def test_superscript_digit_column_is_an_unknown_name(self, tmp_path, sine_csv, trained,
+                                                         capsys):
+        assert main(["impute", "--checkpoint", str(trained), "--data", str(sine_csv),
+                     "--gap", "50:3", "--column", "\u00b2", "--out", str(tmp_path / "x.csv")]) == 1
+        assert "unknown column" in capsys.readouterr().err
+
+    def test_non_numeric_timestamp_column_is_copied_through(self, tmp_path, sine_csv, trained):
+        lines = sine_csv.read_text().splitlines(keepends=True)
+        stamped = ["time," + lines[0]] + [f"2020-01-01T{r // 60:02d}:{r % 60:02d},{line}"
+                                          for r, line in enumerate(lines[1:])]
+        data = tmp_path / "stamped.csv"
+        data.write_text("".join(stamped))
+        out = tmp_path / "filled.csv"
+        assert main(["impute", "--checkpoint", str(trained), "--data", str(data),
+                     "--column", "value", "--gap", "50:3", "--out", str(out)]) == 0
+        filled = out.read_text().splitlines(keepends=True)
+        assert len(filled) == len(stamped)
+        changed = [i for i, (a, b) in enumerate(zip(stamped, filled)) if a != b]
+        assert changed == [51, 52, 53]
+        for i in changed:
+            stamp, value = filled[i].rstrip("\n").split(",")
+            assert stamp == stamped[i].split(",")[0]
+            assert math.isfinite(float(value))
+
 
 class TestEval:
     def test_eval_writes_report_and_ranking(self, tmp_path, capsys):
@@ -298,6 +332,42 @@ path = {data}
         assert all(len(r) == 5 and r[4] == "ok" for r in rows[1:])
         with open(tmp_path / "borda.csv", newline="") as fh:
             assert all(len(r) == 3 for r in csv.reader(fh))
+
+    def test_dataset_name_keeps_the_file_index_of_a_later_column(self, tmp_path):
+        wave = tmp_path / "wave.csv"
+        assert main(["synth", "--kind", "sine", "--n", "120", "--seed", "2",
+                     "--period", "16", "--out", str(wave)]) == 0
+        lines = wave.read_text().splitlines()
+        data = tmp_path / "stamped.csv"
+        data.write_text("time,note,value\n" + "".join(
+            f"2020-01-01T{r // 60:02d}:{r % 60:02d},n{r},{line}\n"
+            for r, line in enumerate(lines[1:])))
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text(f"""
+[model]
+hidden_dim = 3
+[training]
+epochs = 1
+[data]
+before_len = 4
+gap_len = 3
+after_len = 4
+test_fraction = 0.5
+[paths]
+report = {tmp_path / 'report'}
+borda = {tmp_path / 'borda'}
+[eval]
+variants = seq2seqImp
+
+[dataset:wave]
+path = {data}
+columns = value
+""")
+        assert main(["eval", "--config", str(cfg)]) == 0
+        with open(tmp_path / "report.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [r[:2] for r in rows[1:]] == [["wave:2", "seq2seqImp"]]
+        assert rows[1][4] == "ok"
 
     def test_eval_without_datasets_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "eval.cfg"

@@ -1,5 +1,11 @@
+import os
+import struct
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gapfill.data import (
     DataError,
@@ -16,7 +22,7 @@ from gapfill.data import (
     write_csv,
 )
 
-from _reference import enumerate_window_starts
+from _reference import enumerate_window_starts, load_csv_scalar
 
 
 def make_table(values, missing=None):
@@ -58,6 +64,12 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="row 2.*'v'.*bogus!"):
             load_csv(path)
 
+    def test_first_bad_cell_is_found_row_by_row(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text("a,b,c\n1,2,3\n4,x,6\ny,8,z\n")
+        with pytest.raises(DataError, match=r"row 2, column 'b': cannot parse 'x'"):
+            load_csv(path, columns=["c", "a", "b"])
+
     def test_unknown_column_rejected(self, tmp_path):
         path = tmp_path / "a.csv"
         path.write_text("v\n1\n")
@@ -82,6 +94,156 @@ class TestLoadCsv:
         write_csv(path, table)
         back = load_csv(path)
         assert np.allclose(back.values, table.values, atol=1e-12, rtol=0)
+
+    def test_write_read_round_trip_of_names_needing_quotes(self, tmp_path):
+        names = ["site,north", 'say "hi"', "plain"]
+        values = np.array([[1.5, -2.0, 1e-300], [np.nan, 3.25, 7.0]])
+        missing = np.array([[False, False, False], [True, False, False]])
+        path = tmp_path / "q.csv"
+        write_csv(path, SeriesTable(names, values, missing))
+        back = load_csv(path)
+        assert back.columns == names
+        assert back.values.tobytes() == values.tobytes()
+        assert np.array_equal(back.missing, missing)
+
+    def test_empty_marker_in_a_one_column_table_keeps_its_row(self, tmp_path):
+        table = SeriesTable(["v"], np.array([[1.0], [np.nan], [3.0]]),
+                            np.array([[False], [True], [False]]))
+        path = tmp_path / "e.csv"
+        write_csv(path, table, markers=("",))
+        back = load_csv(path, markers=("",))
+        assert back.n_rows == 3 and back.missing[:, 0].tolist() == [False, True, False]
+
+    def test_write_csv_plain_text(self, tmp_path):
+        table = SeriesTable(["t", "v"], np.array([[0.0, 0.1], [1.0, np.nan]]),
+                            np.array([[False, False], [False, True]]))
+        path = tmp_path / "p.csv"
+        write_csv(path, table)
+        assert path.read_bytes() == b"t,v\n0.0,0.1\n1.0,NA\n"
+
+    def test_only_selected_columns_are_parsed(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text("time,value,note\n2020-01-01T00:00,1.5,ok\n2020-01-01T01:00,NA,x\n")
+        table = load_csv(path, columns=["value"])
+        assert table.columns == ["value"]
+        assert table.file_fields == [1]
+        assert table.values[0, 0] == 1.5 and table.missing[1, 0]
+        with pytest.raises(DataError, match=r"row 1, column 'time'.*2020-01-01T00:00"):
+            load_csv(path, columns=["value", "time"])
+
+    def test_header_with_a_numeric_selected_name_is_kept(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text("time,101\n2020-01-01T00:00,1.5\n2020-01-01T01:00,NA\n")
+        table = load_csv(path, columns=[1])
+        assert table.columns == ["101"] and table.file_fields == [1]
+        assert table.row_lines.tolist() == [1, 2]
+        assert table.values[0, 0] == 1.5 and table.missing[1, 0]
+
+    def test_header_with_an_empty_selected_name_is_kept(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text(",value\n0,1.5\n1,2.5\n")
+        table = load_csv(path, columns=[0])
+        assert table.columns == [""] and table.row_lines.tolist() == [1, 2]
+        assert table.values[:, 0].tolist() == [0.0, 1.0]
+
+    def test_select_keeps_file_fields(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text("a,b,c\n1,2,3\n4,5,6\n")
+        table = load_csv(path, columns=["c", "a"])
+        assert table.file_fields == [2, 0]
+        assert table.select(["a"]).file_fields == [0]
+        assert table.select([0]).file_fields == [2]
+
+    @pytest.mark.parametrize("sel", ["\u00b2", "--1", "1.0"])
+    def test_non_decimal_selector_is_a_name(self, tmp_path, sel):
+        path = tmp_path / "a.csv"
+        path.write_text("a,b\n1,2\n")
+        with pytest.raises(DataError, match="unknown column"):
+            load_csv(path).column_index(sel)
+
+    def test_unicode_decimal_selector_is_an_index(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text("a,b\n1,2\n")
+        table = load_csv(path)
+        assert table.column_index("\u0661") == 1  # ARABIC-INDIC DIGIT ONE
+        with pytest.raises(DataError, match="out of range"):
+            table.column_index("\u0662")
+        with pytest.raises(DataError, match="out of range"):
+            table.column_index("-1")
+
+
+_NUMBERS = st.one_of(
+    st.floats().map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["inf", "-inf", "nan", "-nan", "NaN", "Infinity", "1_0", "+1.5", "1e400",
+                     "5e-324", "-0", ".5", "1.", "\u0661\u0662"]),
+)
+_BAD = st.sampled_from(["bogus", "1__0", "0x10", "1e", "--1", "\u00b2", "N/A", "1x"])
+_MARKER_SETS = [("NA", ""), ("-999", "?"), (" x ",), ("nan", "NA", "")]
+_PADS = st.sampled_from(["", " ", "  ", "\t"])
+
+
+@st.composite
+def _csv_files(draw):
+    """A CSV text, its markers and a column selection for `load_csv` and its oracle."""
+    markers = draw(st.sampled_from(_MARKER_SETS))
+    marker_cells = [m.strip() for m in markers]
+    n_cols, n_rows = draw(st.integers(1, 4)), draw(st.integers(1, 7))
+    bad_rate = draw(st.sampled_from([0, 0, 10, 40, 70]))  # percent of bad cells
+    header = draw(st.booleans())
+    # header names may look like numbers (sensor ids) or be empty
+    names = [draw(st.sampled_from([f"h{c}", f"{101 + c}", ""])) for c in range(n_cols)]
+    lines = [",".join(names)] if header else []
+    all_bad = draw(st.integers(-n_rows, n_rows - 1))  # a row of bad cells when >= 0
+    for r in range(n_rows):
+        cells = []
+        for _ in range(n_cols):
+            roll = draw(st.integers(0, 99))
+            if roll < bad_rate or r == all_bad:
+                text = draw(_BAD)
+            elif roll < bad_rate + 15:
+                text = draw(st.sampled_from(marker_cells))
+            else:
+                text = draw(_NUMBERS)
+            cells.append(draw(_PADS) + text + draw(_PADS))
+        lines.append(",".join(cells))
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    text = eol.join(lines) + draw(st.sampled_from(["", eol]))
+    if draw(st.booleans()):
+        columns = None
+    else:
+        picked = draw(st.permutations(range(n_cols)))[:draw(st.integers(1, n_cols))]
+        kinds = [draw(st.sampled_from(["int", "str", "name"] if header else ["int", "str"]))
+                 for _ in picked]
+        columns = [c if k == "int" else str(c) if k == "str" else names[c]
+                   for c, k in zip(picked, kinds)]
+    return text, markers, columns
+
+
+@given(_csv_files())
+@settings(max_examples=400, deadline=None)
+def test_load_csv_matches_the_per_cell_oracle(case):
+    text, markers, columns = case
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "in.csv")
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        try:
+            names, values, missing, row_lines, fields = load_csv_scalar(path, columns, markers)
+        except ValueError as exc:
+            with pytest.raises(DataError) as got:
+                load_csv(path, columns=columns, markers=markers)
+            assert str(got.value) == str(exc)
+            return
+        table = load_csv(path, columns=columns, markers=markers)
+    assert table.columns == names
+    assert table.file_fields == fields
+    assert table.row_lines.tolist() == row_lines
+    assert table.missing.tolist() == missing
+    want = b"".join(struct.pack("=d", v) for row in values for v in row)
+    assert table.values.dtype == np.float64 and table.values.tobytes() == want
 
 
 class TestSplit:
