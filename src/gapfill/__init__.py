@@ -14,7 +14,6 @@ from .model import (
     ModelParams,
     NetworkConfig,
     ScalingSchedule,
-    backward,
     forward,
     gradient_check,
     impute,
@@ -22,7 +21,7 @@ from .model import (
     loss,
     make_schedule,
 )
-from .numerics import Rng, finite_diff_grad, matvec, mse, sigmoid, tanh
+from .numerics import Rng, finite_diff_grad, sigmoid
 
 __all__ = [
     "ImputationWindow",
@@ -30,7 +29,6 @@ __all__ = [
     "NetworkConfig",
     "Rng",
     "ScalingSchedule",
-    "backward",
     "finite_diff_grad",
     "forward",
     "gradient_check",
@@ -38,8 +36,5 @@ __all__ = [
     "init_model_params",
     "loss",
     "make_schedule",
-    "matvec",
-    "mse",
     "sigmoid",
-    "tanh",
 ]

@@ -16,7 +16,10 @@ Layout (all integers little-endian, all floats IEEE-754 binary64 LE):
     f64[n]    per-column standard deviations
     f64[...]  every parameter tensor, row-major, in canonical order
 
-The canonical tensor order is the order of `model.iter_params`.
+The tensors follow `model.iter_params`: per gate (w_i ... b_o) for each
+LSTM cell, then the heads and the merge layers. That file order differs
+from the in-memory order of `ModelParams.flat`, whose cells hold their
+gates fused; save and load go through the per-gate views.
 """
 
 from __future__ import annotations
@@ -28,13 +31,12 @@ import numpy as np
 from .data import NormStats
 from .model import (
     SCHEDULE_VARIANTS,
-    Affine,
-    LstmParams,
     ModelParams,
     NetworkConfig,
     iter_params,
+    n_params,
+    params_from_flat,
 )
-from .lstm import PARAM_FIELDS, field_shape
 
 MAGIC = b"GAPFILL\x00"
 FORMAT_VERSION = 1
@@ -115,20 +117,9 @@ def load_checkpoint(path) -> tuple[ModelParams, NormStats]:
         merge_hidden=merge_hidden,
         forward_only=bool(forward_only),
     )
-    d, h = input_dim, hidden_dim
-
-    def read_lstm() -> LstmParams:
-        return LstmParams(**{name: r.floats(field_shape(name, d, h)) for name in PARAM_FIELDS})
-
-    enc_fw, enc_bw, dec_fw, dec_bw = (read_lstm() for _ in range(4))
-    head_fw = Affine(r.floats((d, h)), r.floats((d,)))
-    head_bw = Affine(r.floats((d, h)), r.floats((d,)))
-    if merge_hidden > 0:
-        merge = [Affine(r.floats((merge_hidden, 2 * h)), r.floats((merge_hidden,))),
-                 Affine(r.floats((d, merge_hidden)), r.floats((d,)))]
-    else:
-        merge = [Affine(r.floats((d, 2 * h)), r.floats((d,)))]
+    params = params_from_flat(cfg, np.empty(n_params(cfg)))
+    for _, tensor in iter_params(params):
+        tensor[...] = r.floats(tensor.shape)
     if r.pos != len(buf):
         raise CheckpointError(f"{path}: {len(buf) - r.pos} unexpected trailing bytes")
-    params = ModelParams(cfg, enc_fw, enc_bw, dec_fw, dec_bw, head_fw, head_bw, merge)
     return params, NormStats(mean, std)

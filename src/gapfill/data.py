@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -92,44 +94,50 @@ def load_csv(
     markers = frozenset(m.strip() for m in markers)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        records = list(reader)
-        if reader.line_num == len(records):  # one line per record, the usual case
-            starts = range(len(records))
-        else:  # a quoted cell holds a line break: find where each record starts
-            fh.seek(0)
-            reader = csv.reader(fh)
-            starts = [0] + [reader.line_num for _ in reader][:-1]
-    row_lines = np.array([start for start, row in zip(starts, records) if row], dtype=np.int64)
-    rows = [row for row in records if row]
-    if not rows:
-        raise DataError(f"{path}: file has no rows")
-
-    if header is None:
-        header = not all(_is_number_or_marker(cell, markers) for cell in rows[0])
-    if header:
-        names = [c.strip() for c in rows[0]]
-        rows, row_lines = rows[1:], row_lines[1:]
-    else:
-        names = [f"col{i}" for i in range(len(rows[0]))]
-    if not rows:
+        start = 0  # the line the next record starts on
+        for first in reader:
+            if first:
+                break
+            start = reader.line_num
+        else:
+            raise DataError(f"{path}: file has no rows")
+        if header is None:
+            header = not all(_is_number_or_marker(cell, markers) for cell in first)
+        if header:
+            names = [c.strip() for c in first]
+            start, records = reader.line_num, reader
+        else:
+            names = [f"col{i}" for i in range(len(first))]
+            records = itertools.chain([first], reader)
+        width = len(names)
+        fields = list(range(width)) if columns is None else [_column_index(names, s) for s in columns]
+        # one field gives a bare cell, several a tuple
+        pick = operator.itemgetter(*fields) if fields else lambda row: ()
+        row_lines, kept = [], []  # only the selected fields of each record are kept
+        for row in records:
+            if row:
+                if len(row) != width:
+                    raise DataError(f"{path}: row {len(kept) + 1} has {len(row)} cells, "
+                                    f"expected {width}")
+                row_lines.append(start)
+                kept.append(pick(row))
+            start = reader.line_num
+    if not kept:
         raise DataError(f"{path}: no data rows")
-    width = len(names)
-    for r, row in enumerate(rows):
-        if len(row) != width:
-            raise DataError(f"{path}: row {r + 1} has {len(row)} cells, expected {width}")
 
-    fields = list(range(width)) if columns is None else [_column_index(names, s) for s in columns]
-    values = np.empty((len(rows), len(fields)))
-    missing = np.empty((len(rows), len(fields)), dtype=bool)
-    for j, c in enumerate(fields):
-        cells = [row[c].strip() for row in rows]
+    cols = [kept] if len(fields) == 1 else list(zip(*kept))
+    values = np.empty((len(kept), len(fields)))
+    missing = np.empty((len(kept), len(fields)), dtype=bool)
+    for j, col in enumerate(cols):
+        cells = [cell.strip() for cell in col]
         missing[:, j] = [cell in markers for cell in cells]
         try:  # numpy parses each str as float() does, so _first_bad_cell finds the culprit
             values[:, j] = np.array(["nan" if cell in markers else cell for cell in cells],
                                     dtype=np.float64)
         except ValueError:
-            raise _first_bad_cell(path, rows, names, sorted(set(fields)), markers) from None
-    return SeriesTable([names[c] for c in fields], values, missing, row_lines, fields)
+            raise _first_bad_cell(path, cols, names, fields, markers) from None
+    return SeriesTable([names[c] for c in fields], values, missing,
+                       np.array(row_lines, dtype=np.int64), fields)
 
 
 def _is_number_or_marker(cell: str, markers) -> bool:
@@ -143,13 +151,16 @@ def _is_number_or_marker(cell: str, markers) -> bool:
     return True
 
 
-def _first_bad_cell(path, rows, names, fields, markers) -> DataError:
-    """The error naming the first cell of `fields` that is neither a number nor a marker."""
-    for r, row in enumerate(rows):
-        for c in fields:
-            if not _is_number_or_marker(row[c], markers):
+def _first_bad_cell(path, cols, names, fields, markers) -> DataError:
+    """The error naming the first selected cell, row by row and within a row in
+    file order, that is neither a number nor a marker; `cols[j]` holds the
+    cells of field `fields[j]`."""
+    in_file_order = sorted({c: j for j, c in enumerate(fields)}.items())
+    for r in range(len(cols[0])):
+        for c, j in in_file_order:
+            if not _is_number_or_marker(cols[j][r], markers):
                 return DataError(
-                    f"{path}: row {r + 1}, column {names[c]!r}: cannot parse {row[c]!r}")
+                    f"{path}: row {r + 1}, column {names[c]!r}: cannot parse {cols[j][r]!r}")
     # reached only if numpy's cast ever rejects a cell that float() accepts
     return DataError(f"{path}: column {names[fields[0]]!r}: cannot parse a cell")
 

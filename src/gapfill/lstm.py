@@ -40,12 +40,6 @@ PARAM_FIELDS = (
 _GATE_BLOCK = {"i": 0, "f": 1, "o": 2, "g": 3}
 
 
-def field_shape(name: str, input_dim: int, hidden_dim: int) -> tuple[int, ...]:
-    """Shape of one per-gate tensor: (h, d) input weights, (h, h) recurrent, (h,) bias."""
-    return {"w": (hidden_dim, input_dim), "u": (hidden_dim, hidden_dim),
-            "b": (hidden_dim,)}[name[0]]
-
-
 def _gate_view(name: str) -> property:
     kind, block = name[0], _GATE_BLOCK[name[2]]
 
@@ -65,33 +59,13 @@ def _gate_view(name: str) -> property:
 class LstmParams:
     """One cell's parameters: fused weight `w` (4h, d+h) and bias `b` (4h,).
 
-    Built from the twelve per-gate tensors (in PARAM_FIELDS order), or
-    around existing fused arrays with `LstmParams.fused`.
+    Wraps the arrays it is given without copying them.
     """
 
-    def __init__(self, w_i, w_f, w_g, w_o, u_i, u_f, u_g, u_o, b_i, b_f, b_g, b_o):
-        h, d = np.shape(w_i)
-        self.w = np.empty((4 * h, d + h))
-        self.b = np.empty(4 * h)
-        given = dict(zip(PARAM_FIELDS, (w_i, w_f, w_g, w_o, u_i, u_f, u_g, u_o,
-                                        b_i, b_f, b_g, b_o)))
-        for name, value in given.items():
-            if np.shape(value) != field_shape(name, d, h):
-                raise ShapeError(f"{name}: expected shape {field_shape(name, d, h)}, "
-                                 f"got {np.shape(value)}")
-            setattr(self, name, value)
-
-    @classmethod
-    def fused(cls, w: np.ndarray, b: np.ndarray) -> "LstmParams":
-        """Wrap fused arrays without copying them."""
+    def __init__(self, w: np.ndarray, b: np.ndarray):
         if w.ndim != 2 or b.shape != (w.shape[0],) or w.shape[0] % 4 or w.shape[1] <= w.shape[0] // 4:
             raise ShapeError(f"fused weight {w.shape} and bias {b.shape} do not form a cell")
-        p = cls.__new__(cls)
-        p.w, p.b = w, b
-        return p
-
-    def zeros_like(self) -> "LstmParams":
-        return LstmParams.fused(np.zeros_like(self.w), np.zeros_like(self.b))
+        self.w, self.b = w, b
 
     def fields(self) -> dict[str, np.ndarray]:
         """The per-gate views, keyed in PARAM_FIELDS order."""
@@ -140,8 +114,7 @@ def init_lstm_params(input_dim: int, hidden_dim: int, rng: Rng) -> LstmParams:
     if input_dim < 1 or hidden_dim < 1:
         raise ValueError("input_dim and hidden_dim must be positive")
     k = 1.0 / np.sqrt(hidden_dim)
-    p = LstmParams.fused(np.empty((4 * hidden_dim, input_dim + hidden_dim)),
-                         np.zeros(4 * hidden_dim))
+    p = LstmParams(np.empty((4 * hidden_dim, input_dim + hidden_dim)), np.zeros(4 * hidden_dim))
     # one stream call per weight kind; the draws land in PARAM_FIELDS order
     gates = [*rng.uniform_array((4, hidden_dim, input_dim), -k, k),
              *rng.uniform_array((4, hidden_dim, hidden_dim), -k, k)]
@@ -149,10 +122,6 @@ def init_lstm_params(input_dim: int, hidden_dim: int, rng: Rng) -> LstmParams:
         setattr(p, name, draw)
     p.b_f = 1.0
     return p
-
-
-def zero_lstm_grads(p: LstmParams) -> dict[str, np.ndarray]:
-    return p.zeros_like().fields()
 
 
 def lstm_step(p: LstmParams, x: np.ndarray, s: LstmState) -> tuple[LstmState, CellTape]:
@@ -221,19 +190,6 @@ def lstm_step_backward(
     return dxh[:, :d], dxh[:, d:], dc_prev
 
 
-def lstm_run(
-    p: LstmParams, xs, state: LstmState
-) -> tuple[LstmState, list[np.ndarray], list[CellTape]]:
-    """Run the cell over a sequence of inputs; returns final state, h outputs, tapes."""
-    hs: list[np.ndarray] = []
-    tapes: list[CellTape] = []
-    for x in xs:
-        state, tape = lstm_step(p, x, state)
-        hs.append(state.h)
-        tapes.append(tape)
-    return state, hs, tapes
-
-
 def lstm_backward(
     p: LstmParams,
     tapes: list[CellTape],
@@ -255,7 +211,7 @@ def lstm_backward(
     if grad_h_seq is not None and len(grad_h_seq) != n:
         raise ShapeError(f"got {len(grad_h_seq)} hidden gradients for {n} steps")
     if acc is None:
-        acc = p.zeros_like()
+        acc = LstmParams(np.zeros_like(p.w), np.zeros_like(p.b))
     hdim = p.hidden_dim
     dh = np.zeros(hdim) if grad_h_final is None else grad_h_final.copy()
     dc = np.zeros(hdim) if grad_c_final is None else grad_c_final.copy()

@@ -28,6 +28,7 @@ the `after` rows in reverse. One window is the case B = 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -114,11 +115,21 @@ class NetworkConfig:
     forward_only: bool = False  # forward encoder + forward decoder only
 
 
-@dataclass
+@dataclass(eq=False)  # identity equality: comparing the arrays has no single truth value
 class ModelParams:
-    """All trainable tensors, plus the structural config they belong to."""
+    """All trainable tensors, each a view of one float64 vector `flat`.
+
+    `flat` holds, in order: the fused weights `lstm_w` (4, 4h, d+h) and
+    biases `lstm_b` (4, 4h) of the cells enc_fw, enc_bw, dec_fw, dec_bw;
+    head_fw.w, head_fw.b, head_bw.w, head_bw.b; then each merge layer's w
+    and b. Built by `params_from_flat`; a pickled or copied ModelParams is
+    rebuilt the same way, so its tensors stay views of its own `flat`.
+    """
 
     config: NetworkConfig
+    flat: np.ndarray
+    lstm_w: np.ndarray
+    lstm_b: np.ndarray
     enc_fw: LstmParams
     enc_bw: LstmParams
     dec_fw: LstmParams
@@ -127,27 +138,52 @@ class ModelParams:
     head_bw: Affine
     merge: list[Affine]  # [linear] or [hidden_layer, output_layer] with tanh between
 
+    def __reduce__(self):
+        return params_from_flat, (self.config, self.flat)
+
+
+def _arena_shapes(config: NetworkConfig) -> list[tuple[int, ...]]:
+    d, h, m = config.input_dim, config.hidden_dim, config.merge_hidden
+    merge = [(m, 2 * h), (m,), (d, m), (d,)] if m > 0 else [(d, 2 * h), (d,)]
+    return [(4, 4 * h, d + h), (4, 4 * h), (d, h), (d,), (d, h), (d,), *merge]
+
+
+def n_params(config: NetworkConfig) -> int:
+    """Length of the parameter vector of a network with this config."""
+    return sum(math.prod(shape) for shape in _arena_shapes(config))
+
+
+def params_from_flat(config: NetworkConfig, flat: np.ndarray) -> ModelParams:
+    """The ModelParams whose every tensor is a view of `flat`, without copying."""
+    shapes = _arena_shapes(config)
+    ends = np.cumsum([math.prod(shape) for shape in shapes])
+    if flat.dtype != np.float64 or flat.shape != (ends[-1],) or not flat.flags.c_contiguous:
+        raise ShapeError(f"parameters need a contiguous float64 vector of {ends[-1]} floats, "
+                         f"got {flat.dtype} {flat.shape}")
+    views = [part.reshape(shape) for part, shape in zip(np.split(flat, ends[:-1]), shapes)]
+    lstm_w, lstm_b, head_fw_w, head_fw_b, head_bw_w, head_bw_b, *merge = views
+    cells = [LstmParams(w, b) for w, b in zip(lstm_w, lstm_b)]
+    return ModelParams(config, flat, lstm_w, lstm_b, *cells, Affine(head_fw_w, head_fw_b),
+                       Affine(head_bw_w, head_bw_b),
+                       [Affine(w, b) for w, b in zip(merge[::2], merge[1::2])])
+
 
 def init_model_params(config: NetworkConfig, rng: Rng) -> ModelParams:
     """Initialize all parameters; the draw order equals the checkpoint order."""
     if config.schedule_variant not in SCHEDULE_VARIANTS:
         raise ValueError(f"unknown schedule variant {config.schedule_variant!r}")
     d, h = config.input_dim, config.hidden_dim
-    lstms = {name: init_lstm_params(d, h, rng) for name in _LSTM_COMPONENTS}
+    params = params_from_flat(config, np.zeros(n_params(config)))
+    for name in _LSTM_COMPONENTS:
+        cell, fresh = getattr(params, name), init_lstm_params(d, h, rng)
+        cell.w[...], cell.b[...] = fresh.w, fresh.b
     k_head = 1.0 / np.sqrt(h)
-    head_fw = Affine(rng.uniform_array((d, h), -k_head, k_head), np.zeros(d))
-    head_bw = Affine(rng.uniform_array((d, h), -k_head, k_head), np.zeros(d))
-    k_merge = 1.0 / np.sqrt(2 * h)
-    if config.merge_hidden > 0:
-        m = config.merge_hidden
-        merge = [
-            Affine(rng.uniform_array((m, 2 * h), -k_merge, k_merge), np.zeros(m)),
-            Affine(rng.uniform_array((d, m), -1.0 / np.sqrt(m), 1.0 / np.sqrt(m)), np.zeros(d)),
-        ]
-    else:
-        merge = [Affine(rng.uniform_array((d, 2 * h), -k_merge, k_merge), np.zeros(d))]
-    return ModelParams(config, lstms["enc_fw"], lstms["enc_bw"], lstms["dec_fw"],
-                       lstms["dec_bw"], head_fw, head_bw, merge)
+    for head in (params.head_fw, params.head_bw):
+        head.w[...] = rng.uniform_array((d, h), -k_head, k_head)
+    for layer in params.merge:  # Uniform(-k, k), k = 1/sqrt(fan_in); biases stay 0
+        k = 1.0 / np.sqrt(layer.w.shape[1])
+        layer.w[...] = rng.uniform_array(layer.w.shape, -k, k)
+    return params
 
 
 def iter_params(params: ModelParams) -> list[tuple[str, np.ndarray]]:
@@ -166,21 +202,8 @@ def iter_params(params: ModelParams) -> list[tuple[str, np.ndarray]]:
     return out
 
 
-def _map_params(params: ModelParams, fn) -> ModelParams:
-    """A new ModelParams whose every array is fn(array)."""
-    def lstm(p: LstmParams) -> LstmParams:
-        return LstmParams.fused(fn(p.w), fn(p.b))
-
-    def affine(a: Affine) -> Affine:
-        return Affine(fn(a.w), fn(a.b))
-
-    return ModelParams(params.config, lstm(params.enc_fw), lstm(params.enc_bw),
-                       lstm(params.dec_fw), lstm(params.dec_bw), affine(params.head_fw),
-                       affine(params.head_bw), [affine(layer) for layer in params.merge])
-
-
 def clone_params(params: ModelParams) -> ModelParams:
-    return _map_params(params, np.copy)
+    return params_from_flat(params.config, params.flat.copy())
 
 
 @dataclass
@@ -453,14 +476,15 @@ def loss_and_grads(
     schedule: ScalingSchedule,
     truth=None,
     term_weights: tuple[float, float, float] = (1.0, 1.0, 1.0),
-) -> tuple[float, dict[str, np.ndarray]]:
+) -> tuple[float, ModelParams]:
     """Loss and its exact gradient w.r.t. every parameter.
 
     `windows` is one window or a batch (see `forward`); for a batch both the
     loss and the gradients are summed over its windows. `term_weights`
     scales the (merged, forward-stream, backward-stream) loss terms; the
     default reproduces `loss`. The forward-only network has a single term
-    and ignores the weights. Gradients are keyed by `iter_params` path.
+    and ignores the weights. The gradient is a ModelParams over a fresh
+    zeroed vector; `dict(iter_params(grads))` keys it by path.
     """
     cfg = params.config
     d, T = cfg.input_dim, schedule.gap_len
@@ -476,7 +500,7 @@ def loss_and_grads(
     trace, fw, bw = _forward(params, batch, schedule, keep_tapes=True)
     terms = _loss_terms(trace, truth)
     coef = 2.0 / (T * d)
-    g = _map_params(params, np.zeros_like)
+    g = params_from_flat(cfg, np.zeros_like(params.flat))
     if cfg.forward_only:
         loss_val = terms[0]
         d_pred_fw, dh_merge_fw = coef * (fw.pred - truth), None
@@ -492,18 +516,7 @@ def loss_and_grads(
                          g.enc_bw, g.dec_bw, g.head_bw)
     _stream_backward(params.enc_fw, params.dec_fw, params.head_fw, fw, d_pred_fw, dh_merge_fw,
                      g.enc_fw, g.dec_fw, g.head_fw)
-    return float(np.sum(loss_val)), dict(iter_params(g))
-
-
-def backward(
-    params: ModelParams,
-    windows,
-    schedule: ScalingSchedule,
-    truth=None,
-    term_weights: tuple[float, float, float] = (1.0, 1.0, 1.0),
-) -> dict[str, np.ndarray]:
-    """Exact gradient of the window loss w.r.t. every parameter."""
-    return loss_and_grads(params, windows, schedule, truth, term_weights)[1]
+    return float(np.sum(loss_val)), g
 
 
 def impute(
@@ -582,7 +595,7 @@ def gradient_check(
             rng.normal_array((context_len, d)),
         )
         schedule = make_schedule(T, variant)
-        _, analytic = loss_and_grads(params, window, schedule)
+        analytic = dict(iter_params(loss_and_grads(params, window, schedule)[1]))
         if _corrupt_path is not None and _corrupt_path in analytic:
             analytic[_corrupt_path] = analytic[_corrupt_path] + 1.0
 

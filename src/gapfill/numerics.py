@@ -1,9 +1,8 @@
-"""Float64 primitives: activations, losses, a seeded RNG, and a
+"""Float64 primitives: the logistic function, a seeded RNG, and a
 central-difference gradient checker.
 
-Vectors are 1-D numpy float64 arrays and matrices are 2-D row-major
-float64 arrays. Every function here is pure; the Rng is the only stateful
-object and must stay confined to a single owner at a time.
+Every function here is pure; the Rng is the only stateful object and must
+stay confined to a single owner at a time.
 """
 
 from __future__ import annotations
@@ -14,36 +13,12 @@ from typing import Callable
 
 import numpy as np
 
-Vector = np.ndarray
-Matrix = np.ndarray
-
 _MASK64 = (1 << 64) - 1
 _XORSHIFT_MULT = 0x2545F4914F6CDD1D
 
 
 class ShapeError(ValueError):
     """Operands with incompatible dimensions."""
-
-
-def _as_vector(v, name: str = "vector") -> Vector:
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise ShapeError(f"{name}: expected a 1-d vector, got shape {v.shape}")
-    return v
-
-
-def matvec(m: Matrix, v: Vector) -> Vector:
-    """Dense matrix-vector product with shape validation."""
-    m = np.asarray(m, dtype=np.float64)
-    v = _as_vector(v, "v")
-    if m.ndim != 2:
-        raise ShapeError(f"m: expected a 2-d matrix, got shape {m.shape}")
-    if m.shape[1] != v.shape[0]:
-        raise ShapeError(
-            f"matvec shape mismatch: matrix is {m.shape[0]}x{m.shape[1]}, "
-            f"vector has length {v.shape[0]}"
-        )
-    return m @ v
 
 
 def sigmoid(v) -> np.ndarray:
@@ -56,23 +31,6 @@ def sigmoid(v) -> np.ndarray:
     out += 1.0
     out *= 0.5
     return out
-
-
-def tanh(v) -> np.ndarray:
-    """Elementwise hyperbolic tangent."""
-    return np.tanh(np.asarray(v, dtype=np.float64))
-
-
-def mse(truth, pred) -> float:
-    """Mean squared error between two equal-length vectors."""
-    t = _as_vector(truth, "truth")
-    p = _as_vector(pred, "pred")
-    if t.shape != p.shape:
-        raise ShapeError(f"mse length mismatch: {t.shape[0]} vs {p.shape[0]}")
-    if t.shape[0] == 0:
-        raise ShapeError("mse needs at least one element")
-    d = t - p
-    return float(np.mean(d * d))
 
 
 def finite_diff_grad(f: Callable[[np.ndarray], float], params, eps: float = 1e-5) -> np.ndarray:

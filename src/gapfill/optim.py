@@ -47,52 +47,42 @@ class TrainConfig:
     clip_norm: float = 0.0  # 0 disables gradient clipping
 
 
-def _named_params(params) -> list[tuple[str, np.ndarray]]:
-    if isinstance(params, ModelParams):
-        return iter_params(params)
-    return list(params)
-
-
 class AdamState:
-    """First/second moment accumulators plus the step counter."""
+    """First/second moment vectors, shaped like `ModelParams.flat`, plus the step counter."""
 
-    def __init__(self, params, lr: float = 1e-3, beta1: float = 0.9,
+    def __init__(self, params: ModelParams, lr: float = 1e-3, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        named = _named_params(params)
-        self.m = {path: np.zeros_like(arr) for path, arr in named}
-        self.v = {path: np.zeros_like(arr) for path, arr in named}
+        self.m = np.zeros_like(params.flat)
+        self.v = np.zeros_like(params.flat)
 
 
-def adam_step(state: AdamState, params, grads: dict[str, np.ndarray]):
-    """One bias-corrected Adam update, in place.
+def adam_step(state: AdamState, params: ModelParams, grads: ModelParams):
+    """One bias-corrected Adam update of every parameter, in place.
 
     m <- b1*m + (1-b1)*g;  v <- b2*v + (1-b2)*g^2
     theta <- theta - lr * (m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps)
     """
+    g = grads.flat
+    if g.shape != params.flat.shape:
+        raise ValueError(f"gradient has {g.size} floats, the parameters {params.flat.size}")
+    if not np.all(np.isfinite(g)):
+        path = next(path for path, t in iter_params(grads) if not np.all(np.isfinite(t)))
+        raise ValueError(f"non-finite gradient for parameter {path}")
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - state.beta1 ** t
     bc2 = 1.0 - state.beta2 ** t
-    for path, p in _named_params(params):
-        if path not in grads:
-            raise ValueError(f"missing gradient for parameter {path}")
-        g = grads[path]
-        if g.shape != p.shape:
-            raise ValueError(f"{path}: gradient shape {g.shape} does not match parameter shape {p.shape}")
-        if not np.all(np.isfinite(g)):
-            raise ValueError(f"non-finite gradient for parameter {path}")
-        m = state.m[path]
-        v = state.v[path]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    m, v = state.m, state.v
+    m *= state.beta1
+    m += (1.0 - state.beta1) * g
+    v *= state.beta2
+    v += (1.0 - state.beta2) * (g * g)
+    params.flat -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
     return state, params
 
 
@@ -191,15 +181,14 @@ def train(
                     f"non-finite training loss at epoch {epoch}, batch {batch_no}",
                     epoch=epoch, batch=batch_no)
             epoch_loss += value
-            inv = 1.0 / len(batch)
-            for g in grads.values():
-                g *= inv
+            g = grads.flat
+            g *= 1.0 / len(batch)
             if cfg.clip_norm > 0.0:
-                norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+                # numpy's pairwise sum, not a BLAS dot: a threaded BLAS dot
+                # sums in an order that depends on its thread count
+                norm = np.sqrt(np.sum(g * g))
                 if norm > cfg.clip_norm:
-                    scale = cfg.clip_norm / norm
-                    for g in grads.values():
-                        g *= scale
+                    g *= cfg.clip_norm / norm
                     log.clip_events += 1
             adam_step(adam, params, grads)
         train_loss = epoch_loss / len(order)

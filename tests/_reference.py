@@ -41,6 +41,17 @@ def lstm_step_scalar(p, x, h_prev, c_prev):
     return h_new, c_new
 
 
+def mse(truth, pred):
+    """Mean squared error of two equal-length, non-empty sequences."""
+    if len(truth) != len(pred) or len(truth) == 0:
+        raise ValueError(f"mse needs equal non-zero lengths, got {len(truth)} and {len(pred)}")
+    total = 0.0
+    for t, p in zip(truth, pred):
+        d = float(t) - float(p)
+        total += d * d
+    return total / len(truth)
+
+
 def affine_scalar(aff, x):
     out = []
     for j in range(aff.w.shape[0]):

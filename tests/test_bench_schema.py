@@ -1,10 +1,15 @@
-"""Schema smoke test of the benchmark script (opt-in: `pytest -m bench`).
+"""Checks of the benchmark script.
 
-Runs each workload for one call (`--seconds 0`) in a subprocess, so its
-output checks run, and checks that its result line carries every
-end-to-end metric BENCHMARK.json declares, with its unit.
+The per-layer span table is checked by default. The schema smoke test is
+opt-in (`pytest -m bench`): it runs each workload for one call
+(`--seconds 0`) in a subprocess, so its output checks run, and checks that
+its result line carries every end-to-end metric BENCHMARK.json declares,
+with its unit.
 """
 
+import ast
+import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -31,3 +36,27 @@ def test_workload_result_line_matches_the_declared_metrics(workload):
     for metric in declared:
         assert metric["name"] in result["metrics"], metric["name"]
         assert result["metrics"][metric["name"]]["unit"] == metric["unit"], metric["name"]
+
+
+def _literal(path, name):
+    """The value of the top-level literal assignment `name = ...` in a file, without importing it."""
+    with open(os.path.join(ROOT, path)) as fh:
+        tree = ast.parse(fh.read())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == [name]:
+            return ast.literal_eval(node.value)
+    raise LookupError(f"{path} assigns no {name}")
+
+
+def test_per_layer_spans_name_traced_functions():
+    # bench/run.py is read, not imported: importing it pins the BLAS thread variables
+    layers = _literal("bench/tracing.py", "LAYERS")
+    spans = sorted({span for span, _, _ in _literal("bench/run.py", "PER_LAYER").values()})
+    assert spans
+    for span in spans:
+        module, function = span.split(".")
+        assert module in layers, span
+        fn = getattr(importlib.import_module(f"gapfill.{module}"), function, None)
+        # the tracer wraps the public functions a module defines itself
+        assert inspect.isfunction(fn) and fn.__module__ == f"gapfill.{module}", span
+        assert not function.startswith("_"), span

@@ -146,6 +146,14 @@ class TestLoadCsv:
         assert table.columns == [""] and table.row_lines.tolist() == [1, 2]
         assert table.values[:, 0].tolist() == [0.0, 1.0]
 
+    def test_empty_and_repeated_selections(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text("a,b\n\n1,x\n3,4\n")
+        empty = load_csv(path, columns=[])
+        assert empty.values.shape == (2, 0) and empty.row_lines.tolist() == [2, 3]
+        twice = load_csv(path, columns=["a", 0])
+        assert twice.values.tolist() == [[1.0, 1.0], [3.0, 3.0]] and twice.file_fields == [0, 0]
+
     def test_select_keeps_file_fields(self, tmp_path):
         path = tmp_path / "a.csv"
         path.write_text("a,b,c\n1,2,3\n4,5,6\n")

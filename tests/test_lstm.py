@@ -7,9 +7,7 @@ from gapfill.lstm import (
     PARAM_FIELDS,
     init_lstm_params,
     lstm_backward,
-    lstm_run,
     lstm_step,
-    zero_lstm_grads,
     zero_state,
 )
 from gapfill.numerics import Rng, ShapeError, finite_diff_grad
@@ -18,15 +16,17 @@ from _reference import lstm_step_scalar
 
 
 def all_zero_params(input_dim, hidden_dim):
-    fields = {}
-    for name in PARAM_FIELDS:
-        if name.startswith("w_"):
-            fields[name] = np.zeros((hidden_dim, input_dim))
-        elif name.startswith("u_"):
-            fields[name] = np.zeros((hidden_dim, hidden_dim))
-        else:
-            fields[name] = np.zeros(hidden_dim)
-    return LstmParams(**fields)
+    return LstmParams(np.zeros((4 * hidden_dim, input_dim + hidden_dim)), np.zeros(4 * hidden_dim))
+
+
+def lstm_run(p, xs, state):
+    """Run the cell over a sequence of inputs; returns final state, h outputs, tapes."""
+    hs, tapes = [], []
+    for x in xs:
+        state, tape = lstm_step(p, x, state)
+        hs.append(state.h)
+        tapes.append(tape)
+    return state, hs, tapes
 
 
 def test_zero_params_keep_zero_state():
@@ -217,11 +217,3 @@ def test_forget_bias_initialized_to_one():
     for name in PARAM_FIELDS[:8]:
         w = getattr(p, name)
         assert np.all(np.abs(w) <= k)
-
-
-def test_zero_lstm_grads_shapes():
-    p = init_lstm_params(3, 2, Rng(0))
-    g = zero_lstm_grads(p)
-    assert set(g) == set(PARAM_FIELDS)
-    for name in PARAM_FIELDS:
-        assert g[name].shape == getattr(p, name).shape

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,12 +9,9 @@ from hypothesis import strategies as st
 from gapfill.lstm import PARAM_FIELDS
 from gapfill.model import (
     SCHEDULE_VARIANTS,
-    Affine,
     ImputationWindow,
-    ModelParams,
     NetworkConfig,
     ScalingSchedule,
-    backward,
     forward,
     gradient_check,
     impute,
@@ -21,21 +21,22 @@ from gapfill.model import (
     loss_and_grads,
     make_schedule,
     merge_input_grads,
+    n_params,
+    params_from_flat,
     stack_windows,
 )
-from gapfill.numerics import Rng, ShapeError, mse
+from gapfill.numerics import Rng, ShapeError
+from gapfill.optim import AdamState, adam_step
 
-from _reference import init_params_scalar, network_forward_scalar
-from test_lstm import all_zero_params
+from _reference import init_params_scalar, mse, network_forward_scalar
 
 
 def zero_model(input_dim=1, hidden_dim=2, merge_bias=None):
     cfg = NetworkConfig(input_dim=input_dim, hidden_dim=hidden_dim)
-    lstms = [all_zero_params(input_dim, hidden_dim) for _ in range(4)]
-    head = lambda: Affine(np.zeros((input_dim, hidden_dim)), np.zeros(input_dim))
-    merge = Affine(np.zeros((input_dim, 2 * hidden_dim)),
-                   np.zeros(input_dim) if merge_bias is None else np.asarray(merge_bias, float))
-    return ModelParams(cfg, lstms[0], lstms[1], lstms[2], lstms[3], head(), head(), [merge])
+    params = params_from_flat(cfg, np.zeros(n_params(cfg)))
+    if merge_bias is not None:
+        params.merge[0].b[...] = merge_bias
+    return params
 
 
 def random_window(rng, d, before_len, gap_len, after_len):
@@ -229,8 +230,8 @@ class TestBackward:
     def test_zero_residuals_give_zero_gradient(self):
         params = zero_model(merge_bias=[0.0])
         window = ImputationWindow(np.zeros((3, 1)), np.zeros((2, 1)), np.zeros((3, 1)))
-        grads = backward(params, window, make_schedule(2))
-        assert all(np.array_equal(g, np.zeros_like(g)) for g in grads.values())
+        _, grads = loss_and_grads(params, window, make_schedule(2))
+        assert np.array_equal(grads.flat, np.zeros_like(grads.flat))
 
     def test_matches_finite_differences(self):
         report = gradient_check(n_instances=6, seed=123)
@@ -285,7 +286,8 @@ class TestBackward:
         for t in range(3):
             manual = params.merge[0].w[:, :h] @ trace.h_fw[t] + params.merge[0].b
             assert np.allclose(trace.merged[t], manual, atol=0, rtol=0)
-        grads = backward(params, window, schedule, term_weights=(1.0, 0.0, 0.0))
+        grads = dict(iter_params(loss_and_grads(params, window, schedule,
+                                                term_weights=(1.0, 0.0, 0.0))[1]))
         for field in PARAM_FIELDS:
             assert np.array_equal(grads[f"enc_bw.{field}"], np.zeros_like(grads[f"enc_bw.{field}"]))
             assert np.array_equal(grads[f"dec_bw.{field}"], np.zeros_like(grads[f"dec_bw.{field}"]))
@@ -350,6 +352,60 @@ class TestParamPlumbing:
             assert tensor.shape == shape, path
             assert tensor.tobytes() == np.array(values, dtype=np.float64).tobytes(), path
 
+    @pytest.mark.parametrize("merge_hidden", [0, 3])
+    def test_every_tensor_is_a_view_of_one_vector(self, merge_hidden):
+        cfg = NetworkConfig(input_dim=2, hidden_dim=3, merge_hidden=merge_hidden)
+        params = init_model_params(cfg, Rng(3))
+        _, grads = loss_and_grads(params, random_window(Rng(4), 2, 3, 2, 3), make_schedule(2))
+        adam = AdamState(params)
+        assert adam.m.shape == adam.v.shape == params.flat.shape == (n_params(cfg),)
+        for p in (params, grads):
+            assert p.flat.shape == (n_params(cfg),)
+            assert all(np.shares_memory(p.flat, t) for _, t in iter_params(p))
+            # the tensors tile the vector: each element is in exactly one of them
+            p.flat[:] = np.arange(n_params(cfg))
+            got = np.concatenate([t.ravel() for _, t in iter_params(p)])
+            assert np.array_equal(np.sort(got), np.arange(n_params(cfg)))
+
+    def test_cells_are_one_stacked_array_in_stream_order(self):
+        d, h = 2, 3
+        params = init_model_params(NetworkConfig(input_dim=d, hidden_dim=h), Rng(5))
+        assert params.lstm_w.shape == (4, 4 * h, d + h) and params.lstm_b.shape == (4, 4 * h)
+        assert params.lstm_w.ctypes.data == params.flat.ctypes.data
+        for k, name in enumerate(("enc_fw", "enc_bw", "dec_fw", "dec_bw")):
+            cell = getattr(params, name)
+            assert cell.w.ctypes.data == params.lstm_w[k].ctypes.data, name
+            assert cell.b.ctypes.data == params.lstm_b[k].ctypes.data, name
+        encoders, decoders = params.lstm_w[0:2], params.lstm_w[2:4]
+        encoders[1] += 1.0
+        decoders[0] -= 1.0
+        assert np.array_equal(params.enc_bw.w, encoders[1])
+        assert np.array_equal(params.dec_fw.w, decoders[0])
+
+    def test_wrong_vector_rejected(self):
+        cfg = NetworkConfig(input_dim=1, hidden_dim=2)
+        for flat in (np.zeros(n_params(cfg) + 1), np.zeros(n_params(cfg), dtype=np.float32),
+                     np.zeros(2 * n_params(cfg))[::2]):
+            with pytest.raises(ShapeError, match="float64 vector"):
+                params_from_flat(cfg, flat)
+
+    @pytest.mark.parametrize("copier", [lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    def test_copies_keep_their_tensors_views_of_their_vector(self, copier):
+        cfg = NetworkConfig(input_dim=2, hidden_dim=3, merge_hidden=3)
+        params = init_model_params(cfg, Rng(9))
+        q = copier(params)
+        assert q.config == cfg
+        assert np.array_equal(q.flat, params.flat) and not np.shares_memory(q.flat, params.flat)
+        assert np.shares_memory(q.flat, q.lstm_w) and np.shares_memory(q.flat, q.lstm_b)
+        for (path, t), (_, t0) in zip(iter_params(q), iter_params(params)):
+            assert np.shares_memory(q.flat, t), path
+            assert np.array_equal(t, t0), path
+        before = {path: t.copy() for path, t in iter_params(q)}
+        adam_step(AdamState(q, lr=0.1), q, params_from_flat(cfg, np.ones(n_params(cfg))))
+        for path, t in iter_params(q):
+            assert np.allclose(t, before[path] - 0.1, rtol=0, atol=1e-6), path
+
     def test_merge_mlp_shapes(self):
         params = init_model_params(NetworkConfig(input_dim=2, hidden_dim=3, merge_hidden=5), Rng(0))
         assert params.merge[0].w.shape == (5, 6)
@@ -396,10 +452,9 @@ class TestBatchedPath:
         value, grads = loss_and_grads(params, windows, schedule)
         single_results = [loss_and_grads(params, w, schedule) for w in windows]
         assert value == pytest.approx(sum(v for v, _ in single_results), rel=0, abs=1e-12)
-        assert [p for p, _ in iter_params(params)] == list(grads)
-        for path in grads:
-            summed = sum(g[path] for _, g in single_results)
-            assert np.allclose(grads[path], summed, rtol=0, atol=1e-12), path
+        summed = params_from_flat(cfg, sum(g.flat for _, g in single_results))
+        for (path, got), (_, want) in zip(iter_params(grads), iter_params(summed)):
+            assert np.allclose(got, want, rtol=0, atol=1e-12), path
 
         filled = impute(params, np.stack([w.before for w in windows]),
                         np.stack([w.after for w in windows]), gap)

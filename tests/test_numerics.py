@@ -6,42 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapfill.numerics import Rng, ShapeError, finite_diff_grad, matvec, mse, sigmoid, tanh
+from gapfill.numerics import Rng, finite_diff_grad, sigmoid
 
-from _reference import ScalarXorshiftStar
-
-
-class TestMatvec:
-    def test_identity(self):
-        assert np.array_equal(matvec(np.eye(3), np.array([1.0, 2.0, 3.0])), [1.0, 2.0, 3.0])
-
-    def test_zero_matrix(self):
-        assert np.array_equal(matvec(np.zeros((2, 3)), np.array([4.0, 5.0, 6.0])), [0.0, 0.0])
-
-    def test_small_product(self):
-        out = matvec(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([1.0, 1.0]))
-        assert np.array_equal(out, [3.0, 7.0])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError, match="2x3"):
-            matvec(np.zeros((2, 3)), np.zeros(4))
-
-    @given(st.integers(0, 1000))
-    @settings(max_examples=30)
-    def test_distributivity(self, seed):
-        rng = Rng(seed)
-        m = rng.uniform_array((3, 4), -1.0, 1.0)
-        a = rng.uniform_array((4,), -1.0, 1.0)
-        b = rng.uniform_array((4,), -1.0, 1.0)
-        assert np.allclose(matvec(m, a + b), matvec(m, a) + matvec(m, b), atol=1e-12, rtol=0)
+from _reference import ScalarXorshiftStar, mse
 
 
 class TestActivations:
     def test_sigmoid_zero(self):
         assert sigmoid(np.array([0.0]))[0] == 0.5
-
-    def test_tanh_zero(self):
-        assert tanh(np.array([0.0]))[0] == 0.0
 
     def test_sigmoid_log3(self):
         # closed form: 1 / (1 + 1/3)
@@ -68,14 +40,14 @@ class TestActivations:
     def test_ranges(self):
         xs = np.linspace(-40, 40, 201)
         assert np.all((sigmoid(xs) >= 0) & (sigmoid(xs) <= 1))
-        assert np.all((tanh(xs) >= -1) & (tanh(xs) <= 1))
         # strict interior holds before float saturation kicks in
         mid = np.linspace(-15, 15, 201)
         assert np.all((sigmoid(mid) > 0) & (sigmoid(mid) < 1))
-        assert np.all((tanh(mid) > -1) & (tanh(mid) < 1))
 
 
 class TestMse:
+    """The plain-float oracle `_reference.mse` the model tests compare against."""
+
     def test_perfect(self):
         assert mse(np.array([1.0, 2.0]), np.array([1.0, 2.0])) == 0.0
 
@@ -86,7 +58,7 @@ class TestMse:
         assert mse(np.array([1.0, 3.0]), np.array([2.0, 2.0])) == 1.0
 
     def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ValueError):
             mse(np.zeros(2), np.zeros(3))
 
     @given(st.integers(0, 1000))

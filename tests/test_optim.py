@@ -1,4 +1,9 @@
 import csv
+import dataclasses
+import hashlib
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +15,8 @@ from gapfill.model import (
     init_model_params,
     iter_params,
     make_schedule,
+    n_params,
+    params_from_flat,
 )
 from gapfill.numerics import Rng
 from gapfill.optim import (
@@ -25,64 +32,67 @@ from gapfill.optim import (
 )
 
 
-def scalar_param(value=0.0):
-    return [("theta", np.array([value]))]
+def tiny_params(value=0.0):
+    """A one-unit network whose every parameter is `value`."""
+    cfg = NetworkConfig(input_dim=1, hidden_dim=1)
+    return params_from_flat(cfg, np.full(n_params(cfg), value))
+
+
+def grads_for(params, values):
+    """A gradient for `params`: `values` broadcast over its arena."""
+    return params_from_flat(params.config, np.broadcast_to(values, params.flat.shape).copy())
 
 
 class TestAdam:
     def test_zero_gradient_keeps_everything_zero(self):
-        params = scalar_param(1.5)
+        params = tiny_params(1.5)
         state = AdamState(params, lr=0.1)
-        adam_step(state, params, {"theta": np.array([0.0])})
-        assert params[0][1][0] == 1.5
-        assert state.m["theta"][0] == 0.0
-        assert state.v["theta"][0] == 0.0
+        adam_step(state, params, grads_for(params, 0.0))
+        assert np.all(params.flat == 1.5)
+        assert not state.m.any() and not state.v.any()
 
     def test_first_step_magnitude_is_lr(self):
         # g = 1 at step 1: both bias-corrected moments are exactly 1
-        params = scalar_param(0.0)
+        params = tiny_params(0.0)
         state = AdamState(params, lr=0.1)
-        adam_step(state, params, {"theta": np.array([1.0])})
-        assert params[0][1][0] == pytest.approx(-0.1, abs=1e-6)
+        adam_step(state, params, grads_for(params, 1.0))
+        assert np.allclose(params.flat, -0.1, rtol=0, atol=1e-6)
 
     def test_first_step_direction_is_negative_gradient_sign(self):
-        for g in (3.7, -0.004, 12.0):
-            params = scalar_param(0.0)
-            state = AdamState(params, lr=0.01)
-            adam_step(state, params, {"theta": np.array([g])})
-            assert np.sign(params[0][1][0]) == -np.sign(g)
+        params = tiny_params(0.0)
+        g = np.resize([3.7, -0.004, 12.0, -5.0], params.flat.shape)
+        adam_step(AdamState(params, lr=0.01), params, grads_for(params, g))
+        assert np.array_equal(np.sign(params.flat), -np.sign(g))
 
     def test_odd_symmetry_at_step_one(self):
-        pos = scalar_param(0.0)
-        neg = scalar_param(0.0)
-        adam_step(AdamState(pos, lr=0.05), pos, {"theta": np.array([2.5])})
-        adam_step(AdamState(neg, lr=0.05), neg, {"theta": np.array([-2.5])})
-        assert pos[0][1][0] == -neg[0][1][0]
+        pos, neg = tiny_params(0.0), tiny_params(0.0)
+        g = np.linspace(-2.5, 4.0, pos.flat.size)
+        adam_step(AdamState(pos, lr=0.05), pos, grads_for(pos, g))
+        adam_step(AdamState(neg, lr=0.05), neg, grads_for(neg, -g))
+        assert np.array_equal(pos.flat, -neg.flat)
 
-    def test_shape_mismatch_names_parameter(self):
-        params = scalar_param()
-        state = AdamState(params)
-        with pytest.raises(ValueError, match="theta"):
-            adam_step(state, params, {"theta": np.zeros(2)})
+    def test_arena_length_mismatch_rejected(self):
+        params = tiny_params()
+        other = init_model_params(NetworkConfig(input_dim=1, hidden_dim=2), Rng(0))
+        with pytest.raises(ValueError, match="gradient has"):
+            adam_step(AdamState(params), params, grads_for(other, 1.0))
 
     def test_non_finite_gradient_names_parameter(self):
-        params = scalar_param()
+        params = tiny_params(0.5)
         state = AdamState(params)
-        with pytest.raises(ValueError, match="non-finite gradient.*theta"):
-            adam_step(state, params, {"theta": np.array([np.nan])})
-
-    def test_missing_gradient_rejected(self):
-        params = scalar_param()
-        state = AdamState(params)
-        with pytest.raises(ValueError, match="missing gradient"):
-            adam_step(state, params, {})
+        grads = grads_for(params, 1.0)
+        # w_o precedes w_g in the fused arena but follows it in iter_params order
+        grads.enc_fw.w_o[0, 0] = np.inf
+        grads.enc_fw.w_g[0, 0] = np.nan
+        with pytest.raises(ValueError, match=r"non-finite gradient.*enc_fw\.w_g$"):
+            adam_step(state, params, grads)
+        assert np.all(params.flat == 0.5) and state.step_count == 0
 
     def test_works_on_model_params(self):
         model = init_model_params(NetworkConfig(input_dim=1, hidden_dim=2), Rng(0))
         state = AdamState(model, lr=0.1)
-        grads = {path: np.ones_like(arr) for path, arr in iter_params(model)}
         before = {path: arr.copy() for path, arr in iter_params(model)}
-        adam_step(state, model, grads)
+        adam_step(state, model, grads_for(model, 1.0))
         for path, arr in iter_params(model):
             assert np.allclose(arr, before[path] - 0.1, atol=1e-6)
 
@@ -192,6 +202,41 @@ class TestTrain:
         cfg = TrainConfig(lr=1e-3, epochs=2, batch_size=8, seed=0, clip_norm=1e-6)
         _, log = train(NetworkConfig(input_dim=1, hidden_dim=3), fit, val, None, cfg)
         assert log.clip_events > 0
+
+    def test_clipped_training_ignores_the_blas_thread_count(self):
+        # at h=64 the gradient has ~68k floats, where a threaded BLAS dot
+        # would split the clip norm's sum by thread
+        script = (
+            "import hashlib\n"
+            "from gapfill.model import NetworkConfig\n"
+            "from gapfill.optim import TrainConfig, split_validation, train\n"
+            "from test_optim import sine_windows\n"
+            "fit, val = split_validation(sine_windows(n=120), 0.2)\n"
+            "cfg = TrainConfig(epochs=1, batch_size=8, seed=0, clip_norm=1e-3)\n"
+            "params, log = train(NetworkConfig(hidden_dim=64), fit, val, None, cfg)\n"
+            "assert log.clip_events > 0\n"
+            "print(hashlib.sha256(params.flat.tobytes()).hexdigest())\n")
+        here = os.path.dirname(os.path.abspath(__file__))
+        path = os.pathsep.join([os.path.join(os.path.dirname(here), "src"), here])
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                  text=True, timeout=300, check=False)
+            assert proc.returncode == 0, proc.stderr
+            digests.add(proc.stdout.strip())
+        assert len(digests) == 1
+
+    def test_clip_that_never_fires_changes_no_bit(self):
+        windows = sine_windows(n=80)
+        fit, val = split_validation(windows, 0.2)
+        net = NetworkConfig(input_dim=1, hidden_dim=4)
+        cfg = TrainConfig(lr=3e-3, epochs=3, batch_size=8, seed=3)
+        plain, _ = train(net, fit, val, None, cfg)
+        clipped, log = train(net, fit, val, None, dataclasses.replace(cfg, clip_norm=1e6))
+        assert log.clip_events == 0
+        assert clipped.flat.tobytes() == plain.flat.tobytes()
 
 
 class TestValidationSplit:
