@@ -8,6 +8,7 @@ divergence during training.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -186,8 +187,7 @@ def cmd_impute(args) -> int:
             raise DataError(f"gap {start}:{length} runs past the {table.n_rows}-row file")
         in_gap[start:start + length] = True
 
-    # gaps of one length have contexts of one length: each group is one batch
-    groups: dict[int, list[int]] = {}
+    befores, afters = [], []
     for start, length in gaps:
         context = args.context or length
         lo, hi = start - context, start + length + context
@@ -196,19 +196,15 @@ def cmd_impute(args) -> int:
         ctx_rows = np.r_[lo:start, start + length:hi]
         if not observed[ctx_rows].all() or in_gap[ctx_rows].any():
             raise DataError(f"gap {start}:{length}: context rows must be observed values")
-        groups.setdefault(length, []).append(start)
+        befores.append(normalize(values[lo:start], stats))
+        afters.append(normalize(values[start + length:hi], stats))
 
+    filled = impute(params, befores, afters, [length for _, length in gaps], args.variant)
     lines = read_lines(args.data)
-    for length, starts in groups.items():
-        context = args.context or length
-        before = np.stack([normalize(values[s - context:s], stats) for s in starts])
-        after = np.stack([normalize(values[s + length:s + length + context], stats)
-                          for s in starts])
-        filled = denormalize(impute(params, before, after, length, args.variant), stats)
-        for start, rows in zip(starts, filled):
-            for offset, row in enumerate(rows):
-                replace_cells(lines, table.row_lines[start + offset],
-                              {c: repr(float(v)) for c, v in zip(table.file_fields, row)})
+    for (start, _), rows in zip(gaps, filled):
+        for offset, row in enumerate(denormalize(rows, stats)):
+            replace_cells(lines, table.row_lines[start + offset],
+                          {c: repr(float(v)) for c, v in zip(table.file_fields, row)})
 
     with open(args.out, "w", newline="") as fh:
         fh.write("".join(lines))
@@ -218,6 +214,8 @@ def cmd_impute(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg.training["seed"] = args.seed
@@ -262,10 +260,16 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.instances < 1:
+        raise ConfigError(f"--instances must be at least 1, got {args.instances}")
+    for flag, value in (("--eps", args.eps), ("--tolerance", args.tolerance)):
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"{flag} must be a finite positive number, got {value}")
     report = gradient_check(n_instances=args.instances, seed=args.seed,
                             eps=args.eps, tolerance=args.tolerance)
     for inst in report.instances:
         print(f"dims {inst.input_dim}x{inst.hidden_dim} gap {inst.gap_len} "
+              f"windows {inst.windows} "
               f"{inst.variant:<8} merge_mlp {inst.merge_hidden}: "
               f"max rel err {inst.max_rel_err:.3e} ({inst.worst_path})")
     status = "PASS" if report.passed else "FAIL"

@@ -251,7 +251,8 @@ def run_benchmark(datasets: list[BenchmarkDataset], variants, cfg: BenchmarkConf
         trained[(label, kind)] = params
 
     if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        # the pool forks all its workers at the first submit: no more than there are jobs
+        with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(jobs))) as pool:
             futures = [(job[0], job[1], pool.submit(_train_cell, job)) for job in jobs]
             for label, kind, fut in futures:
                 try:

@@ -16,6 +16,10 @@ one matrix product for a whole batch of B states held as (B, .) rows. The
 per-gate tensors `w_i` ... `b_o` are views into the fused arrays, so
 reading or editing them in place reads or edits the cell.
 
+S independent cells can run as one: a stacked cell holds (S, 4h, d+h)
+weights and (S, 4h) biases, its states and inputs are (S, B, .) arrays,
+and each step is one batched matrix product over the stream axis.
+
 Weights are drawn Uniform(-k, k) with k = 1/sqrt(hidden_dim); biases start
 at zero except the forget bias, which starts at 1 so early training does
 not erase the cell memory.
@@ -47,8 +51,8 @@ def _gate_view(name: str) -> property:
         h, d = self.hidden_dim, self.input_dim
         rows = slice(block * h, (block + 1) * h)
         if kind == "b":
-            return self.b[rows]
-        return self.w[rows, :d] if kind == "w" else self.w[rows, d:]
+            return self.b[..., rows]
+        return self.w[..., rows, :d] if kind == "w" else self.w[..., rows, d:]
 
     def set(self, value) -> None:
         get(self)[...] = value
@@ -57,13 +61,15 @@ def _gate_view(name: str) -> property:
 
 
 class LstmParams:
-    """One cell's parameters: fused weight `w` (4h, d+h) and bias `b` (4h,).
+    """One cell's parameters: fused weight `w` (4h, d+h) and bias `b` (4h,);
+    or S stacked cells: `w` (S, 4h, d+h) and `b` (S, 4h).
 
     Wraps the arrays it is given without copying them.
     """
 
     def __init__(self, w: np.ndarray, b: np.ndarray):
-        if w.ndim != 2 or b.shape != (w.shape[0],) or w.shape[0] % 4 or w.shape[1] <= w.shape[0] // 4:
+        if (w.ndim not in (2, 3) or b.shape != w.shape[:-1] or w.shape[-2] % 4
+                or w.shape[-1] <= w.shape[-2] // 4):
             raise ShapeError(f"fused weight {w.shape} and bias {b.shape} do not form a cell")
         self.w, self.b = w, b
 
@@ -73,11 +79,11 @@ class LstmParams:
 
     @property
     def input_dim(self) -> int:
-        return self.w.shape[1] - self.hidden_dim
+        return self.w.shape[-1] - self.hidden_dim
 
     @property
     def hidden_dim(self) -> int:
-        return self.b.shape[0] // 4
+        return self.b.shape[-1] // 4
 
     w_i, w_f, w_g, w_o = (_gate_view(n) for n in PARAM_FIELDS[0:4])
     u_i, u_f, u_g, u_o = (_gate_view(n) for n in PARAM_FIELDS[4:8])
@@ -86,13 +92,14 @@ class LstmParams:
 
 @dataclass
 class LstmState:
-    h: np.ndarray  # (h,) or (B, h)
+    h: np.ndarray  # (h,), (B, h) or (S, B, h)
     c: np.ndarray
 
 
 @dataclass
 class CellTape:
-    """What one forward step keeps for its backward step, as (B, .) rows.
+    """What one forward step keeps for its backward step, as (B, .) rows
+    (with a leading stream axis for a stacked cell).
 
     `c_prev` is the previous step's `c` array itself, not a copy.
     """
@@ -103,9 +110,10 @@ class CellTape:
     c: np.ndarray  # (B, h)
 
 
-def zero_state(hidden_dim: int, batch: int | None = None) -> LstmState:
-    """All-zero state: (h,) vectors, or (batch, h) rows."""
-    shape = (hidden_dim,) if batch is None else (batch, hidden_dim)
+def zero_state(hidden_dim: int, *lead: int) -> LstmState:
+    """All-zero state: (h,) vectors, (B, h) rows for `zero_state(h, B)`, or
+    (S, B, h) for `zero_state(h, S, B)`."""
+    shape = (*lead, hidden_dim)
     return LstmState(np.zeros(shape), np.zeros(shape))
 
 
@@ -125,7 +133,8 @@ def init_lstm_params(input_dim: int, hidden_dim: int, rng: Rng) -> LstmParams:
 
 
 def lstm_step(p: LstmParams, x: np.ndarray, s: LstmState) -> tuple[LstmState, CellTape]:
-    """One forward step for one state (1-D) or a batch of states (rows).
+    """One forward step for one state (1-D), a batch of states (rows), or,
+    with a stacked cell, S batches of states as (S, B, .) arrays.
 
     Returns the new state, shaped like the input, and the tape for backward.
     """
@@ -135,14 +144,14 @@ def lstm_step(p: LstmParams, x: np.ndarray, s: LstmState) -> tuple[LstmState, Ce
     if s.h.shape[-1] != h or s.c.shape[-1] != h:
         raise ShapeError(f"state has length {s.h.shape[-1]}, cell expects {h}")
     c_prev = np.atleast_2d(s.c)
-    xh = np.concatenate([np.atleast_2d(x), np.atleast_2d(s.h)], axis=1)
-    act = xh @ p.w.T
-    act += p.b
-    act[:, :3 * h] = sigmoid(act[:, :3 * h])
-    np.tanh(act[:, 3 * h:], out=act[:, 3 * h:])
-    c = act[:, h:2 * h] * c_prev
-    c += act[:, :h] * act[:, 3 * h:]
-    h_new = act[:, 2 * h:3 * h] * np.tanh(c)
+    xh = np.concatenate([np.atleast_2d(x), np.atleast_2d(s.h)], axis=-1)
+    act = np.matmul(xh, np.swapaxes(p.w, -1, -2))
+    act += p.b[..., None, :]
+    act[..., :3 * h] = sigmoid(act[..., :3 * h])
+    np.tanh(act[..., 3 * h:], out=act[..., 3 * h:])
+    c = act[..., h:2 * h] * c_prev
+    c += act[..., :h] * act[..., 3 * h:]
+    h_new = act[..., 2 * h:3 * h] * np.tanh(c)
     tape = CellTape(xh, act, c_prev, c)
     if x.ndim == 1:
         return LstmState(h_new[0], c[0]), tape
@@ -159,66 +168,34 @@ def lstm_step_backward(
     """Backward through one step.
 
     `dh`/`dc_in` are the loss gradients w.r.t. this step's h and c outputs
-    (1-D, or one row per batch member). Parameter gradients, summed over
-    the batch, accumulate into the fused arrays of `acc`; returns the
-    gradients w.r.t. the step input, the previous hidden state, and the
-    previous cell memory, shaped like `dh`.
+    (1-D, one row per batch member, or (S, B, h) for a stacked cell).
+    Parameter gradients, summed over the batch, accumulate into the fused
+    arrays of `acc` (stacked like `p`); returns the gradients w.r.t. the
+    step input, the previous hidden state, and the previous cell memory,
+    shaped like `dh`.
     """
     h = p.hidden_dim
     act = tape.act
-    i, f, o, g = (act[:, k * h:(k + 1) * h] for k in range(4))
+    i, f, o, g = (act[..., k * h:(k + 1) * h] for k in range(4))
     tc = np.tanh(tape.c)
     dh2 = np.atleast_2d(dh)
     dc = dh2 * o * (1.0 - tc * tc)
     dc += dc_in
     d_act = np.empty_like(act)
     # sigmoid gates: d/da sigmoid(a) = s (1 - s)
-    sig = act[:, :3 * h]
-    d_act[:, :h] = dc * g
-    d_act[:, h:2 * h] = dc * tape.c_prev
-    d_act[:, 2 * h:3 * h] = dh2 * tc
-    d_act[:, :3 * h] *= sig * (1.0 - sig)
-    d_act[:, 3 * h:] = dc * i * (1.0 - g * g)
+    sig = act[..., :3 * h]
+    d_act[..., :h] = dc * g
+    d_act[..., h:2 * h] = dc * tape.c_prev
+    d_act[..., 2 * h:3 * h] = dh2 * tc
+    d_act[..., :3 * h] *= sig * (1.0 - sig)
+    d_act[..., 3 * h:] = dc * i * (1.0 - g * g)
 
-    acc.w += d_act.T @ tape.xh
-    acc.b += d_act.sum(axis=0)
-    dxh = d_act @ p.w
+    acc.w += np.matmul(np.swapaxes(d_act, -1, -2), tape.xh)
+    acc.b += d_act.sum(axis=-2)
+    dxh = np.matmul(d_act, p.w)
     dc_prev = dc * f
     d = p.input_dim
     if dh.ndim == 1:
         return dxh[0, :d], dxh[0, d:], dc_prev[0]
-    return dxh[:, :d], dxh[:, d:], dc_prev
+    return dxh[..., :d], dxh[..., d:], dc_prev
 
-
-def lstm_backward(
-    p: LstmParams,
-    tapes: list[CellTape],
-    grad_h_seq: list[np.ndarray] | None,
-    grad_h_final: np.ndarray | None = None,
-    grad_c_final: np.ndarray | None = None,
-    acc: LstmParams | None = None,
-) -> tuple[dict[str, np.ndarray], list[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """Backpropagation through time over a taped sequence.
-
-    `grad_h_seq[t]` is the loss gradient flowing directly into the step-t
-    hidden output (None means all zeros); `grad_h_final`/`grad_c_final` add
-    to the last step's state gradients. Parameter gradients accumulate into
-    `acc` (a fresh zero cell when None) and are returned per gate, together
-    with the gradient w.r.t. each input and w.r.t. the initial state.
-    Gradients are 1-D unless a batched one is passed in.
-    """
-    n = len(tapes)
-    if grad_h_seq is not None and len(grad_h_seq) != n:
-        raise ShapeError(f"got {len(grad_h_seq)} hidden gradients for {n} steps")
-    if acc is None:
-        acc = LstmParams(np.zeros_like(p.w), np.zeros_like(p.b))
-    hdim = p.hidden_dim
-    dh = np.zeros(hdim) if grad_h_final is None else grad_h_final.copy()
-    dc = np.zeros(hdim) if grad_c_final is None else grad_c_final.copy()
-    dxs: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-    for t in reversed(range(n)):
-        if grad_h_seq is not None:
-            dh = dh + grad_h_seq[t]
-        dx, dh, dc = lstm_step_backward(p, tapes[t], dh, dc, acc)
-        dxs[t] = dx
-    return acc.fields(), dxs, (dh, dc)

@@ -20,10 +20,17 @@ The gradient of the training loss is computed in closed form by
 backpropagation through time, including the paths created by the decoders
 consuming their own predictions.
 
-Everything runs batch-first: B windows of equal shape go through each LSTM
-step together as (B, .) rows. A stream (encoder, self-feeding decoder,
-prediction head) is written once; the backward stream is the same code fed
-the `after` rows in reverse. One window is the case B = 1.
+Everything runs batch-first and stream-stacked. The two streams share no
+state until the merge, so each LSTM step of both runs as one stacked
+(S, B, .) step: S = 2 streams (the backward one fed `after` in reverse),
+or S = 1 for the forward-only network, over B windows. One window is the
+case B = 1.
+
+Windows in a batch may differ in shape. Contexts are right-aligned: a row
+keeps the zero state until its first real row, so a shorter context reads
+exactly as it would alone. Decoders run to the longest gap of the batch;
+positions past a row's own gap carry zero stream weights, are left out of
+its loss, and read zero in the returned trace.
 """
 
 from __future__ import annotations
@@ -37,8 +44,8 @@ import numpy as np
 from .lstm import (
     CellTape,
     LstmParams,
+    LstmState,
     init_lstm_params,
-    lstm_backward,
     lstm_step,
     lstm_step_backward,
     zero_state,
@@ -121,15 +128,20 @@ class ModelParams:
 
     `flat` holds, in order: the fused weights `lstm_w` (4, 4h, d+h) and
     biases `lstm_b` (4, 4h) of the cells enc_fw, enc_bw, dec_fw, dec_bw;
-    head_fw.w, head_fw.b, head_bw.w, head_bw.b; then each merge layer's w
-    and b. Built by `params_from_flat`; a pickled or copied ModelParams is
-    rebuilt the same way, so its tensors stay views of its own `flat`.
+    the head weights `head_w` (2, d, h) and biases `head_b` (2, d) of
+    head_fw, head_bw; then each merge layer's w and b. So the encoders are
+    `lstm_w[0:2]`, the decoders `lstm_w[2:4]` and the heads `head_w[0:2]`,
+    each pair stacked in stream order. Built by `params_from_flat`; a
+    pickled or copied ModelParams is rebuilt the same way, so its tensors
+    stay views of its own `flat`.
     """
 
     config: NetworkConfig
     flat: np.ndarray
     lstm_w: np.ndarray
     lstm_b: np.ndarray
+    head_w: np.ndarray
+    head_b: np.ndarray
     enc_fw: LstmParams
     enc_bw: LstmParams
     dec_fw: LstmParams
@@ -145,7 +157,7 @@ class ModelParams:
 def _arena_shapes(config: NetworkConfig) -> list[tuple[int, ...]]:
     d, h, m = config.input_dim, config.hidden_dim, config.merge_hidden
     merge = [(m, 2 * h), (m,), (d, m), (d,)] if m > 0 else [(d, 2 * h), (d,)]
-    return [(4, 4 * h, d + h), (4, 4 * h), (d, h), (d,), (d, h), (d,), *merge]
+    return [(4, 4 * h, d + h), (4, 4 * h), (2, d, h), (2, d), *merge]
 
 
 def n_params(config: NetworkConfig) -> int:
@@ -161,10 +173,10 @@ def params_from_flat(config: NetworkConfig, flat: np.ndarray) -> ModelParams:
         raise ShapeError(f"parameters need a contiguous float64 vector of {ends[-1]} floats, "
                          f"got {flat.dtype} {flat.shape}")
     views = [part.reshape(shape) for part, shape in zip(np.split(flat, ends[:-1]), shapes)]
-    lstm_w, lstm_b, head_fw_w, head_fw_b, head_bw_w, head_bw_b, *merge = views
+    lstm_w, lstm_b, head_w, head_b, *merge = views
     cells = [LstmParams(w, b) for w, b in zip(lstm_w, lstm_b)]
-    return ModelParams(config, flat, lstm_w, lstm_b, *cells, Affine(head_fw_w, head_fw_b),
-                       Affine(head_bw_w, head_bw_b),
+    heads = [Affine(w, b) for w, b in zip(head_w, head_b)]
+    return ModelParams(config, flat, lstm_w, lstm_b, head_w, head_b, *cells, *heads,
                        [Affine(w, b) for w, b in zip(merge[::2], merge[1::2])])
 
 
@@ -212,7 +224,8 @@ class ImputationWindow:
 
     `missing` holds the ground-truth gap rows and is None in pure inference.
     A batch of B equal-shape windows is one ImputationWindow whose arrays
-    carry a leading batch axis (see `stack_windows`).
+    carry a leading batch axis (see `stack_windows`); windows of different
+    shapes batch as a plain list.
     """
 
     before: np.ndarray  # (L_b, input_dim), or (B, L_b, input_dim) for a batch
@@ -249,13 +262,14 @@ def stack_windows(windows: Sequence[ImputationWindow]) -> ImputationWindow:
 
 @dataclass
 class StreamTrace:
-    """One stream's decoder outputs in processing order, and its tapes.
+    """The stacked streams' decoder outputs in processing order, and their tapes.
 
-    For the backward stream processing order is gap positions T..1.
+    Stream 0 processes gap positions 1..T; stream 1, the backward stream,
+    processes each row's positions T_i..1 and then the steps past its gap.
     """
 
-    h: np.ndarray  # (B, T, hidden)
-    pred: np.ndarray  # (B, T, input_dim): local predictions
+    h: np.ndarray  # (S, B, T, hidden)
+    pred: np.ndarray  # (S, B, T, input_dim): local predictions
     enc_tapes: list[CellTape] | None
     dec_tapes: list[CellTape] | None
 
@@ -264,7 +278,8 @@ class StreamTrace:
 class ForwardTrace:
     """Everything one forward pass produced, ordered by gap position.
 
-    Each array is (T, .) for one window and (B, T, .) for a batch.
+    Each array is (T, .) for one window and (B, T, .) for a batch, where T
+    is the batch's longest gap; positions past a row's own gap hold zeros.
     """
 
     h_fw: np.ndarray
@@ -273,146 +288,280 @@ class ForwardTrace:
     pred_bw: np.ndarray | None
     merged: np.ndarray  # the final imputation per gap position
     merge_hidden_acts: np.ndarray | None
+    gap_len: int | np.ndarray  # the window's gap length, or each row's as a (B,) array
 
 
-def _batch_rows(a, name: str, d: int) -> np.ndarray:
-    """Validate a (B, n, d) stack of rows."""
+@dataclass
+class _Batch:
+    """B windows laid out for the stacked streams."""
+
+    context: np.ndarray  # (S, B, L, d): `before`, then `after` reversed; right-aligned
+    first: np.ndarray  # (S, B): each row's first real step
+    gap_len: np.ndarray  # (B,)
+    gamma: np.ndarray  # (T,) shared by every row, or (B, T), zero past a row's gap
+    gamma_prime: np.ndarray
+    truth: np.ndarray | None  # (B, T, d), zero past a row's gap
+
+    @property
+    def order(self) -> np.ndarray:
+        """(B, T, 1): the backward stream's step for each gap position, and
+        back. Row i reverses its first T_i positions and keeps the rest in
+        place, so the map is its own inverse."""
+        t = np.arange(self.gamma.shape[-1])
+        own = t < self.gap_len[:, None]
+        return np.where(own, self.gap_len[:, None] - 1 - t, t)[..., None]
+
+    @property
+    def keep(self) -> np.ndarray | None:
+        """(B, T, 1): which positions lie inside their row's gap; None when all do."""
+        T = self.gamma.shape[-1]
+        if np.all(self.gap_len == T):
+            return None
+        return (np.arange(T) < self.gap_len[:, None])[..., None]
+
+
+def _rows(a, name: str, d: int) -> np.ndarray:
+    """Validate one window's (n, d) rows (1-D when d = 1) or a (B, n, d) stack."""
     a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 3 or a.shape[2] != d:
-        raise ShapeError(f"{name}: expected shape (n, {d}), got {a.shape[1:]}")
-    if a.shape[1] < 1:
+    if a.ndim == 1:
+        a = a[:, None]
+    if a.ndim not in (2, 3) or a.shape[-1] != d:
+        raise ShapeError(f"{name}: expected shape (n, {d}), got {a.shape[-2:]}")
+    if a.shape[-2] < 1:
         raise ShapeError(f"{name}: needs at least one row")
     return a
 
 
-def _as_batch(windows) -> tuple[ImputationWindow, bool]:
-    """A batch window from one window, a batch window or a window list; and
-    whether the input was a single window."""
-    if not isinstance(windows, ImputationWindow):
-        return stack_windows(windows), False
-    if np.ndim(windows.before) == 3:
-        return windows, False
-    return stack_windows([windows]), True
+def _schedule_rows(schedule, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's gap length and the stream weights of one shared schedule,
+    or of a list of per-row schedules padded with zeros past each gap."""
+    if isinstance(schedule, ScalingSchedule):
+        return np.full(n, schedule.gap_len), schedule.gamma, schedule.gamma_prime
+    schedules = list(schedule)
+    if len(schedules) != n:
+        raise ShapeError(f"{len(schedules)} schedules for {n} windows")
+    gap_len = np.array([s.gap_len for s in schedules])
+    gamma, gamma_prime = np.zeros((2, n, gap_len.max()))
+    for i, s in enumerate(schedules):
+        gamma[i, :s.gap_len], gamma_prime[i, :s.gap_len] = s.gamma, s.gamma_prime
+    return gap_len, gamma, gamma_prime
 
 
-def _run_stream(enc: LstmParams, dec: LstmParams, head: Affine, context: np.ndarray,
-                gap_len: int, keep_tapes: bool) -> StreamTrace:
-    """Encode `context` (B, L, d) in order, then decode `gap_len` steps.
+def _truth_rows(truth, gap_len, d: int) -> np.ndarray:
+    """Ground truth laid out like a trace: (T, d) for one window, (B, T, d)
+    for a batch, zero past each row's gap. A batch's truth is a (B, T, d)
+    array or a list of each window's rows."""
+    single = np.ndim(gap_len) == 0
+    lens = np.atleast_1d(gap_len)
+    rows = [np.asarray(r, dtype=np.float64) for r in ([truth] if single else truth)]
+    rows = [r[:, None] if r.ndim == 1 else r for r in rows]
+    if len(rows) != len(lens):
+        raise ShapeError(f"truth for {len(rows)} window(s), {len(lens)} expected")
+    for r, T in zip(rows, lens):
+        if r.ndim != 2 or r.shape[0] != T:
+            raise ShapeError(f"truth has shape {r.shape} for a gap of {T}")
+        if r.shape[1] != d:
+            raise ShapeError(f"truth: expected {d} column(s), got shape {r.shape}")
+    if single:
+        return rows[0]
+    out = np.zeros((len(rows), lens.max(), d))
+    for i, r in enumerate(rows):
+        out[i, :len(r)] = r
+    return out
 
-    The decoder starts from the encoder's final state with the last context
-    row as input and feeds each local prediction into its next step.
+
+def _layout(windows, schedule, d: int, streams: int, truth=None) -> tuple[_Batch, bool]:
+    """Lay out one window, a batch window or a list of windows of any shapes
+    for `_forward`; also whether the input was a single window.
+
+    Each row's gap length comes from its schedule; a shared ScalingSchedule
+    gives every row its length. `truth` defaults to the windows' `missing`.
     """
+    single = isinstance(windows, ImputationWindow) and np.ndim(windows.before) < 3
+    if isinstance(windows, ImputationWindow):
+        batch = stack_windows([windows]) if single else windows
+        befores = _rows(batch.before, "before", d)
+        afters = _rows(batch.after, "after", d)
+        if befores.ndim != 3 or afters.ndim != 3 or len(afters) != len(befores):
+            raise ShapeError(f"batch window: before {befores.shape} and after {afters.shape} "
+                             "need one leading batch axis")
+        n, missing = len(befores), batch.missing
+        contexts = [befores, afters[:, ::-1]]
+        lens = np.array([[befores.shape[1]] * n, [afters.shape[1]] * n])
+    else:
+        windows = list(windows)
+        if not windows:
+            raise ValueError("cannot run an empty window list")
+        has_truth = [w.missing is not None for w in windows]
+        if any(has_truth) and not all(has_truth):
+            raise ValueError("either every window of a batch has ground truth or none has")
+        n, missing = len(windows), [w.missing for w in windows] if all(has_truth) else None
+        contexts = [[_rows(w.before, f"window {i}: before", d) for i, w in enumerate(windows)],
+                    [_rows(w.after, f"window {i}: after", d)[::-1] for i, w in enumerate(windows)]]
+        if any(r.ndim != 2 for rows in contexts for r in rows):
+            raise ShapeError("a window list holds single windows, not batch windows")
+        lens = np.array([[len(r) for r in rows] for rows in contexts])
+    gap_len, gamma, gamma_prime = _schedule_rows(schedule, n)
+    if truth is not None and single:
+        truth = _truth_rows(truth, gap_len[0], d)[None]
+    elif truth is not None or missing is not None:
+        truth = _truth_rows(missing if truth is None else truth, gap_len, d)
+
+    # right-align each stream's context so that every row ends on the last step
+    lens = lens[:streams]
+    L = lens.max()
+    context = np.zeros((streams, n, L, d))
+    for s in range(streams):
+        if isinstance(contexts[s], np.ndarray):
+            context[s, :, L - contexts[s].shape[1]:] = contexts[s]
+        else:
+            for i, r in enumerate(contexts[s]):
+                context[s, i, L - len(r):] = r
+    return _Batch(context, L - lens, gap_len, gamma, gamma_prime, truth), single
+
+
+def _run_stream(params: ModelParams, context: np.ndarray, first: np.ndarray, gap_len: int,
+                keep_tapes: bool) -> StreamTrace:
+    """Encode S stacked contexts (S, B, L, d) in order, then decode `gap_len` steps.
+
+    Stream s uses encoder cell s, decoder cell 2 + s and head s. A row
+    keeps the zero state until its first real step (`first`); steps where
+    every row is real skip that mask. Each decoder starts from its
+    encoder's final state with the last context row as input and feeds
+    each local prediction into its next step.
+    """
+    S, B = context.shape[:2]
+    enc = LstmParams(params.lstm_w[0:S], params.lstm_b[0:S])
+    dec = LstmParams(params.lstm_w[2:2 + S], params.lstm_b[2:2 + S])
+    head_w, head_b = np.swapaxes(params.head_w[:S], -1, -2), params.head_b[:S, None]
     enc_tapes: list[CellTape] | None = [] if keep_tapes else None
     dec_tapes: list[CellTape] | None = [] if keep_tapes else None
-    state = zero_state(enc.hidden_dim, context.shape[0])
-    for x in np.swapaxes(context, 0, 1):
-        state, tape = lstm_step(enc, x, state)
+    state = zero_state(enc.hidden_dim, S, B)
+    all_real = first.max()
+    for t in range(context.shape[2]):
+        new, tape = lstm_step(enc, context[:, :, t], state)
+        if t < all_real:
+            real = (first <= t)[..., None]
+            new = LstmState(np.where(real, new.h, state.h), np.where(real, new.c, state.c))
+        state = new
         if enc_tapes is not None:
             enc_tapes.append(tape)
-    hs, preds = [], []
-    x = context[:, -1]
-    for _ in range(gap_len):
+    hs = np.empty((S, B, gap_len, enc.hidden_dim))
+    preds = np.empty((S, B, gap_len, context.shape[3]))
+    x = context[:, :, -1]
+    for t in range(gap_len):
         state, tape = lstm_step(dec, x, state)
         if dec_tapes is not None:
             dec_tapes.append(tape)
-        hs.append(state.h)
-        x = head.apply(state.h)
-        preds.append(x)
-    return StreamTrace(np.stack(hs, axis=1), np.stack(preds, axis=1), enc_tapes, dec_tapes)
+        hs[:, :, t] = state.h
+        x = np.matmul(state.h, head_w) + head_b
+        preds[:, :, t] = x
+    return StreamTrace(hs, preds, enc_tapes, dec_tapes)
 
 
-def _stream_backward(enc: LstmParams, dec: LstmParams, head: Affine, st: StreamTrace,
-                     d_pred: np.ndarray, dh_merge: np.ndarray | None,
-                     g_enc: LstmParams, g_dec: LstmParams, g_head: Affine) -> None:
-    """Backpropagate one stream, newest decoder step first.
+def _stream_backward(params: ModelParams, st: StreamTrace, first: np.ndarray,
+                     d_pred: np.ndarray, dh_merge: np.ndarray | None, g: ModelParams) -> None:
+    """Backpropagate the S stacked streams, newest decoder step first.
 
-    `d_pred` (B, T, d) is the loss gradient on each local prediction and
-    `dh_merge` (B, T, h) the merge layer's gradient on each decoder hidden
-    vector, both in processing order. The gradient w.r.t. a prediction
-    combines its own loss term with the gradient flowing out of the next
-    step's input, because predictions are self-fed.
+    `d_pred` (S, B, T, d) is the loss gradient on each local prediction and
+    `dh_merge` (S, B, T, h) the merge layer's gradient on each decoder
+    hidden vector, both in processing order. The gradient w.r.t. a
+    prediction combines its own loss term with the gradient flowing out of
+    the next step's input, because predictions are self-fed. Encoder steps
+    before a row's first real step pass its gradients through untouched
+    and add nothing to the parameter gradients.
     """
-    B, T, _ = d_pred.shape
-    dh = np.zeros((B, dec.hidden_dim))
-    dc = np.zeros((B, dec.hidden_dim))
+    S, B, T, d = d_pred.shape
+    dec = LstmParams(params.lstm_w[2:2 + S], params.lstm_b[2:2 + S])
+    g_dec = LstmParams(g.lstm_w[2:2 + S], g.lstm_b[2:2 + S])
+    head_w = params.head_w[:S]
+    dh = np.zeros((S, B, dec.hidden_dim))
+    dc = np.zeros((S, B, dec.hidden_dim))
     d_in = None
     d_preds = np.empty_like(d_pred)
     for t in reversed(range(T)):
-        d_preds[:, t] = d_pred[:, t] if d_in is None else d_pred[:, t] + d_in
-        dh = dh + d_preds[:, t] @ head.w
+        d_preds[:, :, t] = d_pred[:, :, t] if d_in is None else d_pred[:, :, t] + d_in
+        dh = dh + np.matmul(d_preds[:, :, t], head_w)
         if dh_merge is not None:
-            dh = dh + dh_merge[:, t]
+            dh = dh + dh_merge[:, :, t]
         d_in, dh, dc = lstm_step_backward(dec, st.dec_tapes[t], dh, dc, g_dec)
-    head.backward(st.h, d_preds, g_head)
-    lstm_backward(enc, st.enc_tapes, None, dh, dc, acc=g_enc)
+    dy = d_preds.reshape(S, B * T, d)
+    g.head_w[:S] += np.matmul(np.swapaxes(dy, -1, -2), st.h.reshape(S, B * T, -1))
+    g.head_b[:S] += dy.sum(axis=1)
+
+    enc = LstmParams(params.lstm_w[0:S], params.lstm_b[0:S])
+    g_enc = LstmParams(g.lstm_w[0:S], g.lstm_b[0:S])
+    all_real = first.max()
+    for t in reversed(range(len(st.enc_tapes))):
+        if t >= all_real:
+            _, dh, dc = lstm_step_backward(enc, st.enc_tapes[t], dh, dc, g_enc)
+            continue
+        real = (first <= t)[..., None]
+        _, dh_new, dc_new = lstm_step_backward(enc, st.enc_tapes[t], np.where(real, dh, 0.0),
+                                               np.where(real, dc, 0.0), g_enc)
+        dh, dc = np.where(real, dh_new, dh), np.where(real, dc_new, dc)
 
 
-def _merge_input(schedule: ScalingSchedule, h_fw: np.ndarray, h_bw: np.ndarray) -> np.ndarray:
+def _merge_input(gamma: np.ndarray, gamma_prime: np.ndarray, h_fw: np.ndarray,
+                 h_bw: np.ndarray) -> np.ndarray:
     """[gamma_t * h_fw_t, gamma'_t * h_bw_t] for every gap position t."""
-    return np.concatenate([schedule.gamma[:, None] * h_fw,
-                           schedule.gamma_prime[:, None] * h_bw], axis=-1)
+    return np.concatenate([gamma[..., None] * h_fw, gamma_prime[..., None] * h_bw], axis=-1)
 
 
-def _forward(params: ModelParams, batch: ImputationWindow, schedule: ScalingSchedule,
-             keep_tapes: bool) -> tuple[ForwardTrace, StreamTrace, StreamTrace | None]:
+def _forward(params: ModelParams, batch: _Batch,
+             keep_tapes: bool) -> tuple[ForwardTrace, StreamTrace]:
     """The batched forward pass behind `forward` and `loss_and_grads`."""
     cfg = params.config
-    d, T = cfg.input_dim, schedule.gap_len
-    before = _batch_rows(batch.before, "before", d)
-    after = _batch_rows(batch.after, "after", d)
-    if batch.missing is not None and np.shape(batch.missing)[1] != T:
-        raise ShapeError(f"gap has {np.shape(batch.missing)[1]} rows but schedule covers {T}")
-
-    fw = _run_stream(params.enc_fw, params.dec_fw, params.head_fw, before, T, keep_tapes)
+    st = _run_stream(params, batch.context, batch.first, batch.gamma.shape[-1], keep_tapes)
+    h_fw, pred_fw = st.h[0], st.pred[0]
     if cfg.forward_only:
-        return ForwardTrace(fw.h, fw.pred, None, None, fw.pred, None), fw, None
-    bw = _run_stream(params.enc_bw, params.dec_bw, params.head_bw, after[:, ::-1], T, keep_tapes)
-    h_bw = np.ascontiguousarray(bw.h[:, ::-1])
-    pred_bw = np.ascontiguousarray(bw.pred[:, ::-1])
-    u = _merge_input(schedule, fw.h, h_bw)
-    hidden_acts = None
-    if cfg.merge_hidden > 0:
-        hidden_acts = np.tanh(params.merge[0].apply(u))
-        merged = params.merge[1].apply(hidden_acts)
+        arrays = [h_fw, pred_fw, None, None, pred_fw, None]
     else:
-        merged = params.merge[0].apply(u)
-    return ForwardTrace(fw.h, fw.pred, h_bw, pred_bw, merged, hidden_acts), fw, bw
+        order = batch.order
+        h_bw = np.take_along_axis(st.h[1], order, axis=1)
+        pred_bw = np.take_along_axis(st.pred[1], order, axis=1)
+        u = _merge_input(batch.gamma, batch.gamma_prime, h_fw, h_bw)
+        hidden_acts = None
+        if cfg.merge_hidden > 0:
+            hidden_acts = np.tanh(params.merge[0].apply(u))
+            merged = params.merge[1].apply(hidden_acts)
+        else:
+            merged = params.merge[0].apply(u)
+        arrays = [h_fw, pred_fw, h_bw, pred_bw, merged, hidden_acts]
+    keep = batch.keep
+    if keep is not None:
+        arrays = [None if a is None else np.where(keep, a, 0.0) for a in arrays]
+    return ForwardTrace(*arrays, batch.gap_len), st
 
 
-def forward(params: ModelParams, windows, schedule: ScalingSchedule) -> ForwardTrace:
-    """Run the network over one window, or over a batch of equal-shape windows.
+def forward(params: ModelParams, windows, schedule) -> ForwardTrace:
+    """Run the network over one window, or over a batch of windows.
 
-    `windows` is an ImputationWindow, a batch window, or a list of windows.
-    Stages: both encoders first, then each decoder stream over the whole
-    gap (self-feeding its local predictions), and merging last, once both
-    hidden sequences exist.
+    `windows` is an ImputationWindow, a batch window, or a list of windows,
+    which may differ in context and gap length. `schedule` is one
+    ScalingSchedule shared by every window, or a list with one per window;
+    each window's gap length is its schedule's. Stages: both encoders
+    first, then each decoder stream over the whole gap (self-feeding its
+    local predictions), and merging last, once both hidden sequences exist.
     """
-    batch, single = _as_batch(windows)
-    trace, _, _ = _forward(params, batch, schedule, keep_tapes=False)
+    cfg = params.config
+    batch, single = _layout(windows, schedule, cfg.input_dim, 1 if cfg.forward_only else 2)
+    trace, _ = _forward(params, batch, keep_tapes=False)
     if not single:
         return trace
     return ForwardTrace(*(None if a is None else a[0] for a in (
         trace.h_fw, trace.pred_fw, trace.h_bw, trace.pred_bw, trace.merged,
-        trace.merge_hidden_acts)))
-
-
-def _truth_rows(truth, T: int, d: int) -> np.ndarray:
-    truth = np.asarray(truth, dtype=np.float64)
-    if truth.ndim == 1:
-        truth = truth[:, None]
-    if truth.shape[-2] != T:
-        raise ShapeError(f"truth has {truth.shape[-2]} rows for a gap of {T}")
-    if truth.shape[-1] != d:
-        raise ShapeError(f"truth: expected {d} column(s), got shape {truth.shape}")
-    return truth
+        trace.merge_hidden_acts)), int(trace.gap_len[0]))
 
 
 def _loss_terms(trace: ForwardTrace, truth: np.ndarray) -> list[np.ndarray]:
     """Mean squared error of each loss term, per window: the merged output,
-    then (full network) the forward and the backward stream predictions."""
+    then (full network) the forward and the backward stream predictions.
+    Each window's mean runs over its own gap."""
     preds = [trace.merged] if trace.pred_bw is None else [
         trace.merged, trace.pred_fw, trace.pred_bw]
-    return [np.mean((p - truth) ** 2, axis=(-2, -1)) for p in preds]
+    count = trace.gap_len * truth.shape[-1]
+    return [np.sum((p - truth) ** 2, axis=(-2, -1)) / count for p in preds]
 
 
 def loss(trace: ForwardTrace, truth):
@@ -421,20 +570,17 @@ def loss(trace: ForwardTrace, truth):
     Full network: MSE of the merged output plus MSE of each stream's local
     prediction at every position. Forward-only network: MSE of its single
     prediction stream. A float for one window, one value per window for a
-    batch.
+    batch. A batch's `truth` is a (B, T, d) array or a list of each
+    window's gap rows.
     """
-    truth = _truth_rows(truth, trace.merged.shape[-2], trace.merged.shape[-1])
+    truth = _truth_rows(truth, trace.gap_len, trace.merged.shape[-1])
     total = sum(_loss_terms(trace, truth))
     return float(total) if np.ndim(total) == 0 else total
 
 
-def _merge_backward(
-    params: ModelParams,
-    trace: ForwardTrace,
-    schedule: ScalingSchedule,
-    d_merged: np.ndarray,
-    g: list[Affine],
-) -> tuple[np.ndarray, np.ndarray]:
+def _merge_backward(params: ModelParams, trace: ForwardTrace, gamma: np.ndarray,
+                    gamma_prime: np.ndarray, d_merged: np.ndarray,
+                    g: list[Affine]) -> tuple[np.ndarray, np.ndarray]:
     """Backward through the merge layer only, with the trace held fixed.
 
     Returns the gradients w.r.t. each decoder hidden vector at the merge
@@ -442,106 +588,139 @@ def _merge_backward(
     the stream weights shape learning as well as prediction.
     """
     h = params.config.hidden_dim
-    u = _merge_input(schedule, trace.h_fw, trace.h_bw)
+    u = _merge_input(gamma, gamma_prime, trace.h_fw, trace.h_bw)
     if params.config.merge_hidden > 0:
         z = trace.merge_hidden_acts
         dz = params.merge[1].backward(z, d_merged, g[1])
         du = params.merge[0].backward(u, dz * (1.0 - z * z), g[0])
     else:
         du = params.merge[0].backward(u, d_merged, g[0])
-    return schedule.gamma[:, None] * du[..., :h], schedule.gamma_prime[:, None] * du[..., h:]
+    return gamma[..., None] * du[..., :h], gamma_prime[..., None] * du[..., h:]
 
 
-def merge_input_grads(
-    params: ModelParams,
-    trace: ForwardTrace,
-    schedule: ScalingSchedule,
-    truth,
-) -> tuple[np.ndarray, np.ndarray]:
+def merge_input_grads(params: ModelParams, trace: ForwardTrace, schedule,
+                      truth) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of the merged-output loss w.r.t. each stream's hidden vector
     entering the merge, with the forward trace held fixed; indexed by gap
-    position like the trace."""
+    position like the trace. `schedule` is one ScalingSchedule or one per
+    window of a batch trace."""
     if params.config.forward_only:
         raise ValueError("forward-only network has no merge layer")
-    d, T = params.config.input_dim, schedule.gap_len
-    truth = _truth_rows(truth, T, d)
+    d = params.config.input_dim
+    single = np.ndim(trace.gap_len) == 0
+    gap_len, gamma, gamma_prime = _schedule_rows(schedule, 1 if single else len(trace.gap_len))
+    if not np.array_equal(gap_len, np.atleast_1d(trace.gap_len)):
+        raise ShapeError(f"schedule covers gaps of {gap_len} rows, the trace {trace.gap_len}")
+    if single and gamma.ndim == 2:
+        gamma, gamma_prime = gamma[0], gamma_prime[0]
+    truth = _truth_rows(truth, trace.gap_len, d)
     scratch = [Affine(np.zeros_like(layer.w), np.zeros_like(layer.b)) for layer in params.merge]
-    scale = 2.0 / (T * d)
-    return _merge_backward(params, trace, schedule, scale * (trace.merged - truth), scratch)
+    scale = 2.0 / (np.asarray(trace.gap_len) * d)
+    return _merge_backward(params, trace, gamma, gamma_prime,
+                           scale[..., None, None] * (trace.merged - truth), scratch)
 
 
 def loss_and_grads(
     params: ModelParams,
     windows,
-    schedule: ScalingSchedule,
+    schedule,
     truth=None,
     term_weights: tuple[float, float, float] = (1.0, 1.0, 1.0),
 ) -> tuple[float, ModelParams]:
     """Loss and its exact gradient w.r.t. every parameter.
 
-    `windows` is one window or a batch (see `forward`); for a batch both the
-    loss and the gradients are summed over its windows. `term_weights`
-    scales the (merged, forward-stream, backward-stream) loss terms; the
-    default reproduces `loss`. The forward-only network has a single term
-    and ignores the weights. The gradient is a ModelParams over a fresh
-    zeroed vector; `dict(iter_params(grads))` keys it by path.
+    `windows` and `schedule` are as for `forward`; for a batch both the
+    loss and the gradients are summed over its windows. `truth` defaults to
+    the windows' `missing` rows. `term_weights` scales the (merged,
+    forward-stream, backward-stream) loss terms; the default reproduces
+    `loss`. The forward-only network has a single term and ignores the
+    weights. The gradient is a ModelParams over a fresh zeroed vector;
+    `dict(iter_params(grads))` keys it by path.
     """
     cfg = params.config
-    d, T = cfg.input_dim, schedule.gap_len
-    batch, _ = _as_batch(windows)
-    if truth is None:
-        truth = batch.missing
-    if truth is None:
+    batch, _ = _layout(windows, schedule, cfg.input_dim, 1 if cfg.forward_only else 2, truth)
+    if batch.truth is None:
         raise ValueError("training needs ground-truth gap rows")
-    truth = _truth_rows(truth, T, d)
-    if truth.ndim == 2:
-        truth = truth[None]
+    truth = batch.truth
 
-    trace, fw, bw = _forward(params, batch, schedule, keep_tapes=True)
+    trace, st = _forward(params, batch, keep_tapes=True)
     terms = _loss_terms(trace, truth)
-    coef = 2.0 / (T * d)
+    coef = (2.0 / (batch.gap_len * cfg.input_dim))[:, None, None]
     g = params_from_flat(cfg, np.zeros_like(params.flat))
     if cfg.forward_only:
         loss_val = terms[0]
-        d_pred_fw, dh_merge_fw = coef * (fw.pred - truth), None
+        d_pred, dh_merge = (coef * (trace.pred_fw - truth))[None], None
     else:
         w_merged, w_fw, w_bw = term_weights
         loss_val = w_merged * terms[0] + w_fw * terms[1] + w_bw * terms[2]
-        dh_merge_fw, dh_merge_bw = _merge_backward(
-            params, trace, schedule, (w_merged * coef) * (trace.merged - truth), g.merge)
-        d_pred_fw = (w_fw * coef) * (fw.pred - truth)
-        # the backward stream runs over the gap in reverse: flip to its order
-        _stream_backward(params.enc_bw, params.dec_bw, params.head_bw, bw,
-                         (w_bw * coef) * (bw.pred - truth[:, ::-1]), dh_merge_bw[:, ::-1],
-                         g.enc_bw, g.dec_bw, g.head_bw)
-    _stream_backward(params.enc_fw, params.dec_fw, params.head_fw, fw, d_pred_fw, dh_merge_fw,
-                     g.enc_fw, g.dec_fw, g.head_fw)
+        dh_fw, dh_bw = _merge_backward(params, trace, batch.gamma, batch.gamma_prime,
+                                       (w_merged * coef) * (trace.merged - truth), g.merge)
+        # the backward stream runs over each gap in reverse: map to its order
+        order = batch.order
+        d_pred = np.stack([(w_fw * coef) * (trace.pred_fw - truth), np.take_along_axis(
+            (w_bw * coef) * (trace.pred_bw - truth), order, axis=1)])
+        dh_merge = np.stack([dh_fw, np.take_along_axis(dh_bw, order, axis=1)])
+    _stream_backward(params, st, batch.first, d_pred, dh_merge, g)
     return float(np.sum(loss_val)), g
+
+
+def _bucket(gap_len: int) -> int:
+    """Gap lengths in (2^(k-1), 2^k] share bucket k, so no row of a bucket
+    runs more than twice its own decoder steps."""
+    return (gap_len - 1).bit_length()
+
+
+def _fill(params: ModelParams, before, after, lengths: list[int],
+          variant: str) -> list[np.ndarray]:
+    """Each gap's (T_i, d) imputation, one `forward` per bucket of gap lengths."""
+    if not len(before) == len(after) == len(lengths):
+        raise ShapeError(f"{len(before)} before and {len(after)} after contexts "
+                         f"for {len(lengths)} gaps")
+    schedules = {t: make_schedule(t, variant) for t in set(lengths)}
+    buckets: dict[int, list[int]] = {}
+    for i, t in enumerate(lengths):
+        buckets.setdefault(_bucket(t), []).append(i)
+    out: list[np.ndarray] = [None] * len(lengths)  # type: ignore[list-item]
+    for idx in buckets.values():
+        windows = [ImputationWindow(before[i], None, after[i]) for i in idx]
+        merged = forward(params, windows, [schedules[lengths[i]] for i in idx]).merged
+        for j, i in enumerate(idx):
+            out[i] = merged[j, :lengths[i]]
+    return out
 
 
 def impute(
     params: ModelParams,
     before,
     after,
-    gap_len: int,
+    gap_len,
     variant: str | None = None,
-) -> np.ndarray:
-    """Fill gaps of `gap_len` rows between observed context; no truth needed.
+) -> np.ndarray | list[np.ndarray]:
+    """Fill gaps between observed context; no truth needed.
 
-    `before`/`after` are (L, d) rows for one gap (1-D when d = 1), giving
-    (gap_len, d); or (B, L, d) stacks for B gaps, giving (B, gap_len, d).
+    One gap: `before`/`after` are (L, d) rows (1-D when d = 1) and
+    `gap_len` an int, giving (gap_len, d). B gaps of one shape: (B, L, d)
+    stacks, giving (B, gap_len, d). Gaps of any shapes: lists of each
+    gap's rows and a list of gap lengths, giving a list of (gap_len_i, d)
+    arrays. Gaps are batched by power-of-two range of gap length; each
+    gap's result does not depend on the others.
     """
-    schedule = make_schedule(gap_len, variant or params.config.schedule_variant)
-    window = ImputationWindow(np.asarray(before, dtype=np.float64), None,
-                              np.asarray(after, dtype=np.float64))
-    return forward(params, window, schedule).merged
+    variant = variant or params.config.schedule_variant
+    if np.ndim(gap_len) > 0:
+        return _fill(params, before, after, [int(t) for t in gap_len], variant)
+    before = np.asarray(before, dtype=np.float64)
+    after = np.asarray(after, dtype=np.float64)
+    if before.ndim == 3:
+        return np.stack(_fill(params, before, after, [int(gap_len)] * len(before), variant))
+    return _fill(params, [before], [after], [int(gap_len)], variant)[0]
 
 
 @dataclass
 class GradCheckInstance:
     input_dim: int
     hidden_dim: int
-    gap_len: int
+    gap_len: int  # the longest gap of the instance's windows
+    windows: int
     variant: str
     merge_hidden: int
     max_rel_err: float
@@ -573,10 +752,14 @@ def gradient_check(
 ) -> GradCheckReport:
     """Compare the closed-form gradient against central differences.
 
-    Random small networks and windows; every parameter coordinate of every
-    tensor is perturbed. `_corrupt_path` is a test hook that deliberately
-    offsets one analytic gradient tensor so the check must fail.
+    Random small networks; every parameter coordinate of every tensor is
+    perturbed. Even-numbered instances check one window, odd-numbered ones
+    a batch of three windows whose context and gap lengths differ.
+    `_corrupt_path` is a test hook that deliberately offsets one analytic
+    gradient tensor so the check must fail.
     """
+    if n_instances < 1:
+        raise ValueError(f"gradient check needs at least one instance, got {n_instances}")
     rng = Rng(seed)
     instances: list[GradCheckInstance] = []
     worst = (0.0, "none")
@@ -589,13 +772,17 @@ def gradient_check(
         cfg = NetworkConfig(input_dim=d, hidden_dim=h, schedule_variant=variant,
                             merge_hidden=merge_hidden)
         params = init_model_params(cfg, rng)
-        window = ImputationWindow(
-            rng.normal_array((context_len, d)),
-            rng.normal_array((T, d)),
-            rng.normal_array((context_len, d)),
-        )
-        schedule = make_schedule(T, variant)
-        analytic = dict(iter_params(loss_and_grads(params, window, schedule)[1]))
+        if k % 2 == 0:
+            shapes = [(context_len, T, context_len)]
+        else:
+            c = rng.randrange(context_len)
+            shapes = [(1 + (c + j) % context_len, 1 + (T - 1 + j) % max_gap,
+                       1 + (c + 2 * j) % context_len) for j in range(3)]
+        windows = [ImputationWindow(rng.normal_array((lb, d)), rng.normal_array((t, d)),
+                                    rng.normal_array((la, d))) for lb, t, la in shapes]
+        schedules = [make_schedule(t, variant) for _, t, _ in shapes]
+        truth = [w.missing for w in windows]
+        analytic = dict(iter_params(loss_and_grads(params, windows, schedules)[1]))
         if _corrupt_path is not None and _corrupt_path in analytic:
             analytic[_corrupt_path] = analytic[_corrupt_path] + 1.0
 
@@ -605,8 +792,7 @@ def gradient_check(
 
             def f(candidate: np.ndarray) -> float:
                 tensor[...] = candidate
-                value = loss(forward(params, window, schedule), window.missing)
-                return value
+                return float(np.sum(loss(forward(params, windows, schedules), truth)))
 
             numeric = finite_diff_grad(f, original, eps)
             tensor[...] = original
@@ -619,8 +805,8 @@ def gradient_check(
             m = float(rel.max()) if rel.size else 0.0
             if m > inst_worst[0]:
                 inst_worst = (m, path)
-        instances.append(GradCheckInstance(d, h, T, variant, merge_hidden,
-                                           inst_worst[0], inst_worst[1]))
+        instances.append(GradCheckInstance(d, h, max(t for _, t, _ in shapes), len(windows),
+                                           variant, merge_hidden, inst_worst[0], inst_worst[1]))
         if inst_worst[0] > worst[0]:
             worst = inst_worst
     return GradCheckReport(instances, worst[0], worst[1], tolerance)

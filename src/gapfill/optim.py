@@ -47,8 +47,14 @@ class TrainConfig:
     clip_norm: float = 0.0  # 0 disables gradient clipping
 
 
+# floats per pass of `adam_step`: its two scratch vectors stay this short
+# (64 KB each), so an update allocates nothing and adds no full-length buffer
+_ADAM_BLOCK = 8192
+
+
 class AdamState:
-    """First/second moment vectors, shaped like `ModelParams.flat`, plus the step counter."""
+    """First/second moment vectors, shaped like `ModelParams.flat`, the step
+    counter, and two short scratch vectors for the update."""
 
     def __init__(self, params: ModelParams, lr: float = 1e-3, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -59,6 +65,7 @@ class AdamState:
         self.step_count = 0
         self.m = np.zeros_like(params.flat)
         self.v = np.zeros_like(params.flat)
+        self._scratch = np.empty((2, min(_ADAM_BLOCK, params.flat.size)))
 
 
 def adam_step(state: AdamState, params: ModelParams, grads: ModelParams):
@@ -77,12 +84,26 @@ def adam_step(state: AdamState, params: ModelParams, grads: ModelParams):
     t = state.step_count
     bc1 = 1.0 - state.beta1 ** t
     bc2 = 1.0 - state.beta2 ** t
-    m, v = state.m, state.v
-    m *= state.beta1
-    m += (1.0 - state.beta1) * g
-    v *= state.beta2
-    v += (1.0 - state.beta2) * (g * g)
-    params.flat -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    # block by block, the same elementwise operations in the same order as
+    # m += (1-b1)*g; v += (1-b2)*(g*g); theta -= (lr*(m/bc1)) / (sqrt(v/bc2)+eps)
+    for lo in range(0, g.size, state._scratch.shape[1]):
+        part = slice(lo, lo + state._scratch.shape[1])
+        m, v, gb, theta = state.m[part], state.v[part], g[part], params.flat[part]
+        a, b = state._scratch[:, :gb.size]
+        m *= state.beta1
+        np.multiply(1.0 - state.beta1, gb, out=a)
+        m += a
+        v *= state.beta2
+        np.multiply(gb, gb, out=a)
+        a *= 1.0 - state.beta2
+        v += a
+        np.divide(m, bc1, out=a)
+        a *= state.lr
+        np.divide(v, bc2, out=b)
+        np.sqrt(b, out=b)
+        b += state.eps
+        a /= b
+        theta -= a
     return state, params
 
 

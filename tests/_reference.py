@@ -1,12 +1,15 @@
 """Independent straight-line oracles used by the tests.
 
 Everything here is written with plain Python floats and explicit loops,
-deliberately sharing no code with the package, so that agreement between
-the two is evidence rather than tautology.
+or with numpy one window and one gate at a time, deliberately sharing no
+code with the package, so that agreement between the two is evidence
+rather than tautology.
 """
 
 import csv
 import math
+
+import numpy as np
 
 
 def sigmoid_scalar(x):
@@ -100,6 +103,172 @@ def network_forward_scalar(params, before, missing_len, after, gamma, gamma_prim
         u = [gamma[t] * v for v in h_fw[t]] + [gamma_prime[t] * v for v in h_bw[t]]
         merged.append(affine_scalar(params.merge[0], u))
     return merged, pred_fw, pred_bw
+
+
+_GATES = "ifgo"
+_CELLS = ("enc_fw", "enc_bw", "dec_fw", "dec_bw")
+
+
+def _sigmoid(a):
+    return 1.0 / (1.0 + np.exp(-a))
+
+
+def _cell_step(p, x, h, c):
+    """One LSTM step of one window, gate by gate; returns h, c and its tape."""
+    pre = {k: getattr(p, f"w_{k}") @ x + getattr(p, f"u_{k}") @ h + getattr(p, f"b_{k}")
+           for k in _GATES}
+    i, f, o = _sigmoid(pre["i"]), _sigmoid(pre["f"]), _sigmoid(pre["o"])
+    g = np.tanh(pre["g"])
+    c_new = f * c + i * g
+    h_new = o * np.tanh(c_new)
+    return h_new, c_new, (x, h, c, i, f, g, o, c_new)
+
+
+def _cell_step_back(p, name, tape, dh, dc, grads):
+    """Backward through one `_cell_step`; accumulates into grads[name.*] and
+    returns the gradients w.r.t. x, the previous h and the previous c."""
+    x, h, c, i, f, g, o, c_new = tape
+    tc = np.tanh(c_new)
+    dc = dc + dh * o * (1.0 - tc * tc)
+    da = {"i": dc * g * i * (1.0 - i), "f": dc * c * f * (1.0 - f),
+          "g": dc * i * (1.0 - g * g), "o": dh * tc * o * (1.0 - o)}
+    dx, dh_prev = 0.0, 0.0
+    for k in _GATES:
+        grads[f"{name}.w_{k}"] += np.outer(da[k], x)
+        grads[f"{name}.u_{k}"] += np.outer(da[k], h)
+        grads[f"{name}.b_{k}"] += da[k]
+        dx = dx + getattr(p, f"w_{k}").T @ da[k]
+        dh_prev = dh_prev + getattr(p, f"u_{k}").T @ da[k]
+    return dx, dh_prev, dc * f
+
+
+def _stream(params, enc, dec, head, context, gap_len):
+    """Encoder over `context` rows in order, then the self-feeding decoder."""
+    hd = params.config.hidden_dim
+    h, c = np.zeros(hd), np.zeros(hd)
+    enc_tapes, dec_tapes, hs, preds = [], [], [], []
+    for row in context:
+        h, c, tape = _cell_step(getattr(params, enc), row, h, c)
+        enc_tapes.append(tape)
+    x = context[-1]
+    for _ in range(gap_len):
+        h, c, tape = _cell_step(getattr(params, dec), x, h, c)
+        dec_tapes.append(tape)
+        hs.append(h)
+        x = head.w @ h + head.b
+        preds.append(x)
+    return {"h": hs, "pred": preds, "enc": enc_tapes, "dec": dec_tapes}
+
+
+def _stream_back(params, enc, dec, head_name, s, d_pred, dh_merge, grads):
+    """BPTT of one `_stream`; d_pred and dh_merge are in its processing order."""
+    head = getattr(params, head_name)
+    hd = params.config.hidden_dim
+    dh, dc, d_in = np.zeros(hd), np.zeros(hd), 0.0
+    for t in reversed(range(len(d_pred))):
+        dp = d_pred[t] + d_in
+        grads[f"{head_name}.w"] += np.outer(dp, s["h"][t])
+        grads[f"{head_name}.b"] += dp
+        dh = dh + head.w.T @ dp + dh_merge[t]
+        d_in, dh, dc = _cell_step_back(getattr(params, dec), dec, s["dec"][t], dh, dc, grads)
+    for tape in reversed(s["enc"]):
+        _, dh, dc = _cell_step_back(getattr(params, enc), enc, tape, dh, dc, grads)
+
+
+def window_forward(params, before, after, gamma, gamma_prime):
+    """The network over one window: (before (L_b, d), after (L_a, d)), with
+    the stream weights of its gap. Returns a dict of per-position arrays
+    named like the fields of `ForwardTrace`, plus the streams' tapes."""
+    cfg = params.config
+    T = len(gamma)
+    fw = _stream(params, "enc_fw", "dec_fw", params.head_fw, before, T)
+    out = {"h_fw": np.array(fw["h"]), "pred_fw": np.array(fw["pred"]), "h_bw": None,
+           "pred_bw": None, "merge_hidden_acts": None, "_fw": fw, "_bw": None, "_u": None}
+    if cfg.forward_only:
+        out["merged"] = out["pred_fw"]
+        return out
+    bw = _stream(params, "enc_bw", "dec_bw", params.head_bw, after[::-1], T)
+    out["_bw"] = bw
+    out["h_bw"], out["pred_bw"] = np.array(bw["h"][::-1]), np.array(bw["pred"][::-1])
+    u = [np.concatenate([gamma[t] * out["h_fw"][t], gamma_prime[t] * out["h_bw"][t]])
+         for t in range(T)]
+    out["_u"] = u
+    first = params.merge[0]
+    if cfg.merge_hidden:
+        z = [np.tanh(first.w @ u_t + first.b) for u_t in u]
+        out["merge_hidden_acts"] = np.array(z)
+        out["merged"] = np.array([params.merge[1].w @ z_t + params.merge[1].b for z_t in z])
+    else:
+        out["merged"] = np.array([first.w @ u_t + first.b for u_t in u])
+    return out
+
+
+def window_loss_and_grads(params, before, after, truth, gamma, gamma_prime,
+                          term_weights=(1.0, 1.0, 1.0)):
+    """One window's loss (each term a mean over its T*d gap cells) and the
+    gradient of every parameter, as {path: array} in the checkpoint naming."""
+    cfg = params.config
+    T, d = truth.shape
+    hd = cfg.hidden_dim
+    out = window_forward(params, before, after, gamma, gamma_prime)
+    grads = {}
+    for name in _CELLS:
+        for kind in "wub":
+            for k in _GATES:
+                grads[f"{name}.{kind}_{k}"] = np.zeros_like(getattr(getattr(params, name),
+                                                                    f"{kind}_{k}"))
+    for head in ("head_fw", "head_bw"):
+        grads[f"{head}.w"] = np.zeros_like(getattr(params, head).w)
+        grads[f"{head}.b"] = np.zeros_like(getattr(params, head).b)
+    for n, layer in enumerate(params.merge):
+        grads[f"merge.{n}.w"] = np.zeros_like(layer.w)
+        grads[f"merge.{n}.b"] = np.zeros_like(layer.b)
+
+    def mse(pred):
+        return float(np.sum((pred - truth) ** 2)) / (T * d)
+
+    coef = 2.0 / (T * d)
+    if cfg.forward_only:
+        d_pred = [coef * (out["pred_fw"][t] - truth[t]) for t in range(T)]
+        _stream_back(params, "enc_fw", "dec_fw", "head_fw", out["_fw"], d_pred,
+                     [0.0] * T, grads)
+        return mse(out["merged"]), grads
+
+    w_m, w_fw, w_bw = term_weights
+    value = w_m * mse(out["merged"]) + w_fw * mse(out["pred_fw"]) + w_bw * mse(out["pred_bw"])
+    dh_fw, dh_bw = [], []
+    for t in range(T):
+        dm = w_m * coef * (out["merged"][t] - truth[t])
+        u = out["_u"][t]
+        if cfg.merge_hidden:
+            z = out["merge_hidden_acts"][t]
+            grads["merge.1.w"] += np.outer(dm, z)
+            grads["merge.1.b"] += dm
+            da = (params.merge[1].w.T @ dm) * (1.0 - z * z)
+            grads["merge.0.w"] += np.outer(da, u)
+            grads["merge.0.b"] += da
+            du = params.merge[0].w.T @ da
+        else:
+            grads["merge.0.w"] += np.outer(dm, u)
+            grads["merge.0.b"] += dm
+            du = params.merge[0].w.T @ dm
+        dh_fw.append(gamma[t] * du[:hd])
+        dh_bw.append(gamma_prime[t] * du[hd:])
+    d_fw = [w_fw * coef * (out["pred_fw"][t] - truth[t]) for t in range(T)]
+    _stream_back(params, "enc_fw", "dec_fw", "head_fw", out["_fw"], d_fw, dh_fw, grads)
+    # the backward stream's step k fills gap position T-1-k
+    d_bw = [w_bw * coef * (out["pred_bw"][T - 1 - k] - truth[T - 1 - k]) for k in range(T)]
+    _stream_back(params, "enc_bw", "dec_bw", "head_bw", out["_bw"], d_bw, dh_bw[::-1], grads)
+    return value, grads
+
+
+def adam_step_expression(m, v, theta, g, t, lr, b1, b2, eps):
+    """One Adam update written as whole-array expressions, in place."""
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * (g * g)
+    theta -= lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
 
 
 def mae_loop(truth, pred):

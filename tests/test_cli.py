@@ -216,6 +216,46 @@ class TestImpute:
             single = load_csv(alone).values[start:start + length, 0]
             assert np.allclose(table[start:start + length], single, rtol=0, atol=1e-12)
 
+    def test_gaps_unlike_the_trained_length_are_filled_independently(self, tmp_path):
+        # a model trained on 10-row gaps fills gaps of 1-33 rows in one call,
+        # each with a context as long as the gap, beside a timestamp column
+        series = tmp_path / "series.csv"
+        assert main(["synth", "--kind", "sum-of-sines", "--n", "320", "--seed", "2",
+                     "--noise", "0.05", "--out", str(series)]) == 0
+        lines = series.read_text().splitlines(keepends=True)
+        stamped = tmp_path / "stamped.csv"
+        stamped.write_text("".join(["time," + lines[0]] + [
+            f"2021-03-{1 + r // 24:02d}T{r % 24:02d}:00,{line}"
+            for r, line in enumerate(lines[1:])]))
+        cfg = tmp_path / "gap10.cfg"
+        cfg.write_text(TRAIN_CFG.format(data=series, lr="0.005", ckpt=tmp_path / "model.ckpt",
+                                        log=tmp_path / "log").replace("gap_len = 3",
+                                                                      "gap_len = 10"))
+        assert main(["train", "--config", str(cfg)]) == 0
+        gaps = [(33, 33), (110, 17), (150, 10), (180, 7), (200, 2), (210, 1)]
+        args = ["impute", "--checkpoint", str(tmp_path / "model.ckpt"), "--data", str(stamped),
+                "--column", "value"]
+        together = tmp_path / "together.csv"
+        assert main(args + [a for s, n in gaps for a in ("--gap", f"{s}:{n}")]
+                    + ["--out", str(together)]) == 0
+
+        original = stamped.read_text().splitlines()
+        filled = together.read_text().splitlines()
+        assert len(filled) == len(original)
+        gap_rows = {s + k for s, n in gaps for k in range(n)}
+        for r, (old, new) in enumerate(zip(original[1:], filled[1:])):
+            if r not in gap_rows:
+                assert new == old, r
+                continue
+            assert new.split(",")[0] == old.split(",")[0], r
+            assert math.isfinite(float(new.split(",")[1])), r
+        values = load_csv(together, columns=["value"]).values[:, 0]
+        for start, length in gaps:
+            alone = tmp_path / f"alone-{start}.csv"
+            assert main(args + ["--gap", f"{start}:{length}", "--out", str(alone)]) == 0
+            single = load_csv(alone, columns=["value"]).values[start:start + length, 0]
+            assert np.allclose(values[start:start + length], single, rtol=0, atol=1e-12)
+
     def test_context_must_be_observed(self, tmp_path, trained, sine_csv, capsys):
         lines = sine_csv.read_text().splitlines()
         lines[51] = "NA"  # data row 50 (line 0 is the header)
@@ -264,6 +304,12 @@ class TestImpute:
 
 
 class TestEval:
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_is_a_usage_error(self, tmp_path, capsys, jobs):
+        assert main(["eval", "--config", str(tmp_path / "absent.cfg"), "--jobs", jobs]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--jobs" in err
+
     def test_eval_writes_report_and_ranking(self, tmp_path, capsys):
         data = tmp_path / "wave.csv"
         assert main(["synth", "--kind", "sine", "--n", "160", "--seed", "2",
@@ -473,6 +519,17 @@ class TestGradcheck:
         out = capsys.readouterr().out
         assert "PASS" in out
         assert "max relative error" in out
+        assert "windows 3" in out  # the second instance is a ragged batch
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--instances", "0"), ("--instances", "-3"), ("--eps", "0"), ("--eps", "nan"),
+        ("--eps", "-1e-5"), ("--eps", "inf"), ("--tolerance", "0"), ("--tolerance", "nan"),
+        ("--tolerance", "inf")])
+    def test_checking_nothing_is_a_usage_error(self, capsys, flag, value):
+        assert main(["gradcheck", "--instances", "1", f"{flag}={value}"]) == 1
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert captured.err.startswith("error: ") and flag in captured.err
 
 
 class TestMisc:

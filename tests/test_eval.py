@@ -1,5 +1,6 @@
 import csv
 import multiprocessing
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -273,6 +274,40 @@ class TestCellIsolation:
         assert error.endswith("RuntimeError: worker blew up")
         assert "in flaky_train" in error  # the traceback, a worker's included, is kept
         assert report.cells[("d", "seq2seqImp")].metrics is not None
+
+
+class _RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs each job inline."""
+
+    max_workers: list[int] = []
+
+    def __init__(self, max_workers):
+        type(self).max_workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+class TestPoolSize:
+    @pytest.mark.parametrize("jobs, workers", [(500, 2), (2, 2), (3, 2)])
+    def test_pool_never_exceeds_the_number_of_trainings(self, monkeypatch, jobs, workers):
+        monkeypatch.setattr(_RecordingExecutor, "max_workers", [])
+        monkeypatch.setattr(eval_module, "ProcessPoolExecutor", _RecordingExecutor)
+        cfg = tiny_benchmark_config(epochs=1)
+        cfg.jobs = jobs
+        report = run_benchmark([BenchmarkDataset("d", synth("sine", 120, 0.05, seed=0,
+                                                            period=15.0))],
+                               ["seq2seqImp", "seq2seq"], cfg)  # two trainings
+        assert _RecordingExecutor.max_workers == [workers]
+        assert report.complete
 
 
 class TestFormatting:

@@ -28,7 +28,13 @@ from gapfill.model import (
 from gapfill.numerics import Rng, ShapeError
 from gapfill.optim import AdamState, adam_step
 
-from _reference import init_params_scalar, mse, network_forward_scalar
+from _reference import (
+    init_params_scalar,
+    mse,
+    network_forward_scalar,
+    window_forward,
+    window_loss_and_grads,
+)
 
 
 def zero_model(input_dim=1, hidden_dim=2, merge_bias=None):
@@ -321,6 +327,26 @@ class TestImpute:
         assert np.array_equal(a, b)
 
 
+    def test_gaps_are_batched_by_power_of_two_length(self, monkeypatch):
+        import gapfill.model as model_module
+
+        rng = Rng(29)
+        params = init_model_params(NetworkConfig(input_dim=1, hidden_dim=2), rng)
+        lengths = [64, 1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 7, 1]
+        before = [rng.normal_array((t, 1)) for t in lengths]
+        after = [rng.normal_array((t, 1)) for t in lengths]
+        batches, real_forward = [], model_module.forward
+
+        def counting_forward(p, windows, schedules):
+            batches.append(sorted(s.gap_len for s in schedules))
+            return real_forward(p, windows, schedules)
+
+        monkeypatch.setattr(model_module, "forward", counting_forward)
+        filled = impute(params, before, after, lengths)
+        assert sorted(batches) == [[1, 1], [2], [3, 4], [5, 7, 8], [9, 16], [17, 32], [33, 64]]
+        assert [len(f) for f in filled] == lengths
+
+
 class TestParamPlumbing:
     def test_iter_params_order_is_stable(self):
         params = init_model_params(NetworkConfig(input_dim=1, hidden_dim=2), Rng(0))
@@ -416,49 +442,81 @@ class TestParamPlumbing:
 
 
 class TestBatchedPath:
-    """The batched path against the stacked single-window (B = 1) results."""
+    """Ragged, stream-stacked batches against the per-window oracle of `_reference`."""
 
     @given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 8), d=st.integers(1, 3),
-           h=st.integers(1, 5), gap=st.integers(1, 5), before_len=st.integers(1, 4),
-           after_len=st.integers(1, 4), variant=st.sampled_from(SCHEDULE_VARIANTS),
-           merge_hidden=st.sampled_from([0, 3]), forward_only=st.booleans())
+           h=st.integers(1, 5), max_gap=st.integers(1, 6), max_context=st.integers(1, 5),
+           variant=st.sampled_from(SCHEDULE_VARIANTS), merge_hidden=st.sampled_from([0, 3]),
+           forward_only=st.booleans(), ragged=st.booleans())
     @settings(max_examples=60, deadline=None)
-    def test_matches_stacked_single_windows(self, seed, batch, d, h, gap, before_len,
-                                            after_len, variant, merge_hidden, forward_only):
+    def test_matches_the_per_window_oracle(self, seed, batch, d, h, max_gap, max_context,
+                                           variant, merge_hidden, forward_only, ragged):
         rng = Rng(seed)
         cfg = NetworkConfig(input_dim=d, hidden_dim=h, schedule_variant=variant,
                             merge_hidden=merge_hidden, forward_only=forward_only)
         params = init_model_params(cfg, rng)
-        windows = [random_window(rng, d, before_len, gap, after_len) for _ in range(batch)]
-        schedule = make_schedule(gap, variant)
+        if ragged:  # every row its own before, gap and after length
+            shapes = [(1 + rng.randrange(max_context), 1 + rng.randrange(max_gap),
+                       1 + rng.randrange(max_context)) for _ in range(batch)]
+        else:  # one shape, before and after of unequal length
+            shapes = [(max_context, max_gap, 1 + max_context // 2)] * batch
+        windows = [random_window(rng, d, *shape) for shape in shapes]
+        schedules = [make_schedule(gap, variant) for _, gap, _ in shapes]
+        refs = [window_forward(params, w.before, w.after, s.gamma, s.gamma_prime)
+                for w, s in zip(windows, schedules)]
 
-        batched = forward(params, windows, schedule)
-        singles = [forward(params, w, schedule) for w in windows]
+        trace = forward(params, windows, schedules)
+        T = max(gap for _, gap, _ in shapes)
+        assert list(trace.gap_len) == [gap for _, gap, _ in shapes]
         for name in ("h_fw", "pred_fw", "h_bw", "pred_bw", "merged", "merge_hidden_acts"):
-            got = getattr(batched, name)
+            got = getattr(trace, name)
             if got is None:
-                assert all(getattr(s, name) is None for s in singles), name
+                assert all(r[name] is None for r in refs), name
                 continue
-            want = np.stack([getattr(s, name) for s in singles])
-            assert got.shape == want.shape, name
-            assert np.allclose(got, want, rtol=0, atol=1e-12), name
+            assert got.shape[:2] == (batch, T), name
+            for row, ref, (_, gap, _) in zip(got, refs, shapes):
+                assert np.allclose(row[:gap], ref[name], rtol=0, atol=1e-12), name
+                assert not row[gap:].any(), name  # zero past the row's own gap
 
-        truth = np.stack([w.missing for w in windows])
-        per_window = loss(batched, truth)
-        assert per_window.shape == (batch,)
-        assert np.allclose(per_window, [loss(s, w.missing) for s, w in zip(singles, windows)],
-                           rtol=0, atol=1e-12)
+        truth = [w.missing for w in windows]
+        results = [window_loss_and_grads(params, w.before, w.after, w.missing, s.gamma,
+                                         s.gamma_prime) for w, s in zip(windows, schedules)]
+        assert np.allclose(loss(trace, truth), [v for v, _ in results], rtol=0, atol=1e-12)
 
-        value, grads = loss_and_grads(params, windows, schedule)
-        single_results = [loss_and_grads(params, w, schedule) for w in windows]
-        assert value == pytest.approx(sum(v for v, _ in single_results), rel=0, abs=1e-12)
-        summed = params_from_flat(cfg, sum(g.flat for _, g in single_results))
-        for (path, got), (_, want) in zip(iter_params(grads), iter_params(summed)):
+        value, grads = loss_and_grads(params, windows, schedules)
+        assert value == pytest.approx(sum(v for v, _ in results), rel=0, abs=1e-12)
+        for path, got in iter_params(grads):
+            want = sum(g[path] for _, g in results)
             assert np.allclose(got, want, rtol=0, atol=1e-12), path
 
-        filled = impute(params, np.stack([w.before for w in windows]),
-                        np.stack([w.after for w in windows]), gap)
-        assert np.allclose(filled, np.stack([s.merged for s in singles]), rtol=0, atol=1e-12)
+        filled = impute(params, [w.before for w in windows], [w.after for w in windows],
+                        [gap for _, gap, _ in shapes])
+        for got, ref in zip(filled, refs):
+            assert got.shape == ref["merged"].shape
+            assert np.allclose(got, ref["merged"], rtol=0, atol=1e-12)
+
+    def test_one_window_matches_the_oracle(self):
+        rng = Rng(37)
+        params = init_model_params(NetworkConfig(input_dim=2, hidden_dim=3, merge_hidden=3), rng)
+        window = random_window(rng, 2, 4, 3, 2)
+        schedule = make_schedule(3, "endpoint")
+        ref_value, ref_grads = window_loss_and_grads(params, window.before, window.after,
+                                                     window.missing, schedule.gamma,
+                                                     schedule.gamma_prime, (0.5, 2.0, 1.5))
+        value, grads = loss_and_grads(params, window, schedule, term_weights=(0.5, 2.0, 1.5))
+        assert value == pytest.approx(ref_value, rel=0, abs=1e-12)
+        for path, got in iter_params(grads):
+            assert np.allclose(got, ref_grads[path], rtol=0, atol=1e-12), path
+
+    def test_uniform_window_list_equals_its_stacked_batch(self):
+        rng = Rng(31)
+        params = init_model_params(NetworkConfig(input_dim=2, hidden_dim=3), rng)
+        windows = [random_window(rng, 2, 3, 4, 5) for _ in range(4)]
+        schedule = make_schedule(4)
+        from_list = loss_and_grads(params, windows, [schedule] * 4)
+        from_batch = loss_and_grads(params, stack_windows(windows), schedule)
+        assert from_list[0] == from_batch[0]
+        assert np.array_equal(from_list[1].flat, from_batch[1].flat)
 
     def test_batch_window_and_window_list_agree(self):
         rng = Rng(41)
@@ -471,12 +529,21 @@ class TestBatchedPath:
         assert np.array_equal(stack_windows(windows).take([3, 1]).before,
                               np.stack([windows[3].before, windows[1].before]))
 
-    def test_windows_of_different_shapes_rejected(self):
+    def test_mixed_shapes_accepted_malformed_rows_rejected(self):
         rng = Rng(43)
         params = init_model_params(NetworkConfig(input_dim=1, hidden_dim=2), rng)
-        windows = [random_window(rng, 1, 3, 2, 3), random_window(rng, 1, 4, 2, 3)]
-        with pytest.raises(ShapeError, match="before"):
-            forward(params, windows, make_schedule(2))
+        windows = [random_window(rng, 1, 3, 2, 3), random_window(rng, 1, 4, 5, 1)]
+        trace = forward(params, windows, [make_schedule(2), make_schedule(5)])
+        assert trace.merged.shape == (2, 5, 1) and list(trace.gap_len) == [2, 5]
+        empty = ImputationWindow(np.zeros((0, 1)), np.zeros((2, 1)), np.ones((2, 1)))
+        wide = ImputationWindow(np.ones((2, 1)), np.zeros((2, 1)), np.ones((3, 2)))
+        for bad, name in ((empty, "window 1: before"), (wide, "window 1: after")):
+            with pytest.raises(ShapeError, match=name):
+                forward(params, [windows[0], bad], [make_schedule(2)] * 2)
+        with pytest.raises(ShapeError, match="schedules"):
+            forward(params, windows, [make_schedule(2)])
+        with pytest.raises(ShapeError, match="for a gap of 3"):
+            forward(params, windows, [make_schedule(2), make_schedule(3)])
 
     def test_in_place_gate_edits_reach_the_fused_cell(self):
         params = init_model_params(NetworkConfig(input_dim=1, hidden_dim=3), Rng(47))

@@ -19,6 +19,8 @@ from gapfill.model import (
     params_from_flat,
 )
 from gapfill.numerics import Rng
+
+from _reference import adam_step_expression
 from gapfill.optim import (
     AdamState,
     DivergenceError,
@@ -70,6 +72,24 @@ class TestAdam:
         adam_step(AdamState(pos, lr=0.05), pos, grads_for(pos, g))
         adam_step(AdamState(neg, lr=0.05), neg, grads_for(neg, -g))
         assert np.array_equal(pos.flat, -neg.flat)
+
+    @pytest.mark.parametrize("seed, hidden_dim", [(0, 5), (1, 48), (2, 64)])
+    def test_matches_the_expression_form_byte_for_byte(self, seed, hidden_dim):
+        # hidden 48 and 64 span several update blocks, the last one partial
+        rng = np.random.default_rng(seed)
+        cfg = NetworkConfig(input_dim=2, hidden_dim=hidden_dim, merge_hidden=3)
+        params = init_model_params(cfg, Rng(seed))
+        theta = params.flat.copy()
+        m, v = np.zeros_like(theta), np.zeros_like(theta)
+        hyper = dict(lr=10.0 ** -(1 + seed), b1=0.9 - 0.1 * seed, b2=0.999, eps=1e-8)
+        state = AdamState(params, lr=hyper["lr"], beta1=hyper["b1"], beta2=hyper["b2"],
+                          eps=hyper["eps"])
+        for t in range(1, 8):
+            g = rng.normal(size=theta.shape) * 10.0 ** rng.uniform(-6, 2)
+            adam_step(state, params, grads_for(params, g))
+            adam_step_expression(m, v, theta, g, t, **hyper)
+            assert params.flat.tobytes() == theta.tobytes(), t
+            assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes(), t
 
     def test_arena_length_mismatch_rejected(self):
         params = tiny_params()
