@@ -180,7 +180,7 @@ def cmd_impute(args) -> int:
     gaps = _parse_gaps(args.gap)
 
     values = table.values
-    observed = ~table.missing.any(axis=1) & np.isfinite(values).all(axis=1)
+    observed = ~table.missing.any(axis=1)
     in_gap = np.zeros(table.n_rows, dtype=bool)
     for start, length in gaps:
         if start + length > table.n_rows:

@@ -7,6 +7,7 @@ that fail to parse. `default_config_text()` emits the commented defaults.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 
 from .data import DEFAULT_MISSING_MARKERS
@@ -120,13 +121,12 @@ class RunConfig:
     eval: dict = field(default_factory=dict)
     datasets: list[DatasetSpec] = field(default_factory=list)
 
-    def network_config(self, forward_only: bool = False) -> NetworkConfig:
+    def network_config(self) -> NetworkConfig:
         return NetworkConfig(
             input_dim=self.model["input_dim"],
             hidden_dim=self.model["hidden_dim"],
             schedule_variant=self.model["schedule"],
             merge_hidden=self.model["merge_hidden"],
-            forward_only=forward_only,
         )
 
     def train_config(self) -> TrainConfig:
@@ -218,8 +218,11 @@ def _validate(cfg: RunConfig) -> None:
     if cfg.model["merge_hidden"] < 0:
         raise ConfigError("model.merge_hidden: must be >= 0")
     t = cfg.training
-    if t["lr"] < 0:
-        raise ConfigError("training.lr: must be >= 0")
+    for key in ("lr", "clip_norm", "min_delta"):
+        if not (math.isfinite(t[key]) and t[key] >= 0):
+            raise ConfigError(f"training.{key}: must be finite and >= 0")
+    if not (math.isfinite(t["eps"]) and t["eps"] > 0):
+        raise ConfigError("training.eps: must be finite and > 0")
     if not 0 <= t["beta1"] < 1 or not 0 <= t["beta2"] < 1:
         raise ConfigError("training.beta1/beta2: must be in [0, 1)")
     if t["epochs"] < 1 or t["batch_size"] < 1 or t["patience"] < 1:

@@ -1,7 +1,8 @@
 """CSV ingestion, normalization, splitting, window extraction, and synthetic series.
 
 Tables are immutable after load: values are float64 with NaN at missing
-cells and a boolean mask recording which cells were missing markers.
+cells and a boolean mask recording which cells hold no finite value (a
+missing marker, or a number such as nan or inf).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ class DataError(ValueError):
 class SeriesTable:
     columns: list[str]
     values: np.ndarray  # (n_rows, n_cols) float64, NaN where missing
-    missing: np.ndarray  # (n_rows, n_cols) bool, True where the cell was a marker
+    missing: np.ndarray  # (n_rows, n_cols) bool, True where the cell has no finite value
     # set by load_csv: the file line on which each data row starts (the
     # header and blank lines hold no data row) and the field index of each
     # column in the file's records; select keeps both, derived tables drop them
@@ -49,9 +50,6 @@ class SeriesTable:
     @property
     def n_cols(self) -> int:
         return self.values.shape[1]
-
-    def column(self, sel) -> np.ndarray:
-        return self.values[:, self.column_index(sel)]
 
     def column_index(self, sel) -> int:
         return _column_index(self.columns, sel)
@@ -87,9 +85,11 @@ def load_csv(
     number nor a missing marker, that row is taken as column names.
     `columns` restricts and orders the result (names need a header row;
     zero-based indices always work). Only the returned columns are parsed
-    as numbers, so other columns may hold any text. Blank lines are
-    skipped; the table's `row_lines` map every data row back to its line in
-    the file and its `file_fields` every column to its field in a record.
+    as numbers, so other columns may hold any text. A marker, or a cell
+    that parses to a non-finite number (nan, inf), reads as missing. Blank
+    lines are skipped; the table's `row_lines` map every data row back to
+    its line in the file and its `file_fields` every column to its field in
+    a record.
     """
     markers = frozenset(m.strip() for m in markers)
     with open(path, newline="") as fh:
@@ -110,7 +110,12 @@ def load_csv(
             names = [f"col{i}" for i in range(len(first))]
             records = itertools.chain([first], reader)
         width = len(names)
-        fields = list(range(width)) if columns is None else [_column_index(names, s) for s in columns]
+        bad_selection = None  # raised after the rows: a row error or no rows comes first
+        try:
+            fields = list(range(width)) if columns is None else [_column_index(names, s)
+                                                                 for s in columns]
+        except DataError as exc:
+            bad_selection, fields = exc, []
         # one field gives a bare cell, several a tuple
         pick = operator.itemgetter(*fields) if fields else lambda row: ()
         row_lines, kept = [], []  # only the selected fields of each record are kept
@@ -124,18 +129,20 @@ def load_csv(
             start = reader.line_num
     if not kept:
         raise DataError(f"{path}: no data rows")
+    if bad_selection is not None:
+        raise bad_selection
 
     cols = [kept] if len(fields) == 1 else list(zip(*kept))
     values = np.empty((len(kept), len(fields)))
-    missing = np.empty((len(kept), len(fields)), dtype=bool)
     for j, col in enumerate(cols):
         cells = [cell.strip() for cell in col]
-        missing[:, j] = [cell in markers for cell in cells]
         try:  # numpy parses each str as float() does, so _first_bad_cell finds the culprit
             values[:, j] = np.array(["nan" if cell in markers else cell for cell in cells],
                                     dtype=np.float64)
         except ValueError:
             raise _first_bad_cell(path, cols, names, fields, markers) from None
+    missing = ~np.isfinite(values)
+    values[missing] = np.nan
     return SeriesTable([names[c] for c in fields], values, missing,
                        np.array(row_lines, dtype=np.int64), fields)
 

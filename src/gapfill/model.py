@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -223,41 +222,12 @@ class ImputationWindow:
     """One sample: observed rows before a gap, the gap itself, observed rows after.
 
     `missing` holds the ground-truth gap rows and is None in pure inference.
-    A batch of B equal-shape windows is one ImputationWindow whose arrays
-    carry a leading batch axis (see `stack_windows`); windows of different
-    shapes batch as a plain list.
+    A batch is a list of windows, which may differ in shape.
     """
 
-    before: np.ndarray  # (L_b, input_dim), or (B, L_b, input_dim) for a batch
-    missing: np.ndarray | None  # (T, input_dim), or (B, T, input_dim)
-    after: np.ndarray  # (L_a, input_dim), or (B, L_a, input_dim)
-
-    def take(self, idx) -> "ImputationWindow":
-        """The windows at batch positions `idx` of a batch."""
-        return ImputationWindow(self.before[idx],
-                                None if self.missing is None else self.missing[idx],
-                                self.after[idx])
-
-
-def stack_windows(windows: Sequence[ImputationWindow]) -> ImputationWindow:
-    """Stack windows of equal shape into one batch window."""
-    if not windows:
-        raise ValueError("cannot stack an empty window list")
-    missing = [w.missing for w in windows]
-    has_truth = [m is not None for m in missing]
-    if any(has_truth) and not all(has_truth):
-        raise ValueError("either every window of a batch has ground truth or none has")
-
-    def stack(arrays, name):
-        rows = [np.asarray(a, dtype=np.float64) for a in arrays]
-        rows = [a[:, None] if a.ndim == 1 else a for a in rows]
-        if any(a.shape != rows[0].shape for a in rows):
-            raise ShapeError(f"{name}: windows of a batch must share one shape")
-        return np.stack(rows)
-
-    return ImputationWindow(stack([w.before for w in windows], "before"),
-                            stack(missing, "missing") if all(has_truth) else None,
-                            stack([w.after for w in windows], "after"))
+    before: np.ndarray  # (L_b, input_dim)
+    missing: np.ndarray | None  # (T, input_dim)
+    after: np.ndarray  # (L_a, input_dim)
 
 
 @dataclass
@@ -321,13 +291,13 @@ class _Batch:
 
 
 def _rows(a, name: str, d: int) -> np.ndarray:
-    """Validate one window's (n, d) rows (1-D when d = 1) or a (B, n, d) stack."""
+    """Validate one window's (n, d) rows (1-D when d = 1)."""
     a = np.asarray(a, dtype=np.float64)
     if a.ndim == 1:
         a = a[:, None]
-    if a.ndim not in (2, 3) or a.shape[-1] != d:
-        raise ShapeError(f"{name}: expected shape (n, {d}), got {a.shape[-2:]}")
-    if a.shape[-2] < 1:
+    if a.ndim != 2 or a.shape[1] != d:
+        raise ShapeError(f"{name}: expected shape (n, {d}), got {a.shape}")
+    if a.shape[0] < 1:
         raise ShapeError(f"{name}: needs at least one row")
     return a
 
@@ -371,52 +341,36 @@ def _truth_rows(truth, gap_len, d: int) -> np.ndarray:
 
 
 def _layout(windows, schedule, d: int, streams: int, truth=None) -> tuple[_Batch, bool]:
-    """Lay out one window, a batch window or a list of windows of any shapes
-    for `_forward`; also whether the input was a single window.
+    """Lay out one window, as the list of one, or a list of windows of any
+    shapes for `_forward`; also whether the input was a single window.
 
     Each row's gap length comes from its schedule; a shared ScalingSchedule
     gives every row its length. `truth` defaults to the windows' `missing`.
     """
-    single = isinstance(windows, ImputationWindow) and np.ndim(windows.before) < 3
-    if isinstance(windows, ImputationWindow):
-        batch = stack_windows([windows]) if single else windows
-        befores = _rows(batch.before, "before", d)
-        afters = _rows(batch.after, "after", d)
-        if befores.ndim != 3 or afters.ndim != 3 or len(afters) != len(befores):
-            raise ShapeError(f"batch window: before {befores.shape} and after {afters.shape} "
-                             "need one leading batch axis")
-        n, missing = len(befores), batch.missing
-        contexts = [befores, afters[:, ::-1]]
-        lens = np.array([[befores.shape[1]] * n, [afters.shape[1]] * n])
-    else:
-        windows = list(windows)
-        if not windows:
-            raise ValueError("cannot run an empty window list")
-        has_truth = [w.missing is not None for w in windows]
-        if any(has_truth) and not all(has_truth):
-            raise ValueError("either every window of a batch has ground truth or none has")
-        n, missing = len(windows), [w.missing for w in windows] if all(has_truth) else None
-        contexts = [[_rows(w.before, f"window {i}: before", d) for i, w in enumerate(windows)],
-                    [_rows(w.after, f"window {i}: after", d)[::-1] for i, w in enumerate(windows)]]
-        if any(r.ndim != 2 for rows in contexts for r in rows):
-            raise ShapeError("a window list holds single windows, not batch windows")
-        lens = np.array([[len(r) for r in rows] for rows in contexts])
-    gap_len, gamma, gamma_prime = _schedule_rows(schedule, n)
-    if truth is not None and single:
-        truth = _truth_rows(truth, gap_len[0], d)[None]
-    elif truth is not None or missing is not None:
-        truth = _truth_rows(missing if truth is None else truth, gap_len, d)
+    single = isinstance(windows, ImputationWindow)
+    windows = [windows] if single else list(windows)
+    if single and truth is not None:
+        truth = [truth]
+    if not windows:
+        raise ValueError("cannot run an empty window list")
+    has_truth = [w.missing is not None for w in windows]
+    if any(has_truth) and not all(has_truth):
+        raise ValueError("either every window of a batch has ground truth or none has")
+    if truth is None and all(has_truth):
+        truth = [w.missing for w in windows]
+    contexts = [[_rows(w.before, f"window {i}: before", d) for i, w in enumerate(windows)],
+                [_rows(w.after, f"window {i}: after", d)[::-1] for i, w in enumerate(windows)]]
+    gap_len, gamma, gamma_prime = _schedule_rows(schedule, len(windows))
+    if truth is not None:
+        truth = _truth_rows(truth, gap_len, d)
 
     # right-align each stream's context so that every row ends on the last step
-    lens = lens[:streams]
+    lens = np.array([[len(r) for r in rows] for rows in contexts[:streams]])
     L = lens.max()
-    context = np.zeros((streams, n, L, d))
+    context = np.zeros((streams, len(windows), L, d))
     for s in range(streams):
-        if isinstance(contexts[s], np.ndarray):
-            context[s, :, L - contexts[s].shape[1]:] = contexts[s]
-        else:
-            for i, r in enumerate(contexts[s]):
-                context[s, i, L - len(r):] = r
+        for i, r in enumerate(contexts[s]):
+            context[s, i, L - len(r):] = r
     return _Batch(context, L - lens, gap_len, gamma, gamma_prime, truth), single
 
 
@@ -537,8 +491,8 @@ def _forward(params: ModelParams, batch: _Batch,
 def forward(params: ModelParams, windows, schedule) -> ForwardTrace:
     """Run the network over one window, or over a batch of windows.
 
-    `windows` is an ImputationWindow, a batch window, or a list of windows,
-    which may differ in context and gap length. `schedule` is one
+    `windows` is an ImputationWindow or a list of windows, which may
+    differ in context and gap length; one window runs as the list of one. `schedule` is one
     ScalingSchedule shared by every window, or a list with one per window;
     each window's gap length is its schedule's. Stages: both encoders
     first, then each decoder stream over the whole gap (self-feeding its
@@ -699,19 +653,14 @@ def impute(
     """Fill gaps between observed context; no truth needed.
 
     One gap: `before`/`after` are (L, d) rows (1-D when d = 1) and
-    `gap_len` an int, giving (gap_len, d). B gaps of one shape: (B, L, d)
-    stacks, giving (B, gap_len, d). Gaps of any shapes: lists of each
-    gap's rows and a list of gap lengths, giving a list of (gap_len_i, d)
-    arrays. Gaps are batched by power-of-two range of gap length; each
-    gap's result does not depend on the others.
+    `gap_len` an int, giving (gap_len, d). Several gaps of any shapes:
+    lists of each gap's rows and a list of gap lengths, giving a list of
+    (gap_len_i, d) arrays. Gaps are batched by power-of-two range of gap
+    length; each gap's result does not depend on the others.
     """
     variant = variant or params.config.schedule_variant
     if np.ndim(gap_len) > 0:
         return _fill(params, before, after, [int(t) for t in gap_len], variant)
-    before = np.asarray(before, dtype=np.float64)
-    after = np.asarray(after, dtype=np.float64)
-    if before.ndim == 3:
-        return np.stack(_fill(params, before, after, [int(gap_len)] * len(before), variant))
     return _fill(params, [before], [after], [int(gap_len)], variant)[0]
 
 

@@ -19,7 +19,6 @@ from .model import (
     loss,
     loss_and_grads,
     make_schedule,
-    stack_windows,
 )
 from .numerics import Rng
 
@@ -185,8 +184,6 @@ def train(
     log = TrainLog()
     started = time.perf_counter()
     order = list(range(len(windows)))
-    stacked = stack_windows(windows)
-    val_stacked = stack_windows(val_windows)
 
     for epoch in range(1, cfg.epochs + 1):
         rng.shuffle(order)
@@ -196,7 +193,7 @@ def train(
             # the isfinite check below is the divergence guard; silence
             # numpy's overflow chatter on the way to it
             with np.errstate(over="ignore", invalid="ignore"):
-                value, grads = loss_and_grads(params, stacked.take(batch), schedule)
+                value, grads = loss_and_grads(params, [windows[i] for i in batch], schedule)
             if not np.isfinite(value):
                 raise DivergenceError(
                     f"non-finite training loss at epoch {epoch}, batch {batch_no}",
@@ -213,7 +210,7 @@ def train(
                     log.clip_events += 1
             adam_step(adam, params, grads)
         train_loss = epoch_loss / len(order)
-        val_loss = evaluate_loss(params, val_stacked, schedule)
+        val_loss = evaluate_loss(params, val_windows, schedule)
         if not np.isfinite(val_loss):
             raise DivergenceError(f"non-finite validation loss at epoch {epoch}", epoch=epoch)
         log.rows.append(TrainLogRow(epoch, train_loss, val_loss, time.perf_counter() - started))
@@ -227,14 +224,12 @@ def train(
     return clone_params(best), log
 
 
-def evaluate_loss(params: ModelParams, windows, schedule) -> float:
-    """Mean window loss over a window list or a batch window, no parameter updates."""
-    if not isinstance(windows, ImputationWindow):
-        if not windows:
-            raise ValueError("cannot evaluate on an empty window set")
-        windows = stack_windows(windows)
-    losses = loss(forward(params, windows, schedule), windows.missing)
-    return float(np.sum(losses)) / losses.shape[0]
+def evaluate_loss(params: ModelParams, windows: list[ImputationWindow], schedule) -> float:
+    """Mean window loss over a window list, no parameter updates."""
+    if not windows:
+        raise ValueError("cannot evaluate on an empty window set")
+    losses = loss(forward(params, windows, schedule), [w.missing for w in windows])
+    return float(np.sum(losses)) / len(windows)
 
 
 def split_validation(windows: list[ImputationWindow], fraction: float = 0.1

@@ -384,7 +384,8 @@ def init_params_scalar(seed, input_dim, hidden_dim, merge_hidden):
 
 
 def load_csv_scalar(path, columns=None, markers=("NA", ""), header=None):
-    """`load_csv` one cell at a time: `float(cell.strip())`, markers compared after strip.
+    """`load_csv` one cell at a time: `float(cell.strip())`, markers compared after strip;
+    a marker or a non-finite number is missing and reads as NaN.
 
     Returns (names, values, missing, row_lines, fields) as lists; raises
     ValueError with the message `load_csv` gives. Only the selected columns
@@ -452,10 +453,11 @@ def load_csv_scalar(path, columns=None, markers=("NA", ""), header=None):
                 parsed[r, c] = (math.nan, True)
                 continue
             try:
-                parsed[r, c] = (float(text), False)
+                value = float(text)
             except ValueError:
                 raise ValueError(f"{path}: row {r + 1}, column {names[c]!r}: "
                                  f"cannot parse {cell!r}") from None
+            parsed[r, c] = (value, False) if math.isfinite(value) else (math.nan, True)
     values = [[parsed[r, c][0] for c in fields] for r in range(len(rows))]
     missing = [[parsed[r, c][1] for c in fields] for r in range(len(rows))]
     return [names[c] for c in fields], values, missing, row_lines, fields

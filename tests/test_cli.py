@@ -93,6 +93,17 @@ class TestTrain:
         for (pa, ta), (_, tb) in zip(iter_params(params), iter_params(fresh)):
             assert np.array_equal(ta, tb), pa
 
+    def test_nan_and_inf_cells_train_like_missing_markers(self, tmp_path, sine_csv):
+        lines = sine_csv.read_text().splitlines(keepends=True)
+        checkpoints = []
+        for cell in ("NA", "nan", "inf", "-inf"):
+            data = tmp_path / f"{cell}.csv"
+            data.write_text("".join(lines[:31] + [cell + "\n"] + lines[32:]))
+            cfg = write_train_cfg(tmp_path, data)
+            assert main(["train", "--config", str(cfg)]) == 0, cell
+            checkpoints.append((tmp_path / "model.ckpt").read_bytes())
+        assert checkpoints[1:] == checkpoints[:1] * 3
+
     def test_missing_data_file_is_clean_error(self, tmp_path, capsys):
         cfg = write_train_cfg(tmp_path, tmp_path / "absent.csv")
         assert main(["train", "--config", str(cfg)]) == 1

@@ -84,6 +84,18 @@ def test_range_validation():
         parse_config_text("[model]\nhidden_dim = 0\n")
 
 
+@pytest.mark.parametrize("key, bad", [
+    ("lr", ["nan", "inf", "-1e-3"]),
+    ("eps", ["-1e-3", "0", "nan", "inf"]),
+    ("clip_norm", ["-1", "nan", "inf"]),
+    ("min_delta", ["-5", "nan", "inf"]),
+])
+def test_training_hyperparameter_ranges(key, bad):
+    for text in bad:
+        with pytest.raises(ConfigError, match=rf"training\.{key}"):
+            parse_config_text(f"[training]\n{key} = {text}\n")
+
+
 def test_dataset_sections_collected():
     cfg = parse_config_text("""
 [dataset:river]

@@ -4,7 +4,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gapfill.data import (
@@ -231,6 +231,8 @@ def _csv_files(draw):
 
 
 @given(_csv_files())
+@example(("\nbogus", ("NA", ""), [""]))  # no data rows and an unknown column: rows first
+@example(("a,b\n1\n", ("NA", ""), ["c"]))  # a short row and an unknown column: rows first
 @settings(max_examples=400, deadline=None)
 def test_load_csv_matches_the_per_cell_oracle(case):
     text, markers, columns = case

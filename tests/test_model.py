@@ -23,7 +23,6 @@ from gapfill.model import (
     merge_input_grads,
     n_params,
     params_from_flat,
-    stack_windows,
 )
 from gapfill.numerics import Rng, ShapeError
 from gapfill.optim import AdamState, adam_step
@@ -508,26 +507,52 @@ class TestBatchedPath:
         for path, got in iter_params(grads):
             assert np.allclose(got, ref_grads[path], rtol=0, atol=1e-12), path
 
-    def test_uniform_window_list_equals_its_stacked_batch(self):
+    def test_shared_schedule_equals_per_window_schedules(self):
         rng = Rng(31)
         params = init_model_params(NetworkConfig(input_dim=2, hidden_dim=3), rng)
         windows = [random_window(rng, 2, 3, 4, 5) for _ in range(4)]
         schedule = make_schedule(4)
-        from_list = loss_and_grads(params, windows, [schedule] * 4)
-        from_batch = loss_and_grads(params, stack_windows(windows), schedule)
-        assert from_list[0] == from_batch[0]
-        assert np.array_equal(from_list[1].flat, from_batch[1].flat)
+        per_window = loss_and_grads(params, windows, [schedule] * 4)
+        shared = loss_and_grads(params, windows, schedule)
+        assert per_window[0] == shared[0]
+        assert np.array_equal(per_window[1].flat, shared[1].flat)
 
-    def test_batch_window_and_window_list_agree(self):
+    @pytest.mark.parametrize("merge_hidden", [0, 3])
+    def test_one_window_equals_the_list_of_one(self, merge_hidden):
         rng = Rng(41)
+        params = init_model_params(NetworkConfig(input_dim=2, hidden_dim=3,
+                                                 merge_hidden=merge_hidden), rng)
+        window = random_window(rng, 2, 3, 2, 4)
+        schedule = make_schedule(2, "endpoint")
+        one, listed = forward(params, window, schedule), forward(params, [window], [schedule])
+        assert one.gap_len == 2 and list(listed.gap_len) == [2]
+        for name in ("h_fw", "pred_fw", "h_bw", "pred_bw", "merged", "merge_hidden_acts"):
+            got, want = getattr(one, name), getattr(listed, name)
+            if want is None:
+                assert got is None, name
+            else:
+                assert np.array_equal(got, want[0]), name
+        assert loss(one, window.missing) == loss(listed, [window.missing])[0]
+        value, grads = loss_and_grads(params, window, schedule)
+        value_list, grads_list = loss_and_grads(params, [window], [schedule])
+        assert value == value_list
+        assert np.array_equal(grads.flat, grads_list.flat)
+        assert np.array_equal(impute(params, window.before, window.after, 2),
+                              impute(params, [window.before], [window.after], [2])[0])
+
+    def test_stacked_window_arrays_rejected(self):
+        rng = Rng(43)
         params = init_model_params(NetworkConfig(input_dim=2, hidden_dim=3), rng)
-        windows = [random_window(rng, 2, 3, 2, 4) for _ in range(5)]
+        windows = [random_window(rng, 2, 3, 2, 4) for _ in range(3)]
+        stacked = ImputationWindow(*(np.stack([getattr(w, name) for w in windows])
+                                     for name in ("before", "missing", "after")))
         schedule = make_schedule(2)
-        from_list = forward(params, windows, schedule)
-        from_batch = forward(params, stack_windows(windows), schedule)
-        assert np.array_equal(from_list.merged, from_batch.merged)
-        assert np.array_equal(stack_windows(windows).take([3, 1]).before,
-                              np.stack([windows[3].before, windows[1].before]))
+        with pytest.raises(ShapeError, match="window 0: before"):
+            forward(params, stacked, schedule)
+        with pytest.raises(ShapeError, match="window 0: before"):
+            loss_and_grads(params, [stacked], schedule)
+        with pytest.raises(ShapeError, match="window 0: before"):
+            impute(params, stacked.before, stacked.after, 2)
 
     def test_mixed_shapes_accepted_malformed_rows_rejected(self):
         rng = Rng(43)
