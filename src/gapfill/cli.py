@@ -14,8 +14,10 @@ import sys
 import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .config import ConfigError, RunConfig, default_config_text, load_config
+from .config import ConfigError, RunConfig, default_config_text, load_config, parse_markers
 from .data import (
+    DEFAULT_MISSING_MARKERS,
+    HEADER_MODES,
     DataError,
     WindowSpec,
     compute_norm_stats,
@@ -24,8 +26,7 @@ from .data import (
     load_csv,
     normalize,
     normalize_table,
-    read_lines,
-    replace_cells,
+    rewrite_csv,
     split_train_test,
     synth,
     write_csv,
@@ -85,6 +86,12 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="observed rows used on each side of a gap (default: the gap length)")
     p.add_argument("--variant", default=None, choices=SCHEDULE_VARIANTS,
                    help="override the checkpoint's stream-weight schedule")
+    p.add_argument("--header", default="auto", choices=tuple(HEADER_MODES),
+                   help="whether the first row holds column names (default: auto)")
+    p.add_argument("--missing", type=parse_markers, default=DEFAULT_MISSING_MARKERS,
+                   metavar="MARKERS",
+                   help="comma-separated missing markers, as data.missing "
+                        "(default: NA and the empty cell)")
     p.add_argument("--out", required=True, help="output CSV path")
 
     p = sub.add_parser("eval", help="benchmark model variants per the config's datasets")
@@ -120,7 +127,8 @@ def _load_training_data(cfg: RunConfig):
         raise ConfigError(
             f"data.columns: {len(columns)} column(s) selected but model.input_dim "
             f"is {cfg.model['input_dim']}")
-    table = load_csv(d["path"], columns=columns, markers=d["missing"])
+    table = load_csv(d["path"], columns=columns, markers=d["missing"],
+                     header=HEADER_MODES[d["header"]])
     train_part, _ = split_train_test(table, d["test_fraction"])
     stats = compute_norm_stats(train_part)
     spec = WindowSpec(d["before_len"], d["gap_len"], d["after_len"], d["train_stride"])
@@ -176,7 +184,8 @@ def cmd_impute(args) -> int:
         raise DataError(f"checkpoint expects {d} column(s), got {len(columns)} --column flags")
     if args.context is not None and args.context < 1:
         raise DataError(f"--context must be at least 1, got {args.context}")
-    table = load_csv(args.data, columns=columns)
+    table = load_csv(args.data, columns=columns, markers=args.missing,
+                     header=HEADER_MODES[args.header])
     gaps = _parse_gaps(args.gap)
 
     values = table.values
@@ -200,16 +209,9 @@ def cmd_impute(args) -> int:
         afters.append(normalize(values[start + length:hi], stats))
 
     filled = impute(params, befores, afters, [length for _, length in gaps], args.variant)
-    lines = read_lines(args.data)
-    for (start, _), rows in zip(gaps, filled):
-        for offset, row in enumerate(denormalize(rows, stats)):
-            replace_cells(lines, table.row_lines[start + offset],
-                          {c: repr(float(v)) for c, v in zip(table.file_fields, row)})
-
-    with open(args.out, "w", newline="") as fh:
-        fh.write("".join(lines))
-    filled_rows = sum(length for _, length in gaps)
-    print(f"filled {filled_rows} row(s) across {len(gaps)} gap(s) into {args.out}")
+    rows = [start + k for start, length in gaps for k in range(length)]
+    rewrite_csv(args.out, table, rows, [v for gap in filled for v in denormalize(gap, stats)])
+    print(f"filled {len(rows)} row(s) across {len(gaps)} gap(s) into {args.out}")
     return EXIT_OK
 
 
@@ -223,7 +225,8 @@ def cmd_eval(args) -> int:
         raise ConfigError("eval needs at least one [dataset:NAME] section")
     datasets = []
     for spec in cfg.datasets:
-        table = load_csv(spec.path, columns=spec.columns, markers=spec.missing)
+        table = load_csv(spec.path, columns=spec.columns, markers=spec.missing,
+                         header=HEADER_MODES[spec.header])
         for j, field in enumerate(table.file_fields):
             datasets.append(BenchmarkDataset(f"{spec.name}:{field}", table.select([j])))
     d = cfg.data

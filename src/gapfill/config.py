@@ -10,7 +10,7 @@ import configparser
 import math
 from dataclasses import dataclass, field
 
-from .data import DEFAULT_MISSING_MARKERS
+from .data import DEFAULT_MISSING_MARKERS, HEADER_MODES
 from .eval import DEFAULT_VARIANTS, ModelVariant
 from .model import SCHEDULE_VARIANTS, NetworkConfig
 from .optim import TrainConfig
@@ -29,8 +29,15 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _parse_markers(text: str) -> tuple[str, ...]:
+def parse_markers(text: str) -> tuple[str, ...]:
     return tuple(m.strip() for m in text.split(","))
+
+
+def _parse_header(text: str) -> str:
+    mode = text.strip()
+    if mode not in HEADER_MODES:
+        raise ValueError(f"expected one of {'|'.join(HEADER_MODES)}, got {text!r}")
+    return mode
 
 
 def _parse_variants(text: str) -> tuple[str, ...]:
@@ -77,7 +84,8 @@ _SCHEMA = {
         "path": (str, "", "CSV file to train on"),
         "columns": (str, "0", "comma-separated column names or indices; "
                               "their count must equal model.input_dim"),
-        "missing": (_parse_markers, DEFAULT_MISSING_MARKERS, "comma-separated missing markers"),
+        "missing": (parse_markers, DEFAULT_MISSING_MARKERS, "comma-separated missing markers"),
+        "header": (_parse_header, "auto", "first row holds column names: auto | yes | no"),
         "test_fraction": (float, 0.8, "trailing share of rows reserved for testing"),
         "before_len": (int, 10, "observed rows before the gap"),
         "gap_len": (int, 10, "gap rows to impute"),
@@ -100,7 +108,8 @@ _SCHEMA = {
 _DATASET_KEYS = {
     "path": (str, "", "CSV file for this dataset"),
     "columns": (str, "0", "comma-separated column names or indices, one benchmark row each"),
-    "missing": (_parse_markers, DEFAULT_MISSING_MARKERS, "comma-separated missing markers"),
+    "missing": (parse_markers, DEFAULT_MISSING_MARKERS, "comma-separated missing markers"),
+    "header": (_parse_header, "auto", "first row holds column names: auto | yes | no"),
 }
 
 
@@ -110,6 +119,7 @@ class DatasetSpec:
     path: str
     columns: tuple[str, ...]
     missing: tuple[str, ...]
+    header: str
 
 
 @dataclass
@@ -194,7 +204,8 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
             if not values["path"]:
                 raise ConfigError(f"{section}.path: required")
             columns = tuple(c.strip() for c in values["columns"].split(",") if c.strip())
-            cfg.datasets.append(DatasetSpec(name, values["path"], columns, values["missing"]))
+            cfg.datasets.append(DatasetSpec(name, values["path"], columns, values["missing"],
+                                            values["header"]))
         else:
             raise ConfigError(f"{section}: unknown section")
     _validate(cfg)

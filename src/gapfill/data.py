@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import locale
 import math
 import operator
 import warnings
@@ -21,6 +22,9 @@ from .model import ImputationWindow
 from .numerics import Rng
 
 DEFAULT_MISSING_MARKERS = ("NA", "")
+
+# `header` values of `load_csv` by their name in the CLI and the config
+HEADER_MODES = {"auto": None, "yes": True, "no": False}
 
 SYNTH_KINDS = ("sine", "sum-of-sines", "random-walk")
 
@@ -38,10 +42,14 @@ class SeriesTable:
     values: np.ndarray  # (n_rows, n_cols) float64, NaN where missing
     missing: np.ndarray  # (n_rows, n_cols) bool, True where the cell has no finite value
     # set by load_csv: the file line on which each data row starts (the
-    # header and blank lines hold no data row) and the field index of each
-    # column in the file's records; select keeps both, derived tables drop them
+    # header and blank lines hold no data row), the field index of each
+    # column in the file's records, the file's bytes and the byte offset of
+    # each line (plus the file's size); select keeps them, derived tables
+    # drop them
     row_lines: np.ndarray | None = field(default=None, repr=False, compare=False)
     file_fields: list[int] | None = field(default=None, repr=False, compare=False)
+    source: bytes | None = field(default=None, repr=False, compare=False)
+    line_starts: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_rows(self) -> int:
@@ -58,12 +66,18 @@ class SeriesTable:
         idx = [self.column_index(s) for s in selectors]
         fields = None if self.file_fields is None else [self.file_fields[i] for i in idx]
         return SeriesTable([self.columns[i] for i in idx], self.values[:, idx].copy(),
-                           self.missing[:, idx].copy(), self.row_lines, fields)
+                           self.missing[:, idx].copy(), self.row_lines, fields,
+                           self.source, self.line_starts)
+
+
+def _is_index(sel) -> bool:
+    """A column selector that is an int or a string of decimal digits (maybe negative)."""
+    return isinstance(sel, int) or (isinstance(sel, str) and sel.removeprefix("-").isdecimal())
 
 
 def _column_index(names: list[str], sel) -> int:
     """Resolve a column name, or a zero-based index given as int or decimal string."""
-    if isinstance(sel, int) or (isinstance(sel, str) and sel.removeprefix("-").isdecimal()):
+    if _is_index(sel):
         idx = int(sel)
         if not 0 <= idx < len(names):
             raise DataError(f"column index {idx} out of range (table has {len(names)})")
@@ -81,52 +95,88 @@ def load_csv(
 ) -> SeriesTable:
     """Read a comma-separated file into a SeriesTable.
 
-    `header=None` auto-detects: if any cell of the first row is neither a
-    number nor a missing marker, that row is taken as column names.
+    `header=True` takes the first row as column names and `False` as data.
+    `None` decides from the first row's text, a cell that is neither a
+    number nor a missing marker: no text makes it data; text in a selected
+    column, or anywhere when `columns` is None or names a column, makes it
+    a header; text only in columns an index-only selection leaves out is a
+    DataError, since such a row reads as well as data.
     `columns` restricts and orders the result (names need a header row;
     zero-based indices always work). Only the returned columns are parsed
     as numbers, so other columns may hold any text. A marker, or a cell
     that parses to a non-finite number (nan, inf), reads as missing. Blank
     lines are skipped; the table's `row_lines` map every data row back to
-    its line in the file and its `file_fields` every column to its field in
-    a record.
+    its line in the file, its `file_fields` every column to its field in a
+    record, and its `source` and `line_starts` hold the file for
+    `rewrite_csv`.
+
+    The file is read once. Quote-free ASCII text is parsed with numpy over
+    its bytes; any other text, and any file the numpy path cannot take
+    whole, goes through csv.reader, which alone raises load errors.
     """
     markers = frozenset(m.strip() for m in markers)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        start = 0  # the line the next record starts on
-        for first in reader:
-            if first:
-                break
-            start = reader.line_num
-        else:
-            raise DataError(f"{path}: file has no rows")
-        if header is None:
-            header = not all(_is_number_or_marker(cell, markers) for cell in first)
-        if header:
-            names = [c.strip() for c in first]
-            start, records = reader.line_num, reader
-        else:
-            names = [f"col{i}" for i in range(len(first))]
-            records = itertools.chain([first], reader)
-        width = len(names)
-        bad_selection = None  # raised after the rows: a row error or no rows comes first
-        try:
-            fields = list(range(width)) if columns is None else [_column_index(names, s)
-                                                                 for s in columns]
-        except DataError as exc:
-            bad_selection, fields = exc, []
-        # one field gives a bare cell, several a tuple
-        pick = operator.itemgetter(*fields) if fields else lambda row: ()
-        row_lines, kept = [], []  # only the selected fields of each record are kept
-        for row in records:
-            if row:
-                if len(row) != width:
-                    raise DataError(f"{path}: row {len(kept) + 1} has {len(row)} cells, "
-                                    f"expected {width}")
-                row_lines.append(start)
-                kept.append(pick(row))
-            start = reader.line_num
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    table = _load_fast(raw, columns, markers, header)
+    if table is None:
+        table = _load_records(raw, path, columns, markers, header)
+    return table
+
+
+def _text_encoding() -> str:
+    return locale.getpreferredencoding(False)  # what open() decodes text with
+
+
+def _header_names(first: list[str], columns, markers, header, path) -> list[str] | None:
+    """The column names the first record `first` gives, or None when it is a
+    data row; `header=None` applies the rule `load_csv` states."""
+    if header is None:
+        text = [not _is_number_or_marker(cell, markers) for cell in first]
+        header = any(text)
+        if (header and columns is not None and all(_is_index(s) for s in columns)
+                and not any(text[int(s)] for s in columns if 0 <= int(s) < len(first))):
+            raise DataError(f"{path}: the first row has text only in columns not selected, "
+                            "so it may be a header or data; set header to yes or no")
+    return [c.strip() for c in first] if header else None
+
+
+def _load_records(raw: bytes, path, columns, markers, header) -> SeriesTable:
+    """`load_csv` through csv.reader; every load error is raised here."""
+    encoding = _text_encoding()
+    # the lines csv.reader reads from a file opened as text with newline=""
+    lines = io.StringIO(raw.decode(encoding), newline="").readlines()
+    reader = csv.reader(lines)
+    start = 0  # the line the next record starts on
+    for first in reader:
+        if first:
+            break
+        start = reader.line_num
+    else:
+        raise DataError(f"{path}: file has no rows")
+    names = _header_names(first, columns, markers, header, path)
+    if names is not None:
+        start, records = reader.line_num, reader
+    else:
+        names = [f"col{i}" for i in range(len(first))]
+        records = itertools.chain([first], reader)
+    width = len(names)
+    bad_selection = None  # raised after the rows: a row error or no rows comes first
+    try:
+        fields = list(range(width)) if columns is None else [_column_index(names, s)
+                                                             for s in columns]
+    except DataError as exc:
+        bad_selection, fields = exc, []
+    # one field gives a bare cell, several a tuple
+    pick = operator.itemgetter(*fields) if fields else lambda row: ()
+    row_lines, kept = [], []  # only the selected fields of each record are kept
+    for row in records:
+        if row:
+            if len(row) != width:
+                raise DataError(f"{path}: row {len(kept) + 1} has {len(row)} cells, "
+                                f"expected {width}")
+            row_lines.append(start)
+            kept.append(pick(row))
+        start = reader.line_num
     if not kept:
         raise DataError(f"{path}: no data rows")
     if bad_selection is not None:
@@ -141,10 +191,96 @@ def load_csv(
                                     dtype=np.float64)
         except ValueError:
             raise _first_bad_cell(path, cols, names, fields, markers) from None
+    line_starts = np.cumsum([0] + [len(line.encode(encoding)) for line in lines])
+    return _table(names, fields, values, row_lines, raw, line_starts)
+
+
+# Bytes that keep a file off the numpy path: a quote starts csv quoting, a
+# numpy bytes cell drops trailing NULs, and str.strip strips 0x1c-0x1f
+# where numpy's cast does not. A CR not followed by LF is checked apart.
+_FAST_PATH_STOPS = (b'"', b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def _load_fast(raw: bytes, columns, markers, header) -> SeriesTable | None:
+    """`load_csv` for quote-free ASCII text, or None to read `raw` with csv.reader.
+
+    In such text every non-empty line is one record and every comma ends a
+    field. numpy finds the line and comma offsets, and each selected field
+    is gathered into one fixed-width bytes array, stripped of ASCII
+    whitespace and cast with one `astype(np.float64)`, which parses as
+    float() does. Any problem (uneven widths, a header or selection error,
+    no data rows, a cell the cast rejects) returns None, so that
+    `_load_records` raises its error.
+    """
+    if (not raw.isascii() or any(stop in raw for stop in _FAST_PATH_STOPS)
+            or (b"\r" in raw and raw.count(b"\r") != raw.count(b"\r\n"))):
+        return None
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    ends = _offsets(buf, 10)  # each line's end: its LF, its CR if CRLF, or the end of text
+    line_starts = np.concatenate(([0], ends + 1))
+    if line_starts[-1] != len(raw):  # the last line has no line ending
+        ends, line_starts = np.append(ends, len(raw)), np.append(line_starts, len(raw))
+    crs = _offsets(buf, 13)  # each opens a CRLF ending
+    ends[np.searchsorted(ends, crs)] = crs
+    rec = np.flatnonzero(ends > line_starts[:-1])  # csv.reader skips empty lines
+    starts, ends = line_starts[rec], ends[rec]
+    if not rec.size or (ends - starts).max() > csv.field_size_limit():
+        return None
+    commas = _offsets(buf, 44)
+    first = np.searchsorted(commas, starts)  # each record's first comma
+    last = int(np.searchsorted(commas, ends[0]) - first[0])  # the last field's index
+    if (np.searchsorted(commas, ends) - first != last).any():
+        return None
+    first_row = raw[starts[0]:ends[0]].decode("ascii").split(",")
+    try:
+        names = _header_names(first_row, columns, markers, header, None)
+        if names is None:
+            names = [f"col{i}" for i in range(last + 1)]
+        else:
+            rec, starts, ends, first = rec[1:], starts[1:], ends[1:], first[1:]
+        fields = list(range(last + 1)) if columns is None else [_column_index(names, s)
+                                                                for s in columns]
+    except DataError:
+        return None
+    if not rec.size:
+        return None
+
+    codes = [m.encode("ascii") for m in markers if m.isascii() and "\0" not in m]
+    values = np.empty((rec.size, len(fields)))
+    for f in set(fields):
+        lo = starts if f == 0 else commas[first + f - 1] + 1
+        width = (ends if f == last else commas[first + f]) - lo
+        w = max(1, int(width.max()))
+        # row i is the w bytes from lo[i] (a copy), but no window runs past the end
+        cells = np.lib.stride_tricks.sliding_window_view(buf, w)[np.minimum(lo, buf.size - w)]
+        for i in np.flatnonzero(lo > buf.size - w):
+            cells[i, :width[i]] = buf[lo[i]:lo[i] + width[i]]
+        for k in range(w):  # zero the bytes past each field
+            cells[width <= k, k] = 0
+        cells = np.char.strip(cells.view(f"S{w}").ravel()).astype(f"S{max(w, 3)}", copy=False)
+        for code in codes:
+            cells[cells == code] = b"nan"
+        try:
+            values[:, np.equal(fields, f)] = cells.astype(np.float64)[:, None]
+        except ValueError:
+            return None
+    return _table(names, fields, values, rec, raw, line_starts)
+
+
+def _offsets(buf: np.ndarray, byte: int) -> np.ndarray:
+    """The positions of `byte` in `buf`, found a block at a time so that the
+    comparison's temporary stays small."""
+    block = 1 << 20
+    return np.concatenate([np.flatnonzero(buf[i:i + block] == byte) + i
+                           for i in range(0, buf.size, block)] + [np.empty(0, np.intp)])
+
+
+def _table(names, fields, values, row_lines, source, line_starts) -> SeriesTable:
     missing = ~np.isfinite(values)
     values[missing] = np.nan
     return SeriesTable([names[c] for c in fields], values, missing,
-                       np.array(row_lines, dtype=np.int64), fields)
+                       np.asarray(row_lines, dtype=np.int64), fields, source,
+                       np.asarray(line_starts, dtype=np.int64))
 
 
 def _is_number_or_marker(cell: str, markers) -> bool:
@@ -185,30 +321,40 @@ def write_csv(path, table: SeriesTable, markers: tuple[str, ...] = DEFAULT_MISSI
         writer.writerows(zip(*cols))
 
 
-def read_lines(path) -> list[str]:
-    """The file's physical lines with their endings, split as `load_csv` splits them."""
-    with open(path, newline="") as fh:
-        return fh.readlines()
+def rewrite_csv(path, table: SeriesTable, rows, values) -> None:
+    """Write the file `table` was loaded from to `path`, with the table's
+    columns in data rows `rows` (increasing) set to `values`, one sequence
+    of `n_cols` numbers per row, each written as `repr(float(v))`.
 
-
-def replace_cells(lines: list[str], start: int, cells: dict[int, str]) -> None:
-    """Rewrite cells of the CSV record starting at `lines[start]`, in place.
-
-    The record is re-parsed and re-written with the csv module: its other
-    cells keep their values, its line ending is kept, and only cells that
-    need quotes are quoted. The number of lines stays the same, so the
-    line numbers of other records stay valid.
+    Each such record is re-parsed and re-written with the csv module: its
+    other cells keep their values, its line ending is kept, and only cells
+    that need quotes are quoted. The bytes between these records are
+    copied through, each run in one write.
     """
-    reader = csv.reader(lines[i] for i in range(start, len(lines)))
-    record = next(reader)
-    end = start + reader.line_num
-    for col, text in cells.items():
-        record[col] = text
-    ending = lines[end - 1][len(lines[end - 1].rstrip("\r\n")):]
-    out = io.StringIO()
-    # "\r\n" makes the writer quote any cell holding a line break
-    csv.writer(out, lineterminator="\r\n").writerow(record)
-    lines[start:end] = [out.getvalue()[:-2] + ending] + [""] * (end - start - 1)
+    raw, starts = table.source, table.line_starts
+    if raw is None:
+        raise DataError("rewrite_csv needs a table read by load_csv")
+    encoding = _text_encoding()
+    view = memoryview(raw)
+    with open(path, "wb") as fh:
+        done = 0
+        for r, row in zip(rows, values):
+            line = int(table.row_lines[r])
+            reader = csv.reader(raw[starts[i]:starts[i + 1]].decode(encoding)
+                                for i in range(line, len(starts) - 1))
+            record = next(reader)
+            for col, v in zip(table.file_fields, row):
+                record[col] = repr(float(v))
+            end = line + reader.line_num
+            last_line = raw[starts[end - 1]:starts[end]].decode(encoding)
+            out = io.StringIO()
+            # "\r\n" makes the writer quote any cell holding a line break
+            csv.writer(out, lineterminator="\r\n").writerow(record)
+            ending = last_line[len(last_line.rstrip("\r\n")):]
+            fh.write(view[done:starts[line]])
+            fh.write((out.getvalue()[:-2] + ending).encode(encoding))
+            done = starts[end]
+        fh.write(view[done:])
 
 
 def split_train_test(table: SeriesTable, test_fraction: float) -> tuple[SeriesTable, SeriesTable]:
@@ -317,6 +463,10 @@ def synth(kind: str, n: int, noise_std: float = 0.0, seed: int = 0, period: floa
     """
     if n < 1:
         raise DataError("n must be >= 1")
+    if not (math.isfinite(period) and period > 0):
+        raise DataError(f"period must be finite and > 0, got {period}")
+    if not (math.isfinite(noise_std) and noise_std >= 0):
+        raise DataError(f"noise standard deviation must be finite and >= 0, got {noise_std}")
     if kind not in SYNTH_KINDS:
         raise DataError(f"unknown synthetic kind {kind!r}; expected one of {SYNTH_KINDS}")
     rng = Rng(seed)

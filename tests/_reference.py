@@ -7,6 +7,7 @@ rather than tautology.
 """
 
 import csv
+import io
 import math
 
 import numpy as np
@@ -385,7 +386,10 @@ def init_params_scalar(seed, input_dim, hidden_dim, merge_hidden):
 
 def load_csv_scalar(path, columns=None, markers=("NA", ""), header=None):
     """`load_csv` one cell at a time: `float(cell.strip())`, markers compared after strip;
-    a marker or a non-finite number is missing and reads as NaN.
+    a marker or a non-finite number is missing and reads as NaN. With
+    `header=None` a first row without text is data; with text in a selected
+    cell, or anywhere when every column is selected or a column is chosen by
+    name, it is the header; otherwise the call is an error.
 
     Returns (names, values, missing, row_lines, fields) as lists; raises
     ValueError with the message `load_csv` gives. Only the selected columns
@@ -419,7 +423,16 @@ def load_csv_scalar(path, columns=None, markers=("NA", ""), header=None):
                                         and sel.removeprefix("-").isdecimal())
 
     if header is None:
-        header = not all(numeric_or_marker(cell) for cell in rows[0])
+        text = [c for c, cell in enumerate(rows[0]) if not numeric_or_marker(cell)]
+        if not text:
+            header = False
+        elif columns is None or any(not is_index(sel) for sel in columns):
+            header = True
+        elif any(int(sel) in text for sel in columns):
+            header = True
+        else:
+            raise ValueError(f"{path}: the first row has text only in columns not selected, "
+                             "so it may be a header or data; set header to yes or no")
     if header:
         names = [cell.strip() for cell in rows[0]]
         rows, row_lines = rows[1:], row_lines[1:]
@@ -461,3 +474,28 @@ def load_csv_scalar(path, columns=None, markers=("NA", ""), header=None):
     values = [[parsed[r, c][0] for c in fields] for r in range(len(rows))]
     missing = [[parsed[r, c][1] for c in fields] for r in range(len(rows))]
     return [names[c] for c in fields], values, missing, row_lines, fields
+
+
+def rewrite_lines(path, row_lines, fields, rows, values):
+    """The text of `path` with the cells at `fields` of the data rows `rows`
+    set to `repr(float(v))` of `values`, a record at a time.
+
+    The file is split into its physical lines; each record is re-parsed from
+    its first line with csv.reader and re-written with csv.writer, keeping
+    its line ending, and its other lines are emptied, so the line numbers of
+    later records stay valid.
+    """
+    with open(path, newline="") as fh:
+        lines = fh.readlines()
+    for r, row in zip(rows, values):
+        start = row_lines[r]
+        reader = csv.reader(lines[i] for i in range(start, len(lines)))
+        record = next(reader)
+        end = start + reader.line_num
+        for col, v in zip(fields, row):
+            record[col] = repr(float(v))
+        ending = lines[end - 1][len(lines[end - 1].rstrip("\r\n")):]
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\r\n").writerow(record)
+        lines[start:end] = [out.getvalue()[:-2] + ending] + [""] * (end - start - 1)
+    return "".join(lines)

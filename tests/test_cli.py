@@ -44,6 +44,12 @@ def sine_csv(tmp_path):
     return path
 
 
+def untrained_checkpoint(path, input_dim=1):
+    params = init_model_params(NetworkConfig(input_dim=input_dim, hidden_dim=2), Rng(0))
+    save_checkpoint(path, params, NormStats(np.zeros(input_dim), np.ones(input_dim)))
+    return path
+
+
 def write_train_cfg(tmp_path, data, lr="0.005"):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(TRAIN_CFG.format(data=data, lr=lr,
@@ -72,6 +78,14 @@ class TestSynth:
         direct = synth("random-walk", 50, noise_std=0.3, seed=1)
         loaded = load_csv(out)
         assert np.allclose(loaded.values, direct.values, atol=1e-12, rtol=0)
+
+    @pytest.mark.parametrize("flags", [["--period", "0"], ["--period", "nan"],
+                                       ["--noise", "-1"], ["--noise", "nan"]])
+    def test_bad_period_or_noise_is_a_usage_error(self, tmp_path, capsys, flags):
+        out = tmp_path / "s.csv"
+        assert main(["synth", "--n", "20", *flags, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
 
 class TestTrain:
@@ -103,6 +117,19 @@ class TestTrain:
             assert main(["train", "--config", str(cfg)]) == 0, cell
             checkpoints.append((tmp_path / "model.ckpt").read_bytes())
         assert checkpoints[1:] == checkpoints[:1] * 3
+
+    def test_data_header_key_reads_a_numeric_header_row(self, tmp_path, sine_csv, capsys):
+        # a sensor id as the selected column's name: the first row reads as data too
+        lines = sine_csv.read_text().splitlines(keepends=True)
+        data = tmp_path / "ids.csv"
+        data.write_text("".join(["time,101\n"] + [f"t{r},{line}" for r, line in
+                                                   enumerate(lines[1:])]))
+        cfg = write_train_cfg(tmp_path, data)
+        cfg.write_text(cfg.read_text().replace("[data]\n", "[data]\ncolumns = 1\n"))
+        assert main(["train", "--config", str(cfg)]) == 1
+        assert "set header to yes or no" in capsys.readouterr().err
+        cfg.write_text(cfg.read_text().replace("[data]\n", "[data]\nheader = yes\n"))
+        assert main(["train", "--config", str(cfg)]) == 0
 
     def test_missing_data_file_is_clean_error(self, tmp_path, capsys):
         cfg = write_train_cfg(tmp_path, tmp_path / "absent.csv")
@@ -294,6 +321,37 @@ class TestImpute:
         assert main(["impute", "--checkpoint", str(trained), "--data", str(sine_csv),
                      "--gap", "50:3", "--column", "\u00b2", "--out", str(tmp_path / "x.csv")]) == 1
         assert "unknown column" in capsys.readouterr().err
+
+    def test_headerless_file_with_a_timestamp_column_is_not_shifted(self, tmp_path, capsys):
+        ckpt = untrained_checkpoint(tmp_path / "m.ckpt")
+        data, out = tmp_path / "stamped.csv", tmp_path / "filled.csv"
+        lines = [f"2020-01-01T{r:02d}:00,{r}.5\n" for r in range(12)]
+        data.write_text("".join(lines))
+        args = ["impute", "--checkpoint", str(ckpt), "--data", str(data), "--column", "1",
+                "--gap", "4:2", "--context", "2", "--out", str(out)]
+        assert main(args) == 1  # auto: the first row may be a header or data
+        assert "set header to yes or no" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(args + ["--header", "no"]) == 0
+        filled = out.read_text().splitlines(keepends=True)
+        changed = [i for i, (a, b) in enumerate(zip(lines, filled)) if a != b]
+        assert changed == [4, 5] and len(filled) == 12
+        assert all(filled[i].startswith(f"2020-01-01T{i:02d}:00,") for i in changed)
+
+    def test_missing_flag_reads_the_training_markers(self, tmp_path, capsys):
+        # a model trained with data.missing = -999 meets a file with -999 at data row 49
+        ckpt = untrained_checkpoint(tmp_path / "m.ckpt")
+        data = tmp_path / "holed.csv"
+        rows = [repr(math.sin(r / 5)) for r in range(200)]
+        rows[49] = "-999"
+        data.write_text("value\n" + "\n".join(rows) + "\n")
+        args = ["impute", "--checkpoint", str(ckpt), "--data", str(data),
+                "--out", str(tmp_path / "out.csv")]
+        assert main(args + ["--missing=-999", "--gap", "52:2", "--context", "3"]) == 1
+        assert "context rows must be observed" in capsys.readouterr().err
+        assert main(args + ["--missing=NA,-999", "--gap", "49:1", "--context", "3"]) == 0
+        filled = load_csv(tmp_path / "out.csv", markers=("-999",)).values[:, 0]
+        assert np.isfinite(filled).all() and filled[49] != -999.0
 
     def test_non_numeric_timestamp_column_is_copied_through(self, tmp_path, sine_csv, trained):
         lines = sine_csv.read_text().splitlines(keepends=True)

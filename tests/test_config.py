@@ -111,6 +111,17 @@ missing = NA,-1
     assert cfg.datasets[1].missing == ("NA", "-1")
 
 
+def test_header_modes_parse():
+    cfg = parse_config_text("[data]\nheader = no\n[dataset:a]\npath = a.csv\nheader = yes\n"
+                            "[dataset:b]\npath = b.csv\n")
+    assert cfg.data["header"] == "no"
+    assert [d.header for d in cfg.datasets] == ["yes", "auto"]
+    assert default_config().data["header"] == "auto"
+    for section in ("[data]", "[dataset:a]\npath = a.csv"):
+        with pytest.raises(ConfigError, match=r"header: expected one of auto\|yes\|no"):
+            parse_config_text(f"{section}\nheader = true\n")
+
+
 def test_dataset_needs_path():
     with pytest.raises(ConfigError, match=r"dataset:x\.path"):
         parse_config_text("[dataset:x]\ncolumns = 0\n")

@@ -11,18 +11,21 @@ from gapfill.data import (
     DataError,
     SeriesTable,
     WindowSpec,
+    _load_fast,
+    _load_records,
     compute_norm_stats,
     denormalize,
     extract_windows,
     load_csv,
     normalize,
     normalize_table,
+    rewrite_csv,
     split_train_test,
     synth,
     write_csv,
 )
 
-from _reference import enumerate_window_starts, load_csv_scalar
+from _reference import enumerate_window_starts, load_csv_scalar, rewrite_lines
 
 
 def make_table(values, missing=None):
@@ -134,7 +137,7 @@ class TestLoadCsv:
     def test_header_with_a_numeric_selected_name_is_kept(self, tmp_path):
         path = tmp_path / "a.csv"
         path.write_text("time,101\n2020-01-01T00:00,1.5\n2020-01-01T01:00,NA\n")
-        table = load_csv(path, columns=[1])
+        table = load_csv(path, columns=[1], header=True)
         assert table.columns == ["101"] and table.file_fields == [1]
         assert table.row_lines.tolist() == [1, 2]
         assert table.values[0, 0] == 1.5 and table.missing[1, 0]
@@ -142,14 +145,14 @@ class TestLoadCsv:
     def test_header_with_an_empty_selected_name_is_kept(self, tmp_path):
         path = tmp_path / "a.csv"
         path.write_text(",value\n0,1.5\n1,2.5\n")
-        table = load_csv(path, columns=[0])
+        table = load_csv(path, columns=[0], header=True)
         assert table.columns == [""] and table.row_lines.tolist() == [1, 2]
         assert table.values[:, 0].tolist() == [0.0, 1.0]
 
     def test_empty_and_repeated_selections(self, tmp_path):
         path = tmp_path / "a.csv"
         path.write_text("a,b\n\n1,x\n3,4\n")
-        empty = load_csv(path, columns=[])
+        empty = load_csv(path, columns=[], header=True)
         assert empty.values.shape == (2, 0) and empty.row_lines.tolist() == [2, 3]
         twice = load_csv(path, columns=["a", 0])
         assert twice.values.tolist() == [[1.0, 1.0], [3.0, 3.0]] and twice.file_fields == [0, 0]
@@ -161,6 +164,17 @@ class TestLoadCsv:
         assert table.file_fields == [2, 0]
         assert table.select(["a"]).file_fields == [0]
         assert table.select([0]).file_fields == [2]
+
+    def test_text_only_in_unselected_columns_needs_a_header_mode(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text("2020-01-01T00:00,0.5\n2020-01-01T01:00,1.5\n2020-01-01T02:00,2.5\n")
+        with pytest.raises(DataError, match="set header to yes or no"):
+            load_csv(path, columns=[1])
+        data = load_csv(path, columns=[1], header=False)
+        assert data.values[:, 0].tolist() == [0.5, 1.5, 2.5]
+        assert data.row_lines.tolist() == [0, 1, 2]
+        named = load_csv(path, columns=[1], header=True)
+        assert named.columns == ["0.5"] and named.values[:, 0].tolist() == [1.5, 2.5]
 
     @pytest.mark.parametrize("sel", ["\u00b2", "--1", "1.0"])
     def test_non_decimal_selector_is_a_name(self, tmp_path, sel):
@@ -202,6 +216,7 @@ def _csv_files(draw):
     # header names may look like numbers (sensor ids) or be empty
     names = [draw(st.sampled_from([f"h{c}", f"{101 + c}", ""])) for c in range(n_cols)]
     lines = [",".join(names)] if header else []
+    mode = draw(st.sampled_from([None, None, True, False]))
     all_bad = draw(st.integers(-n_rows, n_rows - 1))  # a row of bad cells when >= 0
     for r in range(n_rows):
         cells = []
@@ -227,33 +242,145 @@ def _csv_files(draw):
                  for _ in picked]
         columns = [c if k == "int" else str(c) if k == "str" else names[c]
                    for c, k in zip(picked, kinds)]
-    return text, markers, columns
+    return text, markers, columns, mode
 
 
 @given(_csv_files())
-@example(("\nbogus", ("NA", ""), [""]))  # no data rows and an unknown column: rows first
-@example(("a,b\n1\n", ("NA", ""), ["c"]))  # a short row and an unknown column: rows first
+@example(("\nbogus", ("NA", ""), [""], None))  # no data rows and an unknown column: rows first
+@example(("a,b\n1\n", ("NA", ""), ["c"], None))  # a short row and an unknown column: rows first
+@example(("t,1\nx,2\n", ("NA", ""), [1], None))  # text only in an unselected column
 @settings(max_examples=400, deadline=None)
 def test_load_csv_matches_the_per_cell_oracle(case):
-    text, markers, columns = case
+    text, markers, columns, header = case
     with tempfile.TemporaryDirectory() as work:
         path = os.path.join(work, "in.csv")
         with open(path, "w", newline="") as fh:
             fh.write(text)
         try:
-            names, values, missing, row_lines, fields = load_csv_scalar(path, columns, markers)
+            names, values, missing, row_lines, fields = load_csv_scalar(path, columns, markers,
+                                                                        header)
         except ValueError as exc:
             with pytest.raises(DataError) as got:
-                load_csv(path, columns=columns, markers=markers)
+                load_csv(path, columns=columns, markers=markers, header=header)
             assert str(got.value) == str(exc)
             return
-        table = load_csv(path, columns=columns, markers=markers)
+        table = load_csv(path, columns=columns, markers=markers, header=header)
     assert table.columns == names
     assert table.file_fields == fields
     assert table.row_lines.tolist() == row_lines
     assert table.missing.tolist() == missing
     want = b"".join(struct.pack("=d", v) for row in values for v in row)
     assert table.values.dtype == np.float64 and table.values.tobytes() == want
+
+
+# text that sends a file to the csv.reader path, or tests the numpy path's edges
+_EDGES = ['"', '"7"', '"1,5"', "\r", "\r\n", "\n", "\n\n", "\x1c", "\x1d", "\x1e", "\x1f",
+          "\x1b", "\x0b", "\x0c", "\t", " ", "\x00", ",", "1_0", "nan", "-inf", "NA",
+          "\u00e9", "\u00a0", "\u2028"]
+
+
+@st.composite
+def _ingest_cases(draw):
+    """A `_csv_files` case as bytes, with up to three edge strings spliced in anywhere."""
+    text, markers, columns, header = draw(_csv_files())
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(_EDGES)) + text[at:]
+    return text.encode(), markers, columns, header
+
+
+def _same_table(a, b):
+    assert a.columns == b.columns and a.file_fields == b.file_fields
+    assert a.values.tobytes() == b.values.tobytes()
+    assert np.array_equal(a.missing, b.missing)
+    assert np.array_equal(a.row_lines, b.row_lines) and a.row_lines.dtype == b.row_lines.dtype
+    assert a.source == b.source
+    assert np.array_equal(a.line_starts, b.line_starts)
+
+
+@given(_ingest_cases())
+@example((b"1.5\x1c\n2\n", ("NA", ""), None, None))  # str.strip strips 0x1c, numpy does not
+@example((b"t,v\n1\x1c,2\n", ("NA", ""), ["v"], None))  # 0x1c in a column not parsed
+@example((b"1_0\r\n\r\n 2 ,x\r\n", ("NA", ""), [0], False))
+@example((b"a,b\n1,2\n3\n", ("NA", ""), None, None))  # a short row
+@example((b"a,b\n1,2\r3,4\n", ("NA", ""), None, None))  # a lone CR ends a line
+@settings(max_examples=400, deadline=None)
+def test_numpy_path_matches_the_csv_reader_path(case):
+    raw, markers, columns, header = case
+    markers = frozenset(m.strip() for m in markers)
+    fast = _load_fast(raw, columns, markers, header)
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "in.csv")
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        try:
+            want = _load_records(raw, path, columns, markers, header)
+        except DataError as exc:
+            assert fast is None
+            with pytest.raises(DataError) as got:
+                load_csv(path, columns=columns, markers=markers, header=header)
+            assert str(got.value) == str(exc)
+            return
+        got = load_csv(path, columns=columns, markers=markers, header=header)
+    _same_table(got, want)
+    # quote-free ASCII without NUL, 0x1c-0x1f or a lone CR never falls back
+    eligible = (raw.isascii() and not any(c in raw for c in b'"\x00\x1c\x1d\x1e\x1f')
+                and raw.count(b"\r") == raw.count(b"\r\n"))
+    assert (fast is not None) == eligible
+    if fast is not None:
+        _same_table(fast, want)
+
+
+@st.composite
+def _rewrite_cases(draw):
+    """A CSV with quoted, multi-line and non-ASCII cells, blank lines, LF, CRLF or
+    CR endings; the value column; and the data rows to rewrite with their values."""
+    n_rows, n_cols = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    column = draw(st.integers(0, n_cols - 1))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    header = draw(st.booleans())
+    lines = [",".join(['"h,0"'] + [f"h{c}" for c in range(1, n_cols)])] if header else []
+    for _ in range(n_rows):
+        cells = []
+        for c in range(n_cols):
+            x = repr(draw(st.integers(-99, 99)) / 4)
+            if c == column:
+                cells.append(draw(st.sampled_from([x, f'"{x}"', f'"{x}\n"', f" {x} ", "NA"])))
+            else:
+                cells.append(draw(st.sampled_from([x, "t", '"a,b"', '"x\r\ny"', '"q""q"',
+                                                   "\u00e9", "", '"\n"'])))
+        lines.append(",".join(cells))
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    text = eol.join(lines) + draw(st.sampled_from(["", eol]))
+    rows = sorted(draw(st.sets(st.integers(0, n_rows - 1))))
+    values = [[draw(st.floats(allow_nan=False, width=64))] for _ in rows]
+    return text, column, header, rows, values
+
+
+@given(_rewrite_cases())
+@settings(max_examples=200, deadline=None)
+def test_rewrite_csv_matches_the_line_by_line_oracle(case):
+    text, column, header, rows, values = case
+    with tempfile.TemporaryDirectory() as work:
+        path, out, ref = (os.path.join(work, n) for n in ("in.csv", "out.csv", "ref.csv"))
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        _, _, _, row_lines, fields = load_csv_scalar(path, [column], header=header)
+        with open(ref, "w", newline="") as fh:
+            fh.write(rewrite_lines(path, row_lines, fields, rows, values))
+        rewrite_csv(out, load_csv(path, columns=[column], header=header), rows, values)
+        with open(out, "rb") as got, open(ref, "rb") as want:
+            assert got.read() == want.read()
+
+
+def test_rewrite_csv_keeps_a_multi_line_record_whole(tmp_path):
+    path, out = tmp_path / "in.csv", tmp_path / "out.csv"
+    path.write_bytes(b'v,note\r\n1,"a\r\nb"\r\n2,x\n\n3,"c,d"')
+    table = load_csv(path, columns=["v"])
+    assert table.row_lines.tolist() == [1, 3, 5]
+    rewrite_csv(out, table, [0, 2], [[0.25], [-4.0]])
+    assert out.read_bytes() == b'v,note\r\n0.25,"a\r\nb"\r\n2,x\n\n-4.0,"c,d"'
 
 
 class TestSplit:
@@ -390,6 +517,16 @@ class TestSynth:
     def test_unknown_kind(self):
         with pytest.raises(DataError):
             synth("sawtooth", 10)
+
+    @pytest.mark.parametrize("period", [0.0, -50.0, float("nan"), float("inf")])
+    def test_period_must_be_finite_and_positive(self, period):
+        with pytest.raises(DataError, match="period"):
+            synth("sine", 10, period=period)
+
+    @pytest.mark.parametrize("noise", [-1.0, float("nan"), float("inf")])
+    def test_noise_must_be_finite_and_non_negative(self, noise):
+        with pytest.raises(DataError, match="noise"):
+            synth("random-walk", 10, noise_std=noise)
 
 
 def test_norm_stats_ignore_test_rows():
