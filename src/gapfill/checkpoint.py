@@ -14,12 +14,19 @@ Layout (all integers little-endian, all floats IEEE-754 binary64 LE):
     u32       number of normalization columns
     f64[n]    per-column means
     f64[n]    per-column standard deviations
-    f64[...]  every parameter tensor, row-major, in canonical order
+    f64[...]  every parameter, in the order of `model.file_order`
 
-The tensors follow `model.iter_params`: per gate (w_i ... b_o) for each
-LSTM cell, then the heads and the merge layers. That file order differs
-from the in-memory order of `ModelParams.flat`, whose cells hold their
-gates fused; save and load go through the per-gate views.
+The file lists each LSTM cell gate by gate (w_i ... w_o, u_i ... u_o,
+b_i ... b_o), then the heads and the merge layers. `ModelParams.flat`
+holds each cell's gates fused instead, and the one permutation
+`model.file_order` maps the arena onto the file: a save writes the header
+and one gather of `flat`, a load is one length check, one read of the
+payload and one scatter.
+
+A load checks the header and the file length before it allocates the
+parameters, and rejects a flag byte other than 0 or 1, a non-finite mean,
+a standard deviation that is not finite and positive, and a non-finite
+parameter, none of which a trained model writes.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from .model import (
     SCHEDULE_VARIANTS,
     ModelParams,
     NetworkConfig,
+    file_order,
     iter_params,
     n_params,
     params_from_flat,
@@ -40,6 +48,8 @@ from .model import (
 
 MAGIC = b"GAPFILL\x00"
 FORMAT_VERSION = 1
+# magic, version, input_dim, hidden_dim, 4 flag bytes, merge width, normalization columns
+_HEADER = struct.Struct("<8sIIIBBBBII")
 
 
 class CheckpointError(ValueError):
@@ -48,59 +58,31 @@ class CheckpointError(ValueError):
 
 def save_checkpoint(path, params: ModelParams, stats: NormStats) -> None:
     cfg = params.config
-    parts = [MAGIC]
-    parts.append(struct.pack("<III", FORMAT_VERSION, cfg.input_dim, cfg.hidden_dim))
-    parts.append(struct.pack(
-        "<BBBB",
-        SCHEDULE_VARIANTS.index(cfg.schedule_variant),
-        1 if cfg.merge_hidden > 0 else 0,
-        1 if cfg.forward_only else 0,
-        0,
-    ))
-    parts.append(struct.pack("<II", cfg.merge_hidden, stats.mean.shape[0]))
-    parts.append(np.asarray(stats.mean, dtype="<f8").tobytes())
-    parts.append(np.asarray(stats.std, dtype="<f8").tobytes())
-    for _, tensor in iter_params(params):
-        parts.append(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
+    header = _HEADER.pack(MAGIC, FORMAT_VERSION, cfg.input_dim, cfg.hidden_dim,
+                          SCHEDULE_VARIANTS.index(cfg.schedule_variant),
+                          1 if cfg.merge_hidden > 0 else 0, 1 if cfg.forward_only else 0, 0,
+                          cfg.merge_hidden, len(stats.mean))
+    norm = np.concatenate([stats.mean, stats.std]).astype("<f8")
     with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
-
-
-class _Reader:
-    def __init__(self, buf: bytes, path):
-        self.buf = buf
-        self.pos = 0
-        self.path = path
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.buf):
-            raise CheckpointError(f"{self.path}: truncated checkpoint")
-        out = self.buf[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-    def floats(self, shape) -> np.ndarray:
-        count = int(np.prod(shape))
-        raw = self.take(8 * count)
-        return np.frombuffer(raw, dtype="<f8", count=count).astype(np.float64).reshape(shape)
+        fh.write(header + norm.tobytes())
+        fh.write(params.flat[file_order(cfg)].astype("<f8", copy=False))
 
 
 def load_checkpoint(path) -> tuple[ModelParams, NormStats]:
     with open(path, "rb") as fh:
         buf = fh.read()
-    r = _Reader(buf, path)
-    if r.take(len(MAGIC)) != MAGIC:
+    if buf[:len(MAGIC)] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
-    version, input_dim, hidden_dim = r.unpack("<III")
+    if len(buf) < _HEADER.size:
+        raise CheckpointError(f"{path}: truncated checkpoint")
+    (_, version, input_dim, hidden_dim, variant_code, merge_mlp, forward_only, _reserved,
+     merge_hidden, n_cols) = _HEADER.unpack_from(buf)
     if version != FORMAT_VERSION:
         raise CheckpointError(f"{path}: unsupported format version {version}")
-    variant_code, merge_mlp, forward_only, _reserved = r.unpack("<BBBB")
     if variant_code >= len(SCHEDULE_VARIANTS):
         raise CheckpointError(f"{path}: unknown schedule variant code {variant_code}")
-    merge_hidden, n_cols = r.unpack("<II")
+    if forward_only > 1:
+        raise CheckpointError(f"{path}: forward-only flag is {forward_only}, not 0 or 1")
     if merge_mlp != (1 if merge_hidden > 0 else 0):
         raise CheckpointError(f"{path}: merge flag disagrees with merge width {merge_hidden}")
     for name, value in (("input_dim", input_dim), ("hidden_dim", hidden_dim), ("n_cols", n_cols)):
@@ -108,8 +90,6 @@ def load_checkpoint(path) -> tuple[ModelParams, NormStats]:
             raise CheckpointError(f"{path}: header field {name} is 0")
     if n_cols != input_dim:
         raise CheckpointError(f"{path}: {n_cols} normalization columns for input_dim {input_dim}")
-    mean = r.floats((n_cols,))
-    std = r.floats((n_cols,))
     cfg = NetworkConfig(
         input_dim=input_dim,
         hidden_dim=hidden_dim,
@@ -117,9 +97,21 @@ def load_checkpoint(path) -> tuple[ModelParams, NormStats]:
         merge_hidden=merge_hidden,
         forward_only=bool(forward_only),
     )
+    size = _HEADER.size + 8 * (2 * n_cols + n_params(cfg))
+    if len(buf) < size:
+        raise CheckpointError(f"{path}: truncated checkpoint: input_dim {input_dim} and "
+                              f"hidden_dim {hidden_dim} need {size} bytes, the file has {len(buf)}")
+    if len(buf) > size:
+        raise CheckpointError(f"{path}: {len(buf) - size} unexpected trailing bytes")
+    floats = np.frombuffer(buf, dtype="<f8", offset=_HEADER.size)
+    mean, std = floats[:n_cols].astype(np.float64), floats[n_cols:2 * n_cols].astype(np.float64)
+    if not np.all(np.isfinite(mean)):
+        raise CheckpointError(f"{path}: non-finite normalization mean")
+    if not np.all(np.isfinite(std) & (std > 0)):
+        raise CheckpointError(f"{path}: normalization std must be finite and positive")
     params = params_from_flat(cfg, np.empty(n_params(cfg)))
-    for _, tensor in iter_params(params):
-        tensor[...] = r.floats(tensor.shape)
-    if r.pos != len(buf):
-        raise CheckpointError(f"{path}: {len(buf) - r.pos} unexpected trailing bytes")
+    params.flat[file_order(cfg)] = floats[2 * n_cols:]
+    if not np.all(np.isfinite(params.flat)):
+        name = next(name for name, t in iter_params(params) if not np.all(np.isfinite(t)))
+        raise CheckpointError(f"{path}: non-finite value in parameter {name}")
     return params, NormStats(mean, std)

@@ -273,7 +273,8 @@ def cmd_gradcheck(args) -> int:
     for inst in report.instances:
         print(f"dims {inst.input_dim}x{inst.hidden_dim} gap {inst.gap_len} "
               f"windows {inst.windows} "
-              f"{inst.variant:<8} merge_mlp {inst.merge_hidden}: "
+              f"{inst.variant:<8} merge_mlp {inst.merge_hidden} "
+              f"forward_only {int(inst.forward_only)}: "
               f"max rel err {inst.max_rel_err:.3e} ({inst.worst_path})")
     status = "PASS" if report.passed else "FAIL"
     print(f"{status}: max relative error {report.max_rel_err:.3e} "

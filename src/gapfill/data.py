@@ -140,14 +140,29 @@ def _header_names(first: list[str], columns, markers, header, path) -> list[str]
     return [c.strip() for c in first] if header else None
 
 
+def _csv_records(reader, path):
+    """The records of csv `reader`; a csv.Error is a DataError at its line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def _load_records(raw: bytes, path, columns, markers, header) -> SeriesTable:
     """`load_csv` through csv.reader; every load error is raised here."""
     encoding = _text_encoding()
+    try:
+        text = raw.decode(encoding)
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path}: line {line}: byte 0x{raw[exc.start]:02x} "
+                        f"is not {encoding} text") from None
     # the lines csv.reader reads from a file opened as text with newline=""
-    lines = io.StringIO(raw.decode(encoding), newline="").readlines()
+    lines = io.StringIO(text, newline="").readlines()
     reader = csv.reader(lines)
+    rows = _csv_records(reader, path)
     start = 0  # the line the next record starts on
-    for first in reader:
+    for first in rows:
         if first:
             break
         start = reader.line_num
@@ -155,10 +170,10 @@ def _load_records(raw: bytes, path, columns, markers, header) -> SeriesTable:
         raise DataError(f"{path}: file has no rows")
     names = _header_names(first, columns, markers, header, path)
     if names is not None:
-        start, records = reader.line_num, reader
+        start, records = reader.line_num, rows
     else:
         names = [f"col{i}" for i in range(len(first))]
-        records = itertools.chain([first], reader)
+        records = itertools.chain([first], rows)
     width = len(names)
     bad_selection = None  # raised after the rows: a row error or no rows comes first
     try:

@@ -13,16 +13,16 @@ The four gates are stored fused: one (4h, d+h) weight acting on the
 concatenation [x, h] and one 4h bias, with gate blocks in the order i, f,
 o, g so the three sigmoid gates form one contiguous slice. A step is then
 one matrix product for a whole batch of B states held as (B, .) rows. The
-per-gate tensors `w_i` ... `b_o` are views into the fused arrays, so
-reading or editing them in place reads or edits the cell.
+fused arrays are the cell's only layout; the per-gate order of checkpoint
+files is a permutation of them (`model.file_order`).
 
 S independent cells can run as one: a stacked cell holds (S, 4h, d+h)
 weights and (S, 4h) biases, its states and inputs are (S, B, .) arrays,
 and each step is one batched matrix product over the stream axis.
 
-Weights are drawn Uniform(-k, k) with k = 1/sqrt(hidden_dim); biases start
-at zero except the forget bias, which starts at 1 so early training does
-not erase the cell memory.
+`model.init_model_params` draws the weights Uniform(-k, k) with
+k = 1/sqrt(hidden_dim); biases start at zero except the forget bias, which
+starts at 1 so early training does not erase the cell memory.
 """
 
 from __future__ import annotations
@@ -31,33 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Rng, ShapeError, sigmoid
-
-# Field order is the canonical parameter order (checkpoints, optimizer walks).
-PARAM_FIELDS = (
-    "w_i", "w_f", "w_g", "w_o",
-    "u_i", "u_f", "u_g", "u_o",
-    "b_i", "b_f", "b_g", "b_o",
-)
-
-# block of each gate in the fused arrays: the sigmoid gates first, then g
-_GATE_BLOCK = {"i": 0, "f": 1, "o": 2, "g": 3}
-
-
-def _gate_view(name: str) -> property:
-    kind, block = name[0], _GATE_BLOCK[name[2]]
-
-    def get(self) -> np.ndarray:
-        h, d = self.hidden_dim, self.input_dim
-        rows = slice(block * h, (block + 1) * h)
-        if kind == "b":
-            return self.b[..., rows]
-        return self.w[..., rows, :d] if kind == "w" else self.w[..., rows, d:]
-
-    def set(self, value) -> None:
-        get(self)[...] = value
-
-    return property(get, set, doc=f"view of the {name} block of the fused arrays")
+from .numerics import ShapeError, sigmoid
 
 
 class LstmParams:
@@ -73,10 +47,6 @@ class LstmParams:
             raise ShapeError(f"fused weight {w.shape} and bias {b.shape} do not form a cell")
         self.w, self.b = w, b
 
-    def fields(self) -> dict[str, np.ndarray]:
-        """The per-gate views, keyed in PARAM_FIELDS order."""
-        return {name: getattr(self, name) for name in PARAM_FIELDS}
-
     @property
     def input_dim(self) -> int:
         return self.w.shape[-1] - self.hidden_dim
@@ -84,10 +54,6 @@ class LstmParams:
     @property
     def hidden_dim(self) -> int:
         return self.b.shape[-1] // 4
-
-    w_i, w_f, w_g, w_o = (_gate_view(n) for n in PARAM_FIELDS[0:4])
-    u_i, u_f, u_g, u_o = (_gate_view(n) for n in PARAM_FIELDS[4:8])
-    b_i, b_f, b_g, b_o = (_gate_view(n) for n in PARAM_FIELDS[8:12])
 
 
 @dataclass
@@ -115,21 +81,6 @@ def zero_state(hidden_dim: int, *lead: int) -> LstmState:
     (S, B, h) for `zero_state(h, S, B)`."""
     shape = (*lead, hidden_dim)
     return LstmState(np.zeros(shape), np.zeros(shape))
-
-
-def init_lstm_params(input_dim: int, hidden_dim: int, rng: Rng) -> LstmParams:
-    """Fresh parameters; draw order matches PARAM_FIELDS."""
-    if input_dim < 1 or hidden_dim < 1:
-        raise ValueError("input_dim and hidden_dim must be positive")
-    k = 1.0 / np.sqrt(hidden_dim)
-    p = LstmParams(np.empty((4 * hidden_dim, input_dim + hidden_dim)), np.zeros(4 * hidden_dim))
-    # one stream call per weight kind; the draws land in PARAM_FIELDS order
-    gates = [*rng.uniform_array((4, hidden_dim, input_dim), -k, k),
-             *rng.uniform_array((4, hidden_dim, hidden_dim), -k, k)]
-    for name, draw in zip(PARAM_FIELDS[:8], gates):
-        setattr(p, name, draw)
-    p.b_f = 1.0
-    return p
 
 
 def lstm_step(p: LstmParams, x: np.ndarray, s: LstmState) -> tuple[LstmState, CellTape]:

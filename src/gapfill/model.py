@@ -35,25 +35,16 @@ its loss, and read zero in the returned trace.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lstm import (
-    CellTape,
-    LstmParams,
-    LstmState,
-    init_lstm_params,
-    lstm_step,
-    lstm_step_backward,
-    zero_state,
-)
+from .lstm import CellTape, LstmParams, LstmState, lstm_step, lstm_step_backward, zero_state
 from .numerics import Rng, ShapeError, finite_diff_grad
 
 SCHEDULE_VARIANTS = ("linear", "endpoint", "constant")
-
-_LSTM_COMPONENTS = ("enc_fw", "enc_bw", "dec_fw", "dec_bw")
 
 
 @dataclass(frozen=True)
@@ -130,9 +121,10 @@ class ModelParams:
     the head weights `head_w` (2, d, h) and biases `head_b` (2, d) of
     head_fw, head_bw; then each merge layer's w and b. So the encoders are
     `lstm_w[0:2]`, the decoders `lstm_w[2:4]` and the heads `head_w[0:2]`,
-    each pair stacked in stream order. Built by `params_from_flat`; a
-    pickled or copied ModelParams is rebuilt the same way, so its tensors
-    stay views of its own `flat`.
+    each pair stacked in stream order; a head maps a stream's hidden vector
+    to its local prediction. Built by `params_from_flat`; a pickled or
+    copied ModelParams is rebuilt the same way, so its tensors stay views
+    of its own `flat`.
     """
 
     config: NetworkConfig
@@ -141,12 +133,6 @@ class ModelParams:
     lstm_b: np.ndarray
     head_w: np.ndarray
     head_b: np.ndarray
-    enc_fw: LstmParams
-    enc_bw: LstmParams
-    dec_fw: LstmParams
-    dec_bw: LstmParams
-    head_fw: Affine  # local forward-stream prediction, hidden -> input_dim
-    head_bw: Affine
     merge: list[Affine]  # [linear] or [hidden_layer, output_layer] with tanh between
 
     def __reduce__(self):
@@ -164,52 +150,80 @@ def n_params(config: NetworkConfig) -> int:
     return sum(math.prod(shape) for shape in _arena_shapes(config))
 
 
-def params_from_flat(config: NetworkConfig, flat: np.ndarray) -> ModelParams:
-    """The ModelParams whose every tensor is a view of `flat`, without copying."""
+def _blocks(config: NetworkConfig, flat: np.ndarray) -> list[np.ndarray]:
+    """The arena's blocks, shaped by `_arena_shapes`, as views of `flat`."""
     shapes = _arena_shapes(config)
     ends = np.cumsum([math.prod(shape) for shape in shapes])
-    if flat.dtype != np.float64 or flat.shape != (ends[-1],) or not flat.flags.c_contiguous:
-        raise ShapeError(f"parameters need a contiguous float64 vector of {ends[-1]} floats, "
+    return [part.reshape(shape) for part, shape in zip(np.split(flat, ends[:-1]), shapes)]
+
+
+def params_from_flat(config: NetworkConfig, flat: np.ndarray) -> ModelParams:
+    """The ModelParams whose every tensor is a view of `flat`, without copying."""
+    n = n_params(config)
+    if flat.dtype != np.float64 or flat.shape != (n,) or not flat.flags.c_contiguous:
+        raise ShapeError(f"parameters need a contiguous float64 vector of {n} floats, "
                          f"got {flat.dtype} {flat.shape}")
-    views = [part.reshape(shape) for part, shape in zip(np.split(flat, ends[:-1]), shapes)]
-    lstm_w, lstm_b, head_w, head_b, *merge = views
-    cells = [LstmParams(w, b) for w, b in zip(lstm_w, lstm_b)]
-    heads = [Affine(w, b) for w, b in zip(head_w, head_b)]
-    return ModelParams(config, flat, lstm_w, lstm_b, head_w, head_b, *cells, *heads,
+    lstm_w, lstm_b, head_w, head_b, *merge = _blocks(config, flat)
+    return ModelParams(config, flat, lstm_w, lstm_b, head_w, head_b,
                        [Affine(w, b) for w, b in zip(merge[::2], merge[1::2])])
 
 
+@functools.lru_cache(maxsize=16)
+def file_order(config: NetworkConfig) -> np.ndarray:
+    """The parameter order of checkpoint files: the index into `flat` of each value.
+
+    Cell by cell (enc_fw, enc_bw, dec_fw, dec_bw): the input weights w_i,
+    w_f, w_g, w_o, then the recurrent weights u_i ... u_o, then the biases
+    b_i ... b_o, each row-major; then head_fw.w, head_fw.b, head_bw.w,
+    head_bw.b; then each merge layer's w and b, as the arena holds them.
+    Built once per config and shared, so the array is read-only.
+    """
+    d, h = config.input_dim, config.hidden_dim
+    lstm_w, lstm_b, head_w, head_b, *merge = _blocks(config, np.arange(n_params(config)))
+    gates = [0, 1, 3, 2]  # the fused blocks of gates i, f, g, o
+    w = lstm_w.reshape(4, 4, h, d + h)[:, gates]
+    cells = [w[..., :d], w[..., d:], lstm_b.reshape(4, 4, h)[:, gates]]
+    order = np.concatenate([np.concatenate([a.reshape(4, -1) for a in cells], axis=1).ravel(),
+                            np.concatenate([head_w.reshape(2, -1), head_b], axis=1).ravel(),
+                            *(a.ravel() for a in merge)])
+    order.flags.writeable = False
+    return order
+
+
 def init_model_params(config: NetworkConfig, rng: Rng) -> ModelParams:
-    """Initialize all parameters; the draw order equals the checkpoint order."""
+    """Initialize all parameters, drawing the weights in `file_order`.
+
+    Cell and head weights are Uniform(-k, k) with k = 1/sqrt(hidden_dim),
+    merge weights with k = 1/sqrt(fan_in). No bias is drawn: the forget
+    gates' start at 1, all others at 0.
+    """
     if config.schedule_variant not in SCHEDULE_VARIANTS:
         raise ValueError(f"unknown schedule variant {config.schedule_variant!r}")
-    d, h = config.input_dim, config.hidden_dim
+    h = config.hidden_dim
     params = params_from_flat(config, np.zeros(n_params(config)))
-    for name in _LSTM_COMPONENTS:
-        cell, fresh = getattr(params, name), init_lstm_params(d, h, rng)
-        cell.w[...], cell.b[...] = fresh.w, fresh.b
-    k_head = 1.0 / np.sqrt(h)
-    for head in (params.head_fw, params.head_bw):
-        head.w[...] = rng.uniform_array((d, h), -k_head, k_head)
-    for layer in params.merge:  # Uniform(-k, k), k = 1/sqrt(fan_in); biases stay 0
+    order = file_order(config)
+    k = 1.0 / np.sqrt(h)
+    # cell by cell, which keeps the draws' scratch small; the cells' weights open the arena
+    for cell in np.split(order[order < params.lstm_w.size], 4):
+        params.flat[cell] = rng.uniform_array(cell.size, -k, k)
+    params.lstm_b[:, h:2 * h] = 1.0  # the forget gates
+    params.head_w[...] = rng.uniform_array(params.head_w.shape, -k, k)
+    for layer in params.merge:
         k = 1.0 / np.sqrt(layer.w.shape[1])
         layer.w[...] = rng.uniform_array(layer.w.shape, -k, k)
     return params
 
 
 def iter_params(params: ModelParams) -> list[tuple[str, np.ndarray]]:
-    """(path, tensor) pairs in the canonical order used everywhere."""
+    """(path, tensor) pairs naming the arena's slices, in file order: each
+    cell's fused w and b, each head's w and b, each merge layer's."""
     out: list[tuple[str, np.ndarray]] = []
-    for name in _LSTM_COMPONENTS:
-        for field, tensor in getattr(params, name).fields().items():
-            out.append((f"{name}.{field}", tensor))
-    out.append(("head_fw.w", params.head_fw.w))
-    out.append(("head_fw.b", params.head_fw.b))
-    out.append(("head_bw.w", params.head_bw.w))
-    out.append(("head_bw.b", params.head_bw.b))
+    for c, name in enumerate(("enc_fw", "enc_bw", "dec_fw", "dec_bw")):
+        out += [(f"{name}.w", params.lstm_w[c]), (f"{name}.b", params.lstm_b[c])]
+    for s, name in enumerate(("head_fw", "head_bw")):
+        out += [(f"{name}.w", params.head_w[s]), (f"{name}.b", params.head_b[s])]
     for i, layer in enumerate(params.merge):
-        out.append((f"merge.{i}.w", layer.w))
-        out.append((f"merge.{i}.b", layer.b))
+        out += [(f"merge.{i}.w", layer.w), (f"merge.{i}.b", layer.b)]
     return out
 
 
@@ -672,6 +686,7 @@ class GradCheckInstance:
     windows: int
     variant: str
     merge_hidden: int
+    forward_only: bool
     max_rel_err: float
     worst_path: str
 
@@ -701,11 +716,12 @@ def gradient_check(
 ) -> GradCheckReport:
     """Compare the closed-form gradient against central differences.
 
-    Random small networks; every parameter coordinate of every tensor is
-    perturbed. Even-numbered instances check one window, odd-numbered ones
-    a batch of three windows whose context and gap lengths differ.
-    `_corrupt_path` is a test hook that deliberately offsets one analytic
-    gradient tensor so the check must fail.
+    Random small networks; every coordinate of `params.flat` is perturbed,
+    and the worst one is named by its `iter_params` path. Even-numbered
+    instances check one window, odd-numbered ones a batch of three windows
+    whose context and gap lengths differ; instance k is forward-only when
+    k % 5 == 2. `_corrupt_path` is a test hook that deliberately offsets
+    one analytic gradient tensor so the check must fail.
     """
     if n_instances < 1:
         raise ValueError(f"gradient check needs at least one instance, got {n_instances}")
@@ -718,8 +734,9 @@ def gradient_check(
         T = 1 + rng.randrange(max_gap)
         variant = SCHEDULE_VARIANTS[k % len(SCHEDULE_VARIANTS)]
         merge_hidden = 3 if k % 4 == 3 else 0
+        forward_only = k % 5 == 2
         cfg = NetworkConfig(input_dim=d, hidden_dim=h, schedule_variant=variant,
-                            merge_hidden=merge_hidden)
+                            merge_hidden=merge_hidden, forward_only=forward_only)
         params = init_model_params(cfg, rng)
         if k % 2 == 0:
             shapes = [(context_len, T, context_len)]
@@ -731,31 +748,25 @@ def gradient_check(
                                     rng.normal_array((la, d))) for lb, t, la in shapes]
         schedules = [make_schedule(t, variant) for _, t, _ in shapes]
         truth = [w.missing for w in windows]
-        analytic = dict(iter_params(loss_and_grads(params, windows, schedules)[1]))
-        if _corrupt_path is not None and _corrupt_path in analytic:
-            analytic[_corrupt_path] = analytic[_corrupt_path] + 1.0
+        grads = loss_and_grads(params, windows, schedules)[1]
+        for path, tensor in iter_params(grads):
+            if path == _corrupt_path:
+                tensor += 1.0
 
-        inst_worst = (0.0, "none")
-        for path, tensor in iter_params(params):
-            original = tensor.copy()
+        def f(theta: np.ndarray) -> float:
+            trace = forward(params_from_flat(cfg, theta), windows, schedules)
+            return float(np.sum(loss(trace, truth)))
 
-            def f(candidate: np.ndarray) -> float:
-                tensor[...] = candidate
-                return float(np.sum(loss(forward(params, windows, schedules), truth)))
-
-            numeric = finite_diff_grad(f, original, eps)
-            tensor[...] = original
-            a = analytic[path]
-            # central differences bottom out at ~1e-11*|loss| of roundoff, so
-            # coordinates near zero are held to an absolute bar instead of a
-            # relative one (the 1e-4 floor leaves ~100x margin over that noise)
-            denom = np.maximum(np.maximum(np.abs(a), np.abs(numeric)), 1e-4)
-            rel = np.abs(a - numeric) / denom
-            m = float(rel.max()) if rel.size else 0.0
-            if m > inst_worst[0]:
-                inst_worst = (m, path)
+        a, numeric = grads.flat, finite_diff_grad(f, params.flat, eps)
+        # central differences bottom out at ~1e-11*|loss| of roundoff, so
+        # coordinates near zero are held to an absolute bar instead of a
+        # relative one (the 1e-4 floor leaves ~100x margin over that noise)
+        denom = np.maximum(np.maximum(np.abs(a), np.abs(numeric)), 1e-4)
+        rel = params_from_flat(cfg, np.abs(a - numeric) / denom)
+        m = float(rel.flat.max())
+        path = next(p for p, t in iter_params(rel) if t.max() == m)
         instances.append(GradCheckInstance(d, h, max(t for _, t, _ in shapes), len(windows),
-                                           variant, merge_hidden, inst_worst[0], inst_worst[1]))
-        if inst_worst[0] > worst[0]:
-            worst = inst_worst
+                                           variant, merge_hidden, forward_only, m, path))
+        if m > worst[0]:
+            worst = (m, path)
     return GradCheckReport(instances, worst[0], worst[1], tolerance)

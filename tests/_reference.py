@@ -9,6 +9,8 @@ rather than tautology.
 import csv
 import io
 import math
+import struct
+from collections import namedtuple
 
 import numpy as np
 
@@ -20,11 +22,72 @@ def sigmoid_scalar(x):
     return e / (1.0 + e)
 
 
+_GATES = "ifgo"  # checkpoint v1's gate order
+_CELLS = ("enc_fw", "enc_bw", "dec_fw", "dec_bw")
+
+# one cell (fused w, b) or one affine layer (w, b) of a ModelParams
+Layer = namedtuple("Layer", "w b")
+
+
+def cells_and_heads(params):
+    """The four cells (enc_fw, enc_bw, dec_fw, dec_bw) and two heads
+    (head_fw, head_bw) of a ModelParams, as Layers."""
+    return ([Layer(w, b) for w, b in zip(params.lstm_w, params.lstm_b)],
+            [Layer(w, b) for w, b in zip(params.head_w, params.head_b)])
+
+
+def cell_gates(w, b):
+    """The per-gate tensors of one fused cell, as views keyed w_i ... w_o,
+    u_i ... u_o, b_i ... b_o (checkpoint v1's order).
+
+    The fused weight `w` (4h, d+h) holds the gates' row blocks in the order
+    i, f, o, g and acts on [x, h]: its first d columns are the input
+    weights, the rest the recurrent ones; the bias `b` (4h,) has the same
+    row blocks.
+    """
+    h = b.shape[0] // 4
+    d = w.shape[1] - h
+    rows = {gate: slice(k * h, (k + 1) * h) for k, gate in enumerate("ifog")}
+    out = {f"w_{gate}": w[rows[gate], :d] for gate in _GATES}
+    out.update({f"u_{gate}": w[rows[gate], d:] for gate in _GATES})
+    out.update({f"b_{gate}": b[rows[gate]] for gate in _GATES})
+    return out
+
+
+def v1_tensors(params):
+    """Every parameter tensor of a ModelParams in checkpoint v1's order, as
+    {path: view}: each cell gate by gate, then head_fw.w, head_fw.b,
+    head_bw.w, head_bw.b, then each merge layer's w and b."""
+    out = {}
+    for c, name in enumerate(_CELLS):
+        for gate, tensor in cell_gates(params.lstm_w[c], params.lstm_b[c]).items():
+            out[f"{name}.{gate}"] = tensor
+    for s, name in enumerate(("head_fw", "head_bw")):
+        out[f"{name}.w"], out[f"{name}.b"] = params.head_w[s], params.head_b[s]
+    for n, layer in enumerate(params.merge):
+        out[f"merge.{n}.w"], out[f"merge.{n}.b"] = layer.w, layer.b
+    return out
+
+
+def write_v1(params, mean, std):
+    """The bytes of a v1 checkpoint, written from the format's description:
+    a 32-byte header, the normalization statistics, then `v1_tensors`."""
+    cfg = params.config
+    variant = ("linear", "endpoint", "constant").index(cfg.schedule_variant)
+    header = b"GAPFILL\x00" + struct.pack(
+        "<IIIBBBBII", 1, cfg.input_dim, cfg.hidden_dim, variant, int(cfg.merge_hidden > 0),
+        int(cfg.forward_only), 0, cfg.merge_hidden, len(mean))
+    tensors = [mean, std, *v1_tensors(params).values()]
+    return header + b"".join(np.ascontiguousarray(t, dtype="<f8").tobytes() for t in tensors)
+
+
 def lstm_step_scalar(p, x, h_prev, c_prev):
     """One LSTM step, scalar arithmetic only.
 
-    `p` is an LstmParams; x/h_prev/c_prev are Python lists. Returns (h, c).
+    `p` holds a fused cell's `w` and `b` (an LstmParams or a Layer);
+    x/h_prev/c_prev are Python lists. Returns (h, c).
     """
+    gates = cell_gates(p.w, p.b)
     hd = len(h_prev)
     h_new, c_new = [], []
     for j in range(hd):
@@ -35,10 +98,8 @@ def lstm_step_scalar(p, x, h_prev, c_prev):
             for k in range(hd):
                 s += float(u[j, k]) * h_prev[k]
             return s
-        i = sigmoid_scalar(pre(p.w_i, p.u_i, p.b_i))
-        f = sigmoid_scalar(pre(p.w_f, p.u_f, p.b_f))
-        g = math.tanh(pre(p.w_g, p.u_g, p.b_g))
-        o = sigmoid_scalar(pre(p.w_o, p.u_o, p.b_o))
+        i, f, g, o = (pre(gates[f"w_{k}"], gates[f"u_{k}"], gates[f"b_{k}"]) for k in _GATES)
+        i, f, g, o = sigmoid_scalar(i), sigmoid_scalar(f), math.tanh(g), sigmoid_scalar(o)
         c = f * c_prev[j] + i * g
         c_new.append(c)
         h_new.append(o * math.tanh(c))
@@ -73,28 +134,29 @@ def network_forward_scalar(params, before, missing_len, after, gamma, gamma_prim
     as lists of rows. Assumes the single linear merge layer.
     """
     hd = params.config.hidden_dim
+    (enc_fw, enc_bw, dec_fw, dec_bw), (head_fw, head_bw) = cells_and_heads(params)
     h = [0.0] * hd
     c = [0.0] * hd
     for row in before:
-        h, c = lstm_step_scalar(params.enc_fw, row, h, c)
+        h, c = lstm_step_scalar(enc_fw, row, h, c)
     pred_fw, h_fw = [], []
     x = before[-1]
     for _ in range(missing_len):
-        h, c = lstm_step_scalar(params.dec_fw, x, h, c)
+        h, c = lstm_step_scalar(dec_fw, x, h, c)
         h_fw.append(h)
-        x = affine_scalar(params.head_fw, h)
+        x = affine_scalar(head_fw, h)
         pred_fw.append(x)
 
     h = [0.0] * hd
     c = [0.0] * hd
     for row in reversed(after):
-        h, c = lstm_step_scalar(params.enc_bw, row, h, c)
+        h, c = lstm_step_scalar(enc_bw, row, h, c)
     pred_bw_steps, h_bw_steps = [], []
     x = after[0]
     for _ in range(missing_len):
-        h, c = lstm_step_scalar(params.dec_bw, x, h, c)
+        h, c = lstm_step_scalar(dec_bw, x, h, c)
         h_bw_steps.append(h)
-        x = affine_scalar(params.head_bw, h)
+        x = affine_scalar(head_bw, h)
         pred_bw_steps.append(x)
     h_bw = list(reversed(h_bw_steps))
     pred_bw = list(reversed(pred_bw_steps))
@@ -106,18 +168,14 @@ def network_forward_scalar(params, before, missing_len, after, gamma, gamma_prim
     return merged, pred_fw, pred_bw
 
 
-_GATES = "ifgo"
-_CELLS = ("enc_fw", "enc_bw", "dec_fw", "dec_bw")
-
-
 def _sigmoid(a):
     return 1.0 / (1.0 + np.exp(-a))
 
 
 def _cell_step(p, x, h, c):
-    """One LSTM step of one window, gate by gate; returns h, c and its tape."""
-    pre = {k: getattr(p, f"w_{k}") @ x + getattr(p, f"u_{k}") @ h + getattr(p, f"b_{k}")
-           for k in _GATES}
+    """One LSTM step of one window, gate by gate (`p` from `cell_gates`);
+    returns h, c and its tape."""
+    pre = {k: p[f"w_{k}"] @ x + p[f"u_{k}"] @ h + p[f"b_{k}"] for k in _GATES}
     i, f, o = _sigmoid(pre["i"]), _sigmoid(pre["f"]), _sigmoid(pre["o"])
     g = np.tanh(pre["g"])
     c_new = f * c + i * g
@@ -138,22 +196,25 @@ def _cell_step_back(p, name, tape, dh, dc, grads):
         grads[f"{name}.w_{k}"] += np.outer(da[k], x)
         grads[f"{name}.u_{k}"] += np.outer(da[k], h)
         grads[f"{name}.b_{k}"] += da[k]
-        dx = dx + getattr(p, f"w_{k}").T @ da[k]
-        dh_prev = dh_prev + getattr(p, f"u_{k}").T @ da[k]
+        dx = dx + p[f"w_{k}"].T @ da[k]
+        dh_prev = dh_prev + p[f"u_{k}"].T @ da[k]
     return dx, dh_prev, dc * f
 
 
-def _stream(params, enc, dec, head, context, gap_len):
-    """Encoder over `context` rows in order, then the self-feeding decoder."""
+def _stream(params, s, context, gap_len):
+    """Stream s (0 forward, 1 backward): encoder cell s over `context` rows
+    in order, then the self-feeding decoder cell 2 + s with head s."""
     hd = params.config.hidden_dim
+    cells, heads = cells_and_heads(params)
+    enc, dec, head = cell_gates(*cells[s]), cell_gates(*cells[2 + s]), heads[s]
     h, c = np.zeros(hd), np.zeros(hd)
     enc_tapes, dec_tapes, hs, preds = [], [], [], []
     for row in context:
-        h, c, tape = _cell_step(getattr(params, enc), row, h, c)
+        h, c, tape = _cell_step(enc, row, h, c)
         enc_tapes.append(tape)
     x = context[-1]
     for _ in range(gap_len):
-        h, c, tape = _cell_step(getattr(params, dec), x, h, c)
+        h, c, tape = _cell_step(dec, x, h, c)
         dec_tapes.append(tape)
         hs.append(h)
         x = head.w @ h + head.b
@@ -161,19 +222,22 @@ def _stream(params, enc, dec, head, context, gap_len):
     return {"h": hs, "pred": preds, "enc": enc_tapes, "dec": dec_tapes}
 
 
-def _stream_back(params, enc, dec, head_name, s, d_pred, dh_merge, grads):
-    """BPTT of one `_stream`; d_pred and dh_merge are in its processing order."""
-    head = getattr(params, head_name)
+def _stream_back(params, s, st, d_pred, dh_merge, grads):
+    """BPTT of `_stream` s, whose output is `st`; d_pred and dh_merge are in
+    its processing order."""
+    cells, heads = cells_and_heads(params)
+    enc, dec, head = _CELLS[s], _CELLS[2 + s], ("head_fw", "head_bw")[s]
     hd = params.config.hidden_dim
     dh, dc, d_in = np.zeros(hd), np.zeros(hd), 0.0
     for t in reversed(range(len(d_pred))):
         dp = d_pred[t] + d_in
-        grads[f"{head_name}.w"] += np.outer(dp, s["h"][t])
-        grads[f"{head_name}.b"] += dp
-        dh = dh + head.w.T @ dp + dh_merge[t]
-        d_in, dh, dc = _cell_step_back(getattr(params, dec), dec, s["dec"][t], dh, dc, grads)
-    for tape in reversed(s["enc"]):
-        _, dh, dc = _cell_step_back(getattr(params, enc), enc, tape, dh, dc, grads)
+        grads[f"{head}.w"] += np.outer(dp, st["h"][t])
+        grads[f"{head}.b"] += dp
+        dh = dh + heads[s].w.T @ dp + dh_merge[t]
+        d_in, dh, dc = _cell_step_back(cell_gates(*cells[2 + s]), dec, st["dec"][t], dh, dc,
+                                       grads)
+    for tape in reversed(st["enc"]):
+        _, dh, dc = _cell_step_back(cell_gates(*cells[s]), enc, tape, dh, dc, grads)
 
 
 def window_forward(params, before, after, gamma, gamma_prime):
@@ -182,13 +246,13 @@ def window_forward(params, before, after, gamma, gamma_prime):
     named like the fields of `ForwardTrace`, plus the streams' tapes."""
     cfg = params.config
     T = len(gamma)
-    fw = _stream(params, "enc_fw", "dec_fw", params.head_fw, before, T)
+    fw = _stream(params, 0, before, T)
     out = {"h_fw": np.array(fw["h"]), "pred_fw": np.array(fw["pred"]), "h_bw": None,
            "pred_bw": None, "merge_hidden_acts": None, "_fw": fw, "_bw": None, "_u": None}
     if cfg.forward_only:
         out["merged"] = out["pred_fw"]
         return out
-    bw = _stream(params, "enc_bw", "dec_bw", params.head_bw, after[::-1], T)
+    bw = _stream(params, 1, after[::-1], T)
     out["_bw"] = bw
     out["h_bw"], out["pred_bw"] = np.array(bw["h"][::-1]), np.array(bw["pred"][::-1])
     u = [np.concatenate([gamma[t] * out["h_fw"][t], gamma_prime[t] * out["h_bw"][t]])
@@ -207,23 +271,12 @@ def window_forward(params, before, after, gamma, gamma_prime):
 def window_loss_and_grads(params, before, after, truth, gamma, gamma_prime,
                           term_weights=(1.0, 1.0, 1.0)):
     """One window's loss (each term a mean over its T*d gap cells) and the
-    gradient of every parameter, as {path: array} in the checkpoint naming."""
+    gradient of every parameter, as {path: array} keyed like `v1_tensors`."""
     cfg = params.config
     T, d = truth.shape
     hd = cfg.hidden_dim
     out = window_forward(params, before, after, gamma, gamma_prime)
-    grads = {}
-    for name in _CELLS:
-        for kind in "wub":
-            for k in _GATES:
-                grads[f"{name}.{kind}_{k}"] = np.zeros_like(getattr(getattr(params, name),
-                                                                    f"{kind}_{k}"))
-    for head in ("head_fw", "head_bw"):
-        grads[f"{head}.w"] = np.zeros_like(getattr(params, head).w)
-        grads[f"{head}.b"] = np.zeros_like(getattr(params, head).b)
-    for n, layer in enumerate(params.merge):
-        grads[f"merge.{n}.w"] = np.zeros_like(layer.w)
-        grads[f"merge.{n}.b"] = np.zeros_like(layer.b)
+    grads = {path: np.zeros_like(t) for path, t in v1_tensors(params).items()}
 
     def mse(pred):
         return float(np.sum((pred - truth) ** 2)) / (T * d)
@@ -231,8 +284,7 @@ def window_loss_and_grads(params, before, after, truth, gamma, gamma_prime,
     coef = 2.0 / (T * d)
     if cfg.forward_only:
         d_pred = [coef * (out["pred_fw"][t] - truth[t]) for t in range(T)]
-        _stream_back(params, "enc_fw", "dec_fw", "head_fw", out["_fw"], d_pred,
-                     [0.0] * T, grads)
+        _stream_back(params, 0, out["_fw"], d_pred, [0.0] * T, grads)
         return mse(out["merged"]), grads
 
     w_m, w_fw, w_bw = term_weights
@@ -256,10 +308,10 @@ def window_loss_and_grads(params, before, after, truth, gamma, gamma_prime,
         dh_fw.append(gamma[t] * du[:hd])
         dh_bw.append(gamma_prime[t] * du[hd:])
     d_fw = [w_fw * coef * (out["pred_fw"][t] - truth[t]) for t in range(T)]
-    _stream_back(params, "enc_fw", "dec_fw", "head_fw", out["_fw"], d_fw, dh_fw, grads)
+    _stream_back(params, 0, out["_fw"], d_fw, dh_fw, grads)
     # the backward stream's step k fills gap position T-1-k
     d_bw = [w_bw * coef * (out["pred_bw"][T - 1 - k] - truth[T - 1 - k]) for k in range(T)]
-    _stream_back(params, "enc_bw", "dec_bw", "head_bw", out["_bw"], d_bw, dh_bw[::-1], grads)
+    _stream_back(params, 1, out["_bw"], d_bw, dh_bw[::-1], grads)
     return value, grads
 
 

@@ -353,6 +353,21 @@ class TestImpute:
         filled = load_csv(tmp_path / "out.csv", markers=("-999",)).values[:, 0]
         assert np.isfinite(filled).all() and filled[49] != -999.0
 
+    @pytest.mark.parametrize("note, message", [
+        (b"caf\xe9", "line 9: byte 0xe9 is not"),
+        (b"y" * 200_000, "line 9: field larger than field limit")],
+        ids=["undecodable-byte", "huge-field"])
+    def test_unreadable_text_is_a_data_error(self, tmp_path, capsys, note, message):
+        ckpt = untrained_checkpoint(tmp_path / "m.ckpt")
+        data = tmp_path / "noted.csv"
+        rows = [repr(math.sin(r / 5)).encode() + b",ok" for r in range(40)]
+        rows[7] = rows[7][:-2] + note  # data row 7 is line 9, under the header
+        data.write_bytes(b"value,note\n" + b"\n".join(rows) + b"\n")
+        assert main(["impute", "--checkpoint", str(ckpt), "--data", str(data), "--column", "0",
+                     "--gap", "20:2", "--context", "3", "--out", str(tmp_path / "out.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {data}: {message}"), err[:200]
+
     def test_non_numeric_timestamp_column_is_copied_through(self, tmp_path, sine_csv, trained):
         lines = sine_csv.read_text().splitlines(keepends=True)
         stamped = ["time," + lines[0]] + [f"2020-01-01T{r // 60:02d}:{r % 60:02d},{line}"
@@ -589,6 +604,7 @@ class TestGradcheck:
         assert "PASS" in out
         assert "max relative error" in out
         assert "windows 3" in out  # the second instance is a ragged batch
+        assert "forward_only 1" in out  # the third is a forward-only network
 
     @pytest.mark.parametrize("flag, value", [
         ("--instances", "0"), ("--instances", "-3"), ("--eps", "0"), ("--eps", "nan"),

@@ -38,7 +38,7 @@ from gapfill.model import NetworkConfig, forward, init_model_params, make_schedu
 from gapfill.numerics import Rng
 from gapfill.optim import TrainConfig
 
-from _reference import mae_loop, mre_loop
+from _reference import mae_loop, mre_loop, v1_tensors
 from test_model import random_window
 
 
@@ -193,9 +193,10 @@ class TestRunBenchmark:
         window = random_window(rng, 1, 4, 3, 4)
         schedule = make_schedule(3)
         base = forward(params, window, schedule)
-        params.enc_bw.w_i += 5.0
-        params.dec_bw.u_f -= 2.0
-        params.head_bw.w += 1.0
+        tensors = v1_tensors(params)
+        tensors["enc_bw.w_i"] += 5.0
+        tensors["dec_bw.u_f"] -= 2.0
+        tensors["head_bw.w"] += 1.0
         perturbed = forward(params, window, schedule)
         for t in range(3):
             assert np.array_equal(base.pred_fw[t], perturbed.pred_fw[t])
@@ -209,8 +210,9 @@ class TestRunBenchmark:
         window = random_window(rng, 1, 4, 3, 4)
         schedule = ScalingSchedule(3, np.zeros(3), np.ones(3), "linear")
         base = forward(params, window, schedule)
-        params.dec_fw.u_g += 3.0  # perturb the forward decoder
-        params.enc_fw.w_i -= 1.0
+        tensors = v1_tensors(params)
+        tensors["dec_fw.u_g"] += 3.0  # perturb the forward decoder
+        tensors["enc_fw.w_i"] -= 1.0
         perturbed = forward(params, window, schedule)
         for t in range(3):
             assert np.array_equal(base.merged[t], perturbed.merged[t])

@@ -1,22 +1,30 @@
 import numpy as np
 import pytest
 
-from gapfill.lstm import (
-    LstmParams,
-    LstmState,
-    PARAM_FIELDS,
-    init_lstm_params,
-    lstm_step,
-    lstm_step_backward,
-    zero_state,
-)
+from gapfill.lstm import LstmParams, LstmState, lstm_step, lstm_step_backward, zero_state
+from gapfill.model import NetworkConfig, init_model_params
 from gapfill.numerics import Rng, ShapeError, finite_diff_grad
 
-from _reference import lstm_step_scalar
+from _reference import cell_gates, lstm_step_scalar
+
+_DRAWN = ("w_i", "w_f", "w_g", "w_o", "u_i", "u_f", "u_g", "u_o")
 
 
 def all_zero_params(input_dim, hidden_dim):
     return LstmParams(np.zeros((4 * hidden_dim, input_dim + hidden_dim)), np.zeros(4 * hidden_dim))
+
+
+def random_cell(input_dim, hidden_dim, rng):
+    """A cell drawn as `init_model_params` draws each of its cells: the
+    weights Uniform(-k, k), k = 1/sqrt(hidden_dim), gate by gate in
+    checkpoint order; the forget bias 1, every other bias 0."""
+    p = all_zero_params(input_dim, hidden_dim)
+    gates = cell_gates(p.w, p.b)
+    k = 1.0 / np.sqrt(hidden_dim)
+    for name in _DRAWN:
+        gates[name][...] = rng.uniform_array(gates[name].shape, -k, k)
+    gates["b_f"][...] = 1.0
+    return p
 
 
 def lstm_run(p, xs, state):
@@ -30,14 +38,14 @@ def lstm_run(p, xs, state):
 
 
 def lstm_backward(p, tapes, grad_h_seq):
-    """BPTT over a taped sequence: per-gate parameter gradients, each
-    input's gradient, and the gradients w.r.t. the initial state."""
+    """BPTT over a taped sequence: the fused parameter gradients {"w", "b"},
+    each input's gradient, and the gradients w.r.t. the initial state."""
     acc = LstmParams(np.zeros_like(p.w), np.zeros_like(p.b))
     dh, dc = np.zeros(p.hidden_dim), np.zeros(p.hidden_dim)
     dxs = [None] * len(tapes)
     for t in reversed(range(len(tapes))):
         dxs[t], dh, dc = lstm_step_backward(p, tapes[t], dh + grad_h_seq[t], dc, acc)
-    return acc.fields(), dxs, (dh, dc)
+    return {"w": acc.w, "b": acc.b}, dxs, (dh, dc)
 
 
 def test_zero_params_keep_zero_state():
@@ -50,15 +58,16 @@ def test_zero_params_keep_zero_state():
 def test_saturated_gates_carry_memory():
     # forget gate pinned open, input gate pinned shut: c passes through
     p = all_zero_params(1, 4)
-    p.b_f[:] = 30.0
-    p.b_i[:] = -30.0
+    gates = cell_gates(p.w, p.b)
+    gates["b_f"][:] = 30.0
+    gates["b_i"][:] = -30.0
     c = np.array([1.0, -0.5, 2.0, 0.25])
     state, _ = lstm_step(p, np.array([3.0]), LstmState(np.zeros(4), c.copy()))
     assert np.allclose(state.c, c, atol=1e-9, rtol=0)
 
 
 def test_step_matches_scalar_reference():
-    p = init_lstm_params(1, 2, Rng(0))
+    p = random_cell(1, 2, Rng(0))
     state, _ = lstm_step(p, np.array([1.0]), zero_state(2))
     h_ref, c_ref = lstm_step_scalar(p, [1.0], [0.0, 0.0], [0.0, 0.0])
     assert np.allclose(state.h, h_ref, atol=1e-12, rtol=0)
@@ -67,7 +76,7 @@ def test_step_matches_scalar_reference():
 
 def test_multi_step_matches_scalar_reference():
     rng = Rng(4)
-    p = init_lstm_params(2, 3, rng)
+    p = random_cell(2, 3, rng)
     xs = [rng.normal_array((2,)) for _ in range(4)]
     state = zero_state(3)
     h_ref, c_ref = [0.0] * 3, [0.0] * 3
@@ -79,7 +88,7 @@ def test_multi_step_matches_scalar_reference():
 
 
 def test_dimension_mismatch_rejected():
-    p = init_lstm_params(2, 3, Rng(0))
+    p = random_cell(2, 3, Rng(0))
     with pytest.raises(ShapeError):
         lstm_step(p, np.zeros(5), zero_state(3))
     with pytest.raises(ShapeError):
@@ -87,7 +96,7 @@ def test_dimension_mismatch_rejected():
 
 
 def test_forward_determinism():
-    p = init_lstm_params(2, 4, Rng(9))
+    p = random_cell(2, 4, Rng(9))
     xs = [Rng(10).normal_array((2,)) for _ in range(3)]
     s1, h1, _ = lstm_run(p, xs, zero_state(4))
     s2, h2, _ = lstm_run(p, xs, zero_state(4))
@@ -98,7 +107,7 @@ def test_forward_determinism():
 def test_hidden_output_bounded():
     rng = Rng(21)
     for _ in range(10):
-        p = init_lstm_params(3, 5, rng)
+        p = random_cell(3, 5, rng)
         xs = [10.0 * rng.normal_array((3,)) for _ in range(6)]
         _, hs, _ = lstm_run(p, xs, zero_state(5))
         for h in hs:
@@ -107,7 +116,7 @@ def test_hidden_output_bounded():
 
 def test_zero_hidden_gradients_give_zero_param_gradients():
     rng = Rng(2)
-    p = init_lstm_params(2, 3, rng)
+    p = random_cell(2, 3, rng)
     xs = [rng.normal_array((2,)) for _ in range(4)]
     _, _, tapes = lstm_run(p, xs, zero_state(3))
     grads, dxs, (dh0, dc0) = lstm_backward(p, tapes, [np.zeros(3)] * 4)
@@ -130,8 +139,9 @@ def _sequence_loss(p, xs, grad_spec):
 
 
 def _numeric_grads(p, xs, grad_spec, eps=1e-5):
+    """Central differences of every coordinate of the fused `w` and `b`."""
     out = {}
-    for name in PARAM_FIELDS:
+    for name in ("w", "b"):
         tensor = getattr(p, name)
         orig = tensor.copy()
 
@@ -159,7 +169,7 @@ def _analytic_grads(p, xs, grad_spec):
 
 def _max_rel_err(analytic, numeric):
     worst = 0.0
-    for name in PARAM_FIELDS:
+    for name in ("w", "b"):
         a, n = analytic[name], numeric[name]
         denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-4)
         worst = max(worst, float((np.abs(a - n) / denom).max()))
@@ -168,18 +178,20 @@ def _max_rel_err(analytic, numeric):
 
 def test_single_step_output_bias_gradient():
     rng = Rng(3)
-    p = init_lstm_params(1, 2, rng)
+    p = random_cell(1, 2, rng)
     xs = [np.array([0.7])]
     spec = {"linear": {0: np.array([1.0, 0.0])}}  # loss = h[0][0]
     analytic = _analytic_grads(p, xs, spec)
     numeric = _numeric_grads(p, xs, spec)
-    denom = max(abs(float(numeric["b_o"][0])), 1e-12)
-    assert abs(float(analytic["b_o"][0]) - float(numeric["b_o"][0])) / denom < 1e-6
+    analytic_b_o = cell_gates(analytic["w"], analytic["b"])["b_o"]
+    numeric_b_o = cell_gates(numeric["w"], numeric["b"])["b_o"]
+    denom = max(abs(float(numeric_b_o[0])), 1e-12)
+    assert abs(float(analytic_b_o[0]) - float(numeric_b_o[0])) / denom < 1e-6
 
 
 def test_five_step_mse_gradient_matches_finite_differences():
     rng = Rng(8)
-    p = init_lstm_params(2, 3, rng)
+    p = random_cell(2, 3, rng)
     xs = [rng.normal_array((2,)) for _ in range(5)]
     spec = {"mse_final": rng.normal_array((3,))}
     assert _max_rel_err(_analytic_grads(p, xs, spec), _numeric_grads(p, xs, spec)) < 1e-4
@@ -192,7 +204,7 @@ def test_gradients_match_finite_differences_many_seeds():
         d = 1 + rng.randrange(3)
         h = 1 + rng.randrange(5)
         steps = 1 + rng.randrange(6)
-        p = init_lstm_params(d, h, rng)
+        p = random_cell(d, h, rng)
         xs = [rng.normal_array((d,)) for _ in range(steps)]
         spec = {"mse_final": rng.normal_array((h,)),
                 "linear": {rng.randrange(steps): rng.normal_array((h,))}}
@@ -202,21 +214,23 @@ def test_gradients_match_finite_differences_many_seeds():
 
 def test_gradient_additivity_over_time_steps():
     rng = Rng(15)
-    p = init_lstm_params(2, 3, rng)
+    p = random_cell(2, 3, rng)
     xs = [rng.normal_array((2,)) for _ in range(4)]
     v1, v2 = rng.normal_array((3,)), rng.normal_array((3,))
     joint = _analytic_grads(p, xs, {"linear": {1: v1, 3: v2}})
     first = _analytic_grads(p, xs, {"linear": {1: v1}})
     second = _analytic_grads(p, xs, {"linear": {3: v2}})
-    for name in PARAM_FIELDS:
+    for name in ("w", "b"):
         assert np.allclose(joint[name], first[name] + second[name], atol=1e-12, rtol=0)
 
 
 def test_forget_bias_initialized_to_one():
-    p = init_lstm_params(2, 4, Rng(0))
-    assert np.array_equal(p.b_f, np.ones(4))
-    assert np.array_equal(p.b_i, np.zeros(4))
+    params = init_model_params(NetworkConfig(input_dim=2, hidden_dim=4), Rng(0))
     k = 1.0 / np.sqrt(4)
-    for name in PARAM_FIELDS[:8]:
-        w = getattr(p, name)
-        assert np.all(np.abs(w) <= k)
+    for w, b in zip(params.lstm_w, params.lstm_b):
+        gates = cell_gates(w, b)
+        assert np.array_equal(gates["b_f"], np.ones(4))
+        for name in ("b_i", "b_g", "b_o"):
+            assert np.array_equal(gates[name], np.zeros(4))
+        for name in _DRAWN:
+            assert np.all(np.abs(gates[name]) <= k)

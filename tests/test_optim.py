@@ -101,10 +101,10 @@ class TestAdam:
         params = tiny_params(0.5)
         state = AdamState(params)
         grads = grads_for(params, 1.0)
-        # w_o precedes w_g in the fused arena but follows it in iter_params order
-        grads.enc_fw.w_o[0, 0] = np.inf
-        grads.enc_fw.w_g[0, 0] = np.nan
-        with pytest.raises(ValueError, match=r"non-finite gradient.*enc_fw\.w_g$"):
+        # enc_bw.w precedes enc_fw.b in the arena but follows it in iter_params order
+        grads.lstm_w[1, 0, 0] = np.inf
+        grads.lstm_b[0, 0] = np.nan
+        with pytest.raises(ValueError, match=r"non-finite gradient.*enc_fw\.b$"):
             adam_step(state, params, grads)
         assert np.all(params.flat == 0.5) and state.step_count == 0
 
@@ -132,12 +132,12 @@ class TestEarlyStopping:
         policy = EarlyStopping(patience=2)
         policy.update(1, 1.0, model)
         policy.update(2, 1.5, model)
-        model.head_fw.b[0] = 123.0
+        model.head_b[0, 0] = 123.0
         assert not policy.update(3, 0.5, model)
         assert policy.best_epoch == 3
-        assert policy.best_params.head_fw.b[0] == 123.0
-        model.head_fw.b[0] = -1.0  # snapshot must be a copy
-        assert policy.best_params.head_fw.b[0] == 123.0
+        assert policy.best_params.head_b[0, 0] == 123.0
+        model.head_b[0, 0] = -1.0  # snapshot must be a copy
+        assert policy.best_params.head_b[0, 0] == 123.0
 
     def test_min_delta_counts_marginal_gains_as_stagnation(self):
         model = init_model_params(NetworkConfig(input_dim=1, hidden_dim=1), Rng(0))
