@@ -109,11 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def cmd_synth(args) -> int:
     table = synth(args.kind, args.n, noise_std=args.noise, seed=args.seed, period=args.period)
-    try:
-        write_csv(args.out, table)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    write_csv(args.out, table)
     print(f"wrote {table.n_rows} rows to {args.out}")
     return EXIT_OK
 
@@ -158,6 +154,7 @@ def cmd_train(args) -> int:
 
 
 def _parse_gaps(specs: list[str]) -> list[tuple[int, int]]:
+    """The non-empty gaps of `specs`, sorted; overlaps are checked apart."""
     gaps = []
     for spec in specs:
         try:
@@ -169,11 +166,7 @@ def _parse_gaps(specs: list[str]) -> list[tuple[int, int]]:
             raise DataError(f"gap {spec!r}: start and length must be non-negative")
         if length > 0:
             gaps.append((start, length))
-    gaps.sort()
-    for (s1, l1), (s2, l2) in zip(gaps, gaps[1:]):
-        if s1 + l1 > s2:
-            raise DataError(f"gap {s2}:{l2} overlaps gap {s1}:{l1}")
-    return gaps
+    return sorted(gaps)
 
 
 def cmd_impute(args) -> int:
@@ -184,9 +177,17 @@ def cmd_impute(args) -> int:
         raise DataError(f"checkpoint expects {d} column(s), got {len(columns)} --column flags")
     if args.context is not None and args.context < 1:
         raise DataError(f"--context must be at least 1, got {args.context}")
-    table = load_csv(args.data, columns=columns, markers=args.missing,
-                     header=HEADER_MODES[args.header])
     gaps = _parse_gaps(args.gap)
+    contexts = [args.context or length for _, length in gaps]
+    # a call reads only the context rows on each side of each gap, so only
+    # they are cast; the checks below run on the loaded table
+    context_rows = [r for (start, length), c in zip(gaps, contexts)
+                    for r in ((start - c, start), (start + length, start + length + c))]
+    table = load_csv(args.data, columns=columns, markers=args.missing,
+                     header=HEADER_MODES[args.header], rows=context_rows)
+    for (s1, l1), (s2, l2) in zip(gaps, gaps[1:]):
+        if s1 + l1 > s2:
+            raise DataError(f"gap {s2}:{l2} overlaps gap {s1}:{l1}")
 
     values = table.values
     observed = ~table.missing.any(axis=1)
@@ -197,8 +198,7 @@ def cmd_impute(args) -> int:
         in_gap[start:start + length] = True
 
     befores, afters = [], []
-    for start, length in gaps:
-        context = args.context or length
+    for (start, length), context in zip(gaps, contexts):
         lo, hi = start - context, start + length + context
         if lo < 0 or hi > table.n_rows:
             raise DataError(f"gap {start}:{length}: needs {context} observed rows on each side")
@@ -300,7 +300,7 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (ConfigError, DataError, CheckpointError, FileNotFoundError) as exc:
+    except (ConfigError, DataError, CheckpointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DivergenceError as exc:

@@ -40,7 +40,9 @@ class DataError(ValueError):
 class SeriesTable:
     columns: list[str]
     values: np.ndarray  # (n_rows, n_cols) float64, NaN where missing
-    missing: np.ndarray  # (n_rows, n_cols) bool, True where the cell has no finite value
+    # (n_rows, n_cols) bool, True where the cell has no finite value, and on
+    # every row a load_csv call with `rows` did not cast
+    missing: np.ndarray
     # set by load_csv: the file line on which each data row starts (the
     # header and blank lines hold no data row), the field index of each
     # column in the file's records, the file's bytes and the byte offset of
@@ -92,6 +94,7 @@ def load_csv(
     columns=None,
     markers: tuple[str, ...] = DEFAULT_MISSING_MARKERS,
     header: bool | None = None,
+    rows=None,
 ) -> SeriesTable:
     """Read a comma-separated file into a SeriesTable.
 
@@ -110,6 +113,12 @@ def load_csv(
     record, and its `source` and `line_starts` hold the file for
     `rewrite_csv`.
 
+    `rows`, a sequence of half-open `(start, stop)` data-row ranges, casts
+    only the cells of those rows; every other row reads as NaN and missing,
+    and a cell there that is not a number is no error. Each range is
+    clipped to the table's rows first. Every record's width and the header
+    are checked either way. `None` casts every row.
+
     The file is read once. Quote-free ASCII text is parsed with numpy over
     its bytes; any other text, and any file the numpy path cannot take
     whole, goes through csv.reader, which alone raises load errors.
@@ -117,10 +126,31 @@ def load_csv(
     markers = frozenset(m.strip() for m in markers)
     with open(path, "rb") as fh:
         raw = fh.read()
-    table = _load_fast(raw, columns, markers, header)
+    table = _load_fast(raw, columns, markers, header, rows)
     if table is None:
-        table = _load_records(raw, path, columns, markers, header)
+        table = _load_records(raw, path, columns, markers, header, rows)
     return table
+
+
+def _row_index(rows, n: int) -> np.ndarray | None:
+    """The increasing data-row indices in the half-open ranges `rows`, each
+    clipped to [0, n) before it is expanded; None when `rows` is None."""
+    if rows is None:
+        return None
+    keep = np.zeros(n, dtype=bool)
+    for start, stop in rows:
+        keep[min(max(start, 0), n):min(max(stop, 0), n)] = True
+    return np.flatnonzero(keep)
+
+
+def _spread(cast: np.ndarray, take: np.ndarray | None, n: int) -> np.ndarray:
+    """The n-row values with row `take[i]` set to `cast[i]` and NaN elsewhere,
+    or `cast` itself when `take` is None."""
+    if take is None:
+        return cast
+    values = np.full((n, cast.shape[1]), np.nan)
+    values[take] = cast
+    return values
 
 
 def _text_encoding() -> str:
@@ -148,7 +178,7 @@ def _csv_records(reader, path):
         raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
-def _load_records(raw: bytes, path, columns, markers, header) -> SeriesTable:
+def _load_records(raw: bytes, path, columns, markers, header, rows) -> SeriesTable:
     """`load_csv` through csv.reader; every load error is raised here."""
     encoding = _text_encoding()
     try:
@@ -160,9 +190,9 @@ def _load_records(raw: bytes, path, columns, markers, header) -> SeriesTable:
     # the lines csv.reader reads from a file opened as text with newline=""
     lines = io.StringIO(text, newline="").readlines()
     reader = csv.reader(lines)
-    rows = _csv_records(reader, path)
+    read = _csv_records(reader, path)
     start = 0  # the line the next record starts on
-    for first in rows:
+    for first in read:
         if first:
             break
         start = reader.line_num
@@ -170,10 +200,10 @@ def _load_records(raw: bytes, path, columns, markers, header) -> SeriesTable:
         raise DataError(f"{path}: file has no rows")
     names = _header_names(first, columns, markers, header, path)
     if names is not None:
-        start, records = reader.line_num, rows
+        start, records = reader.line_num, read
     else:
         names = [f"col{i}" for i in range(len(first))]
-        records = itertools.chain([first], rows)
+        records = itertools.chain([first], read)
     width = len(names)
     bad_selection = None  # raised after the rows: a row error or no rows comes first
     try:
@@ -197,17 +227,22 @@ def _load_records(raw: bytes, path, columns, markers, header) -> SeriesTable:
     if bad_selection is not None:
         raise bad_selection
 
+    take = _row_index(rows, len(kept))
+    if take is not None:
+        kept = [kept[r] for r in take]
     cols = [kept] if len(fields) == 1 else list(zip(*kept))
-    values = np.empty((len(kept), len(fields)))
+    cast = np.empty((len(kept), len(fields)))
     for j, col in enumerate(cols):
         cells = [cell.strip() for cell in col]
         try:  # numpy parses each str as float() does, so _first_bad_cell finds the culprit
-            values[:, j] = np.array(["nan" if cell in markers else cell for cell in cells],
-                                    dtype=np.float64)
+            cast[:, j] = np.array(["nan" if cell in markers else cell for cell in cells],
+                                  dtype=np.float64)
         except ValueError:
-            raise _first_bad_cell(path, cols, names, fields, markers) from None
+            numbers = range(len(kept)) if take is None else take.tolist()
+            raise _first_bad_cell(path, cols, numbers, names, fields, markers) from None
     line_starts = np.cumsum([0] + [len(line.encode(encoding)) for line in lines])
-    return _table(names, fields, values, row_lines, raw, line_starts)
+    return _table(names, fields, _spread(cast, take, len(row_lines)), row_lines, raw,
+                  line_starts)
 
 
 # Bytes that keep a file off the numpy path: a quote starts csv quoting, a
@@ -216,7 +251,7 @@ def _load_records(raw: bytes, path, columns, markers, header) -> SeriesTable:
 _FAST_PATH_STOPS = (b'"', b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
-def _load_fast(raw: bytes, columns, markers, header) -> SeriesTable | None:
+def _load_fast(raw: bytes, columns, markers, header, rows) -> SeriesTable | None:
     """`load_csv` for quote-free ASCII text, or None to read `raw` with csv.reader.
 
     In such text every non-empty line is one record and every comma ends a
@@ -260,12 +295,15 @@ def _load_fast(raw: bytes, columns, markers, header) -> SeriesTable | None:
     if not rec.size:
         return None
 
+    take = _row_index(rows, rec.size)
+    if take is not None:
+        starts, ends, first = starts[take], ends[take], first[take]
     codes = [m.encode("ascii") for m in markers if m.isascii() and "\0" not in m]
-    values = np.empty((rec.size, len(fields)))
+    cast = np.empty((starts.size, len(fields)))
     for f in set(fields):
         lo = starts if f == 0 else commas[first + f - 1] + 1
         width = (ends if f == last else commas[first + f]) - lo
-        w = max(1, int(width.max()))
+        w = max(1, int(width.max(initial=0)))
         # row i is the w bytes from lo[i] (a copy), but no window runs past the end
         cells = np.lib.stride_tricks.sliding_window_view(buf, w)[np.minimum(lo, buf.size - w)]
         for i in np.flatnonzero(lo > buf.size - w):
@@ -276,10 +314,10 @@ def _load_fast(raw: bytes, columns, markers, header) -> SeriesTable | None:
         for code in codes:
             cells[cells == code] = b"nan"
         try:
-            values[:, np.equal(fields, f)] = cells.astype(np.float64)[:, None]
+            cast[:, np.equal(fields, f)] = cells.astype(np.float64)[:, None]
         except ValueError:
             return None
-    return _table(names, fields, values, rec, raw, line_starts)
+    return _table(names, fields, _spread(cast, take, rec.size), rec, raw, line_starts)
 
 
 def _offsets(buf: np.ndarray, byte: int) -> np.ndarray:
@@ -309,16 +347,16 @@ def _is_number_or_marker(cell: str, markers) -> bool:
     return True
 
 
-def _first_bad_cell(path, cols, names, fields, markers) -> DataError:
+def _first_bad_cell(path, cols, numbers, names, fields, markers) -> DataError:
     """The error naming the first selected cell, row by row and within a row in
-    file order, that is neither a number nor a marker; `cols[j]` holds the
-    cells of field `fields[j]`."""
+    file order, that is neither a number nor a marker; `cols[j][i]` holds the
+    cell of field `fields[j]` in data row `numbers[i]`."""
     in_file_order = sorted({c: j for j, c in enumerate(fields)}.items())
-    for r in range(len(cols[0])):
+    for i, r in enumerate(numbers):
         for c, j in in_file_order:
-            if not _is_number_or_marker(cols[j][r], markers):
+            if not _is_number_or_marker(cols[j][i], markers):
                 return DataError(
-                    f"{path}: row {r + 1}, column {names[c]!r}: cannot parse {cols[j][r]!r}")
+                    f"{path}: row {r + 1}, column {names[c]!r}: cannot parse {cols[j][i]!r}")
     # reached only if numpy's cast ever rejects a cell that float() accepts
     return DataError(f"{path}: column {names[fields[0]]!r}: cannot parse a cell")
 

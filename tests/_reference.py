@@ -436,9 +436,11 @@ def init_params_scalar(seed, input_dim, hidden_dim, merge_hidden):
     return out
 
 
-def load_csv_scalar(path, columns=None, markers=("NA", ""), header=None):
+def load_csv_scalar(path, columns=None, markers=("NA", ""), header=None, rows=None):
     """`load_csv` one cell at a time: `float(cell.strip())`, markers compared after strip;
-    a marker or a non-finite number is missing and reads as NaN. With
+    a marker or a non-finite number is missing and reads as NaN. With `rows`,
+    half-open data-row ranges, a cell outside every range is not parsed and
+    reads as NaN and missing. With
     `header=None` a first row without text is data; with text in a selected
     cell, or anywhere when every column is selected or a column is chosen by
     name, it is the header; otherwise the call is an error.
@@ -449,6 +451,7 @@ def load_csv_scalar(path, columns=None, markers=("NA", ""), header=None):
     selected fields in file order.
     """
     markers = [m.strip() for m in markers]
+    row_ranges = rows
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         rows, row_lines, line = [], [], 0
@@ -511,10 +514,11 @@ def load_csv_scalar(path, columns=None, markers=("NA", ""), header=None):
 
     parsed = {}
     for r in range(len(rows)):
+        cast = row_ranges is None or any(start <= r < stop for start, stop in row_ranges)
         for c in sorted(set(fields)):
             cell = rows[r][c]
             text = cell.strip()
-            if text in markers:
+            if not cast or text in markers:
                 parsed[r, c] = (math.nan, True)
                 continue
             try:

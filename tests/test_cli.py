@@ -2,13 +2,17 @@ import csv
 import io
 import math
 import os
+import subprocess
+import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gapfill
 from gapfill.checkpoint import load_checkpoint, save_checkpoint
 from gapfill.cli import main
 from gapfill.data import NormStats, load_csv
@@ -142,6 +146,14 @@ class TestTrain:
         bad.write_text("[model]\nhidden_dim = lots\n")
         assert main(["train", "--config", str(bad)]) == 1
         assert "model.hidden_dim" in capsys.readouterr().err
+
+    def test_out_a_directory_is_a_usage_error(self, tmp_path, sine_csv, capsys):
+        cfg = write_train_cfg(tmp_path, sine_csv)
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        assert main(["train", "--config", str(cfg), "--out", str(folder)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(folder) in err
 
     def test_seed_flag_overrides_config(self, tmp_path, sine_csv):
         cfg = write_train_cfg(tmp_path, sine_csv, lr="0")
@@ -368,6 +380,79 @@ class TestImpute:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {data}: {message}"), err[:200]
 
+    @pytest.mark.parametrize("flag", ["--checkpoint", "--data", "--out"])
+    def test_a_directory_path_is_a_usage_error(self, tmp_path, sine_csv, capsys, flag):
+        paths = {"--checkpoint": untrained_checkpoint(tmp_path / "m.ckpt"),
+                 "--data": sine_csv, "--out": tmp_path / "out.csv"}
+        paths[flag] = tmp_path / "folder"
+        paths[flag].mkdir()
+        argv = ["impute", "--gap", "50:3"] + [a for f, p in paths.items() for a in (f, str(p))]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(paths[flag]) in err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--gap", "10:999999999999"], "gap 10:999999999999 runs past the 20000-row file"),
+        (["--gap", "50:3", "--context", "999999999999"],
+         "gap 50:3: needs 999999999999 observed rows on each side"),
+        (["--gap", "5:2", "--context", "6"], "gap 5:2: needs 6 observed rows on each side")],
+        ids=["huge-gap", "huge-context", "context-before-row-0"])
+    def test_context_ranges_are_clipped_before_they_are_expanded(self, tmp_path, capsys, flags,
+                                                                 message):
+        ckpt = untrained_checkpoint(tmp_path / "m.ckpt")
+        data = tmp_path / "long.csv"
+        data.write_text("value\n" + "".join(f"{math.sin(r / 5)!r}\n" for r in range(20000)))
+        tracemalloc.start()
+        try:
+            rc = main(["impute", "--checkpoint", str(ckpt), "--data", str(data),
+                       "--out", str(tmp_path / "out.csv")] + flags)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        # the bytes, a few int64 offsets a line and the cast rows (about 4-7x here);
+        # a range expanded before it is clipped would need 8 TB
+        assert peak < 10 * data.stat().st_size
+
+    def test_a_bad_cell_is_an_error_only_in_a_context_row(self, tmp_path, capsys):
+        ckpt = untrained_checkpoint(tmp_path / "m.ckpt")
+        data, out = tmp_path / "typo.csv", tmp_path / "out.csv"
+        lines = ["value"] + [repr(math.sin(r / 5)) for r in range(60)]
+        lines[31] = "abc"  # data row 30
+        data.write_text("\n".join(lines) + "\n")
+        args = ["impute", "--checkpoint", str(ckpt), "--data", str(data), "--out", str(out)]
+        # context rows 7-9 and 12-14, then 27-29 and 31-33: row 30 is not read
+        for gap, changed_lines in (("10:2", [11, 12]), ("30:1", [31])):
+            assert main(args + ["--gap", gap, "--context", "3"]) == 0
+            filled = out.read_text().splitlines()
+            changed = [i for i, (a, b) in enumerate(zip(lines, filled)) if a != b]
+            assert len(filled) == len(lines) and changed == changed_lines
+        capsys.readouterr()
+        # context rows 23-25 and 28-30
+        assert main(args + ["--gap", "26:2", "--context", "3"]) == 1
+        assert capsys.readouterr().err == (f"error: {data}: row 31, column 'value': "
+                                           "cannot parse 'abc'\n")
+
+    @pytest.mark.parametrize("header, bad_row, flags, message", [
+        ("note,value", "n,0.5,x", ["--column", "value"], "row 41 has 3 cells, expected 2"),
+        ("n0,0.5", None, ["--column", "1"], "the first row has text only in columns not "
+                                             "selected, so it may be a header or data"),
+        ("note,value", None, ["--column", "nope"], "unknown column 'nope'")],
+        ids=["record-width", "header-undecided", "unknown-column"])
+    def test_record_width_and_header_are_checked_in_every_row(self, tmp_path, capsys, header,
+                                                               bad_row, flags, message):
+        ckpt = untrained_checkpoint(tmp_path / "m.ckpt")
+        data = tmp_path / "far.csv"
+        lines = [header] + [f"n{r},{math.sin(r / 5)!r}" for r in range(1, 60)]
+        if bad_row is not None:
+            lines[41] = bad_row  # data row 40, far from the gap's context rows 7-14
+        data.write_text("\n".join(lines) + "\n")
+        assert main(["impute", "--checkpoint", str(ckpt), "--data", str(data), "--gap", "10:2",
+                     "--context", "3", "--out", str(tmp_path / "out.csv")] + flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
     def test_non_numeric_timestamp_column_is_copied_through(self, tmp_path, sine_csv, trained):
         lines = sine_csv.read_text().splitlines(keepends=True)
         stamped = ["time," + lines[0]] + [f"2020-01-01T{r // 60:02d}:{r % 60:02d},{line}"
@@ -428,6 +513,35 @@ columns = 0
         assert "MAE" in borda_txt and "MRE" in borda_txt
         out = capsys.readouterr().out
         assert "seq2seqImp" in out
+
+    def test_report_path_a_directory_is_a_usage_error(self, tmp_path, capsys):
+        data = tmp_path / "wave.csv"
+        assert main(["synth", "--kind", "sine", "--n", "80", "--seed", "2",
+                     "--period", "16", "--out", str(data)]) == 0
+        (tmp_path / "report.txt").mkdir()
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text(f"""
+[model]
+hidden_dim = 3
+[training]
+epochs = 1
+[data]
+before_len = 4
+gap_len = 3
+after_len = 4
+test_fraction = 0.5
+[paths]
+report = {tmp_path / 'report'}
+borda = {tmp_path / 'borda'}
+[eval]
+variants = seq2seqImp
+
+[dataset:wave]
+path = {data}
+""")
+        assert main(["eval", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path / "report.txt") in err
 
     def test_report_csvs_quote_a_dataset_name_with_comma_and_quote(self, tmp_path):
         data = tmp_path / "wave.csv"
@@ -622,6 +736,14 @@ class TestMisc:
         assert main(["--print-defaults"]) == 0
         out = capsys.readouterr().out
         assert "[model]" in out and "hidden_dim = 64" in out
+
+    def test_python_dash_m_runs_the_cli(self):
+        src = os.path.dirname(os.path.dirname(gapfill.__file__))
+        done = subprocess.run([sys.executable, "-m", "gapfill", "--print-defaults"],
+                              env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert "[model]" in done.stdout
 
     def test_no_command_shows_help(self, capsys):
         assert main([]) == 1

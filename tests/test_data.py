@@ -1,4 +1,5 @@
 import os
+import re
 import struct
 import tempfile
 
@@ -251,6 +252,25 @@ def _csv_files(draw):
 @example(("t,1\nx,2\n", ("NA", ""), [1], None))  # text only in an unselected column
 @settings(max_examples=400, deadline=None)
 def test_load_csv_matches_the_per_cell_oracle(case):
+    _check_per_cell_oracle(case, None)
+
+
+# half-open data-row ranges for `load_csv(rows=...)`: empty and reversed
+# ranges, starts before row 0 and stops far past the last row
+_ROW_BOUNDS = st.integers(-3, 10) | st.sampled_from([-10**12, 10**12])
+_ROW_RANGES = st.lists(st.tuples(_ROW_BOUNDS, _ROW_BOUNDS), max_size=4)
+
+
+@given(_csv_files(), _ROW_RANGES)
+@example(("v\nx\n1\ny\n", ("NA", ""), None, None), [(1, 2)])  # bad cells only outside
+@example(("v\nx\n1\ny\n", ("NA", ""), None, None), [(1, 3)])  # row 3 is named as row 3
+@example(("1\n2\n3\n", ("NA", ""), None, None), [(-1, 1), (2, 10**12), (0, -1)])
+@settings(max_examples=400, deadline=None)
+def test_load_csv_with_rows_matches_the_per_cell_oracle(case, rows):
+    _check_per_cell_oracle(case, rows)
+
+
+def _check_per_cell_oracle(case, rows):
     text, markers, columns, header = case
     with tempfile.TemporaryDirectory() as work:
         path = os.path.join(work, "in.csv")
@@ -258,13 +278,13 @@ def test_load_csv_matches_the_per_cell_oracle(case):
             fh.write(text)
         try:
             names, values, missing, row_lines, fields = load_csv_scalar(path, columns, markers,
-                                                                        header)
+                                                                        header, rows)
         except ValueError as exc:
             with pytest.raises(DataError) as got:
-                load_csv(path, columns=columns, markers=markers, header=header)
+                load_csv(path, columns=columns, markers=markers, header=header, rows=rows)
             assert str(got.value) == str(exc)
             return
-        table = load_csv(path, columns=columns, markers=markers, header=header)
+        table = load_csv(path, columns=columns, markers=markers, header=header, rows=rows)
     assert table.columns == names
     assert table.file_fields == fields
     assert table.row_lines.tolist() == row_lines
@@ -308,13 +328,13 @@ def _same_table(a, b):
 def test_numpy_path_matches_the_csv_reader_path(case):
     raw, markers, columns, header = case
     markers = frozenset(m.strip() for m in markers)
-    fast = _load_fast(raw, columns, markers, header)
+    fast = _load_fast(raw, columns, markers, header, None)
     with tempfile.TemporaryDirectory() as work:
         path = os.path.join(work, "in.csv")
         with open(path, "wb") as fh:
             fh.write(raw)
         try:
-            want = _load_records(raw, path, columns, markers, header)
+            want = _load_records(raw, path, columns, markers, header, None)
         except DataError as exc:
             assert fast is None
             with pytest.raises(DataError) as got:
@@ -329,6 +349,58 @@ def test_numpy_path_matches_the_csv_reader_path(case):
     assert (fast is not None) == eligible
     if fast is not None:
         _same_table(fast, want)
+
+
+@given(_ingest_cases(), _ROW_RANGES)
+@example((b"v\n1\nx\n3\n", ("NA", ""), None, None), [(2, 3)])  # a bad cell not cast
+@example((b"v\n1\nx\n3\n", ("NA", ""), None, None), [(-1, 1)])  # -1 does not wrap
+@example((b"v\n1\n2,3\n4\n", ("NA", ""), None, None), [(0, 1)])  # a short row anywhere
+@settings(max_examples=400, deadline=None)
+def test_both_paths_cast_only_the_rows_asked_for(case, rows):
+    raw, markers, columns, header = case
+    markers = frozenset(m.strip() for m in markers)
+    fast = _load_fast(raw, columns, markers, header, rows)
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "in.csv")
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        try:
+            full, full_error = _load_records(raw, path, columns, markers, header, None), None
+        except DataError as exc:
+            full, full_error = None, str(exc)
+        try:
+            want = _load_records(raw, path, columns, markers, header, rows)
+        except DataError as exc:
+            assert fast is None
+            with pytest.raises(DataError) as got:
+                load_csv(path, columns=columns, markers=markers, header=header, rows=rows)
+            assert str(got.value) == str(exc)
+            # a load that casts fewer cells fails only where a full load fails
+            assert full is None
+            bad_cell = re.match(r".*: row (\d+), column .*: cannot parse ", str(exc))
+            if bad_cell is None:
+                assert str(exc) == full_error
+            else:
+                assert any(a <= int(bad_cell[1]) - 1 < b for a, b in rows)
+            return
+        got = load_csv(path, columns=columns, markers=markers, header=header, rows=rows)
+    _same_table(got, want)
+    eligible = (raw.isascii() and not any(c in raw for c in b'"\x00\x1c\x1d\x1e\x1f')
+                and raw.count(b"\r") == raw.count(b"\r\n"))
+    assert (fast is not None) == eligible
+    if fast is not None:
+        _same_table(fast, want)
+    cast = np.array([any(a <= r < b for a, b in rows) for r in range(want.n_rows)], dtype=bool)
+    assert np.isnan(want.values[~cast]).all() and want.missing[~cast].all()
+    if full is None:  # only a cell no range casts fails the full load
+        bad_cell = re.match(r".*: row (\d+), column .*: cannot parse ", full_error)
+        assert bad_cell is not None and not cast[int(bad_cell[1]) - 1]
+        return
+    assert want.values[cast].tobytes() == full.values[cast].tobytes()
+    assert np.array_equal(want.missing[cast], full.missing[cast])
+    assert want.columns == full.columns and want.file_fields == full.file_fields
+    assert np.array_equal(want.row_lines, full.row_lines) and want.source == full.source
+    assert np.array_equal(want.line_starts, full.line_starts)
 
 
 @st.composite
