@@ -210,7 +210,8 @@ def cmd_impute(args) -> int:
 
     filled = impute(params, befores, afters, [length for _, length in gaps], args.variant)
     rows = [start + k for start, length in gaps for k in range(length)]
-    rewrite_csv(args.out, table, rows, [v for gap in filled for v in denormalize(gap, stats)])
+    values = denormalize(np.concatenate(filled), stats) if filled else []
+    rewrite_csv(args.out, table, rows, values)
     print(f"filled {len(rows)} row(s) across {len(gaps)} gap(s) into {args.out}")
     return EXIT_OK
 

@@ -376,38 +376,93 @@ def write_csv(path, table: SeriesTable, markers: tuple[str, ...] = DEFAULT_MISSI
 
 def rewrite_csv(path, table: SeriesTable, rows, values) -> None:
     """Write the file `table` was loaded from to `path`, with the table's
-    columns in data rows `rows` (increasing) set to `values`, one sequence
-    of `n_cols` numbers per row, each written as `repr(float(v))`.
+    columns in data rows `rows` (strictly increasing) set to `values`, one
+    sequence of `n_cols` numbers per row, each written as `repr(float(v))`.
 
-    Each such record is re-parsed and re-written with the csv module: its
-    other cells keep their values, its line ending is kept, and only cells
-    that need quotes are quoted. The bytes between these records are
-    copied through, each run in one write.
+    A record whose first line is ASCII without a `"` is that one line, and
+    its fields are its comma splits: the selected fields' bytes are replaced
+    and the rest of the line, its ending included, is kept. Any other record
+    is re-parsed and re-written with the csv module: its other cells keep
+    their values, its line ending is kept, and only cells that need quotes
+    are quoted. Each run of adjacent rewritten records is written as one
+    block, and the bytes between runs are copied through, each in one write.
+    Bad `rows` or `values` are a DataError, and no file is written.
     """
     raw, starts = table.source, table.line_starts
     if raw is None:
         raise DataError("rewrite_csv needs a table read by load_csv")
-    encoding = _text_encoding()
+    rows, values = _rewrite_rows(table, rows, values)
+    lines = table.row_lines[rows]
+    fields, encoding = table.file_fields, _text_encoding()
     view = memoryview(raw)
     with open(path, "wb") as fh:
-        done = 0
-        for r, row in zip(rows, values):
-            line = int(table.row_lines[r])
-            reader = csv.reader(raw[starts[i]:starts[i + 1]].decode(encoding)
-                                for i in range(line, len(starts) - 1))
-            record = next(reader)
-            for col, v in zip(table.file_fields, row):
-                record[col] = repr(float(v))
-            end = line + reader.line_num
-            last_line = raw[starts[end - 1]:starts[end]].decode(encoding)
-            out = io.StringIO()
-            # "\r\n" makes the writer quote any cell holding a line break
-            csv.writer(out, lineterminator="\r\n").writerow(record)
-            ending = last_line[len(last_line.rstrip("\r\n")):]
-            fh.write(view[done:starts[line]])
-            fh.write((out.getvalue()[:-2] + ending).encode(encoding))
-            done = starts[end]
+        done, block = 0, []
+        for line, lo, hi, row in zip(lines.tolist(), starts[lines].tolist(),
+                                     starts[lines + 1].tolist(), values):
+            record = raw[lo:hi]
+            if record.isascii() and b'"' not in record:
+                body = record.rstrip(b"\r\n")
+                cells = body.split(b",")
+                for col, v in zip(fields, row):
+                    cells[col] = repr(v).encode()
+                piece = b",".join(cells) + record[len(body):]
+            else:
+                piece, hi = _rewrite_record(raw, starts, line, fields, row, encoding)
+            if lo != done:
+                fh.write(b"".join(block))
+                fh.write(view[done:lo])
+                block = []
+            block.append(piece)
+            done = hi
+        fh.write(b"".join(block))
         fh.write(view[done:])
+
+
+def _rewrite_rows(table: SeriesTable, rows, values) -> tuple[np.ndarray, list[list[float]]]:
+    """`rows` as an index array and `values` as lists of floats, once the rows
+    strictly increase within the table and each has `n_cols` values."""
+    rows = np.asarray(rows)
+    if rows.ndim != 1 or (rows.dtype.kind not in "iu" and rows.size):
+        raise DataError("rewrite_csv: rows must be a sequence of integers")
+    rows = rows.astype(np.int64, copy=False)
+    if len(rows) != len(values):
+        raise DataError(f"rewrite_csv: {len(rows)} rows but {len(values)} value rows")
+    outside = rows[(rows < 0) | (rows >= table.n_rows)]
+    if outside.size:
+        raise DataError(f"rewrite_csv: row {outside[0]} is outside the table's "
+                        f"{table.n_rows} data rows")
+    back = np.flatnonzero(np.diff(rows) <= 0)
+    if back.size:
+        raise DataError(f"rewrite_csv: rows must strictly increase, got row "
+                        f"{rows[back[0] + 1]} after row {rows[back[0]]}")
+    if not len(rows):
+        return rows, []
+    try:
+        cells = np.array(values, dtype=np.float64)
+    except (TypeError, ValueError):  # rows of uneven length
+        cells = None
+    if cells is None or cells.shape != (len(rows), table.n_cols):
+        raise DataError(f"rewrite_csv: each row needs {table.n_cols} value(s)")
+    return rows, cells.tolist()
+
+
+def _rewrite_record(raw: bytes, starts: np.ndarray, line: int, fields: list[int], row,
+                    encoding: str) -> tuple[bytes, int]:
+    """The record that starts on `line`, re-parsed with csv.reader and its
+    `fields` set to `row`, as csv.writer writes it with its own line ending;
+    and the offset where the record ends."""
+    reader = csv.reader(raw[starts[i]:starts[i + 1]].decode(encoding)
+                        for i in range(line, len(starts) - 1))
+    record = next(reader)
+    for col, v in zip(fields, row):
+        record[col] = repr(v)
+    end = line + reader.line_num
+    last_line = raw[starts[end - 1]:starts[end]].decode(encoding)
+    out = io.StringIO()
+    # "\r\n" makes the writer quote any cell holding a line break
+    csv.writer(out, lineterminator="\r\n").writerow(record)
+    ending = last_line[len(last_line.rstrip("\r\n")):]
+    return (out.getvalue()[:-2] + ending).encode(encoding), int(starts[end])
 
 
 def split_train_test(table: SeriesTable, test_fraction: float) -> tuple[SeriesTable, SeriesTable]:

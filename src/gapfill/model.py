@@ -28,9 +28,10 @@ case B = 1.
 
 Windows in a batch may differ in shape. Contexts are right-aligned: a row
 keeps the zero state until its first real row, so a shorter context reads
-exactly as it would alone. Decoders run to the longest gap of the batch;
-positions past a row's own gap carry zero stream weights, are left out of
-its loss, and read zero in the returned trace.
+exactly as it would alone. Rows run longest first, so each step covers
+only a prefix of them: the encoder rows that have reached their context,
+the decoder rows still inside their gap. Positions past a row's own gap
+are never computed and read zero in the returned trace.
 """
 
 from __future__ import annotations
@@ -246,62 +247,130 @@ class ImputationWindow:
 
 @dataclass
 class StreamTrace:
-    """The stacked streams' decoder outputs in processing order, and their tapes.
+    """The stacked streams' decoder outputs and their tapes.
 
-    Stream 0 processes gap positions 1..T; stream 1, the backward stream,
-    processes each row's positions T_i..1 and then the steps past its gap.
+    Outputs are packed step-major, one row per real (window, gap step)
+    pair: decoder step t's rows are `_Plan.offsets[t]:offsets[t + 1]`.
+    Stream 0 processes row i's gap positions 1..T_i; stream 1, the
+    backward stream, processes T_i..1.
     """
 
-    h: np.ndarray  # (S, B, T, hidden)
-    pred: np.ndarray  # (S, B, T, input_dim): local predictions
+    h: np.ndarray  # (S, N, hidden)
+    pred: np.ndarray  # (S, N, input_dim): local predictions
     enc_tapes: list[CellTape] | None
     dec_tapes: list[CellTape] | None
 
 
 @dataclass
+class _Pairs:
+    """One forward pass's outputs by gap position, one row per real
+    (window, position) pair, in the step-major order of `StreamTrace`."""
+
+    h_fw: np.ndarray
+    pred_fw: np.ndarray
+    h_bw: np.ndarray | None
+    pred_bw: np.ndarray | None
+    merged: np.ndarray
+    merge_hidden_acts: np.ndarray | None
+
+
 class ForwardTrace:
     """Everything one forward pass produced, ordered by gap position.
 
     Each array is (T, .) for one window and (B, T, .) for a batch, where T
     is the batch's longest gap; positions past a row's own gap hold zeros.
+    The pass computes them packed, one row per real (window, position)
+    pair, and each array is laid out on its first read, so a caller pays
+    only for the arrays it reads.
     """
 
-    h_fw: np.ndarray
-    pred_fw: np.ndarray  # local forward-stream predictions
-    h_bw: np.ndarray | None
-    pred_bw: np.ndarray | None
-    merged: np.ndarray  # the final imputation per gap position
-    merge_hidden_acts: np.ndarray | None
-    gap_len: int | np.ndarray  # the window's gap length, or each row's as a (B,) array
+    def __init__(self, pairs: _Pairs, batch: _Batch, single: bool):
+        self._pairs, self._batch, self._single = pairs, batch, single
+        # the window's gap length, or each row's as a (B,) array
+        self.gap_len: int | np.ndarray = int(batch.gap_len[0]) if single else batch.gap_len
+
+    def _laid_out(self, name: str) -> np.ndarray | None:
+        a = getattr(self._pairs, name)
+        if a is None:
+            return None
+        a = _unpack(self._batch, a)
+        return a[0] if self._single else a
+
+    h_fw = functools.cached_property(lambda self: self._laid_out("h_fw"))
+    pred_fw = functools.cached_property(lambda self: self._laid_out("pred_fw"))  # local predictions
+    h_bw = functools.cached_property(lambda self: self._laid_out("h_bw"))
+    pred_bw = functools.cached_property(lambda self: self._laid_out("pred_bw"))
+    merged = functools.cached_property(lambda self: self._laid_out("merged"))  # the imputation
+    merge_hidden_acts = functools.cached_property(lambda self: self._laid_out("merge_hidden_acts"))
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """Where each row of a batch runs, a function of its shapes alone.
+
+    Encoder rows run by each window's longer context, longest first, so the
+    rows with a real step at encoder step t are the prefix `[:enc_live[t]]`.
+    Decoder rows run longest gap first, so the rows still inside their gap
+    at decoder step t are the prefix `[:dec_live[t]]`, and step t's pairs
+    are `offsets[t]:offsets[t + 1]` of the packed arrays. Ties take the
+    other order's key, so the two orders differ, and `to_dec` is set, only
+    where the windows' context and gap lengths rank them differently.
+    """
+
+    enc: tuple[int, ...]  # (B,): the window of each encoder row
+    first: np.ndarray  # (S, B): each encoder row's first real step
+    enc_live: tuple[int, ...]  # (L,)
+    partial: tuple[bool, ...]  # (L,): some live row has no real step yet in one stream
+    to_dec: np.ndarray | None  # (B,): the encoder row of each decoder row; None where they agree
+    dec_live: tuple[int, ...]  # (T,)
+    offsets: tuple[int, ...]  # (T + 1,)
+    rows: np.ndarray  # (N,): each pair's window, in input order
+    pos: np.ndarray  # (N,): each pair's gap position
+    rev: np.ndarray  # (N,): the pair of the same window at the mirrored gap position
+    dense: bool  # every window is live at every decoder step, in input order
+
+
+# a training loop repeats a few batch shapes: the full and the last
+# mini-batch, and the validation windows
+@functools.lru_cache(maxsize=4)
+def _plan(lens: bytes, gaps: bytes, streams: int) -> _Plan:
+    """The plan of a batch whose contexts have the int64 lengths `lens`
+    (S, B) and whose gaps have the int64 lengths `gaps` (B,). Built once per
+    shape and shared, so it is immutable: tuples, and read-only arrays."""
+    lens = np.frombuffer(lens, dtype=np.int64).reshape(streams, -1)
+    gap_len = np.frombuffer(gaps, dtype=np.int64)
+    longest = lens.max(axis=0)
+    enc = np.lexsort((-gap_len, -longest))  # longest context first, then longest gap
+    dec = np.lexsort((-longest, -gap_len))  # longest gap first, then longest context
+    L, T = int(longest[enc[0]]), int(gap_len[dec[0]])
+    first = L - lens[:, enc]
+    enc_live = np.searchsorted(L - longest[enc], np.arange(L), side="right")
+    partial = np.arange(L) < np.maximum.accumulate(first.max(axis=0))[enc_live - 1]
+    dec_live = np.count_nonzero(gap_len[dec, None] > np.arange(T), axis=0)
+    offsets = np.concatenate(([0], np.cumsum(dec_live)))
+    pos = np.repeat(np.arange(T), dec_live)
+    rank = np.arange(offsets[-1]) - offsets[pos]  # each pair's decoder row
+    rows = dec[rank]
+    rev = offsets[gap_len[rows] - 1 - pos] + rank
+    to_dec = None if np.array_equal(enc, dec) else np.argsort(enc)[dec]
+    for a in (first, to_dec, rows, pos, rev):
+        if a is not None:
+            a.flags.writeable = False
+    return _Plan(tuple(enc.tolist()), first, tuple(enc_live.tolist()), tuple(partial.tolist()),
+                 to_dec, tuple(dec_live.tolist()), tuple(offsets.tolist()), rows, pos, rev,
+                 len(rows) == gap_len.size * T and np.array_equal(dec, np.arange(dec.size)))
 
 
 @dataclass
 class _Batch:
-    """B windows laid out for the stacked streams."""
+    """B windows laid out for the stacked streams, in the rows of `plan`."""
 
-    context: np.ndarray  # (S, B, L, d): `before`, then `after` reversed; right-aligned
-    first: np.ndarray  # (S, B): each row's first real step
-    gap_len: np.ndarray  # (B,)
-    gamma: np.ndarray  # (T,) shared by every row, or (B, T), zero past a row's gap
+    context: np.ndarray  # (S, B, L, d) in encoder order: `before`, then `after` reversed, right-aligned
+    gap_len: np.ndarray  # (B,) in input order
+    gamma: np.ndarray  # (N,): each pair's stream weights
     gamma_prime: np.ndarray
-    truth: np.ndarray | None  # (B, T, d), zero past a row's gap
-
-    @property
-    def order(self) -> np.ndarray:
-        """(B, T, 1): the backward stream's step for each gap position, and
-        back. Row i reverses its first T_i positions and keeps the rest in
-        place, so the map is its own inverse."""
-        t = np.arange(self.gamma.shape[-1])
-        own = t < self.gap_len[:, None]
-        return np.where(own, self.gap_len[:, None] - 1 - t, t)[..., None]
-
-    @property
-    def keep(self) -> np.ndarray | None:
-        """(B, T, 1): which positions lie inside their row's gap; None when all do."""
-        T = self.gamma.shape[-1]
-        if np.all(self.gap_len == T):
-            return None
-        return (np.arange(T) < self.gap_len[:, None])[..., None]
+    truth: np.ndarray | None  # (N, d)
+    plan: _Plan
 
 
 def _rows(a, name: str, d: int) -> np.ndarray:
@@ -378,93 +447,139 @@ def _layout(windows, schedule, d: int, streams: int, truth=None) -> tuple[_Batch
     if truth is not None:
         truth = _truth_rows(truth, gap_len, d)
 
+    lens = np.array([[len(r) for r in rows] for rows in contexts[:streams]], dtype=np.int64)
+    plan = _plan(lens.tobytes(), gap_len.astype(np.int64, copy=False).tobytes(), streams)
     # right-align each stream's context so that every row ends on the last step
-    lens = np.array([[len(r) for r in rows] for rows in contexts[:streams]])
-    L = lens.max()
+    L = int(lens.max())
     context = np.zeros((streams, len(windows), L, d))
     for s in range(streams):
-        for i, r in enumerate(contexts[s]):
-            context[s, i, L - len(r):] = r
-    return _Batch(context, L - lens, gap_len, gamma, gamma_prime, truth), single
+        for j, i in enumerate(plan.enc):
+            r = contexts[s][i]
+            context[s, j, L - len(r):] = r
+    at = (plan.rows, plan.pos) if gamma.ndim == 2 else plan.pos
+    return _Batch(context, gap_len, gamma[at], gamma_prime[at],
+                  None if truth is None else truth[plan.rows, plan.pos], plan), single
 
 
-def _run_stream(params: ModelParams, context: np.ndarray, first: np.ndarray, gap_len: int,
-                keep_tapes: bool) -> StreamTrace:
-    """Encode S stacked contexts (S, B, L, d) in order, then decode `gap_len` steps.
+def _unpack(batch: _Batch, a: np.ndarray) -> np.ndarray:
+    """Pair values (N, .) as (B, T, .) by window and gap position, zero past
+    each row's gap; a view when every row is live at every step in input order."""
+    plan = batch.plan
+    B, T = len(batch.gap_len), len(plan.dec_live)
+    if plan.dense:
+        return a.reshape(T, B, *a.shape[1:]).swapaxes(0, 1)
+    out = np.zeros((B, T, *a.shape[1:]))
+    out[plan.rows, plan.pos] = a
+    return out
 
-    Stream s uses encoder cell s, decoder cell 2 + s and head s. A row
-    keeps the zero state until its first real step (`first`); steps where
-    every row is real skip that mask. Each decoder starts from its
-    encoder's final state with the last context row as input and feeds
-    each local prediction into its next step.
+
+def _prefix(a: np.ndarray, k: int) -> np.ndarray:
+    """The first k rows (axis 1) of `a`: `a` itself when it has k."""
+    return a if a.shape[1] == k else a[:, :k]
+
+
+def _grow(a: np.ndarray, k: int) -> np.ndarray:
+    """`a` with zero rows appended along axis 1 up to k: `a` itself when it has k."""
+    if a.shape[1] == k:
+        return a
+    out = np.zeros((a.shape[0], k, *a.shape[2:]))
+    out[:, :a.shape[1]] = a
+    return out
+
+
+def _run_stream(params: ModelParams, batch: _Batch, keep_tapes: bool) -> StreamTrace:
+    """Encode the S stacked contexts, then decode each row's gap, stepping
+    only the live rows.
+
+    Stream s uses encoder cell s, decoder cell 2 + s and head s. Encoder
+    step t runs on its live prefix of rows, those with a real row in either
+    stream; a row joins with the zero state, and a stream that has no real
+    row yet keeps it until its first real step (`first`). Each decoder
+    starts from its encoder's final state, gathered once into decoder order,
+    with the last context row as input, feeds each local prediction into
+    its next step, and drops a row after the last position of its gap.
+    Steps where every row is live run on the whole arrays.
     """
-    S, B = context.shape[:2]
+    context, plan = batch.context, batch.plan
+    S, _, _, d = context.shape
     enc = LstmParams(params.lstm_w[0:S], params.lstm_b[0:S])
     dec = LstmParams(params.lstm_w[2:2 + S], params.lstm_b[2:2 + S])
     head_w, head_b = np.swapaxes(params.head_w[:S], -1, -2), params.head_b[:S, None]
     enc_tapes: list[CellTape] | None = [] if keep_tapes else None
     dec_tapes: list[CellTape] | None = [] if keep_tapes else None
-    state = zero_state(enc.hidden_dim, S, B)
-    all_real = first.max()
-    for t in range(context.shape[2]):
-        new, tape = lstm_step(enc, context[:, :, t], state)
-        if t < all_real:
-            real = (first <= t)[..., None]
+    state = zero_state(enc.hidden_dim, S, plan.enc_live[0])
+    for t, (k, partial) in enumerate(zip(plan.enc_live, plan.partial)):
+        state = LstmState(_grow(state.h, k), _grow(state.c, k))
+        new, tape = lstm_step(enc, _prefix(context[:, :, t], k), state)
+        if partial:
+            real = (_prefix(plan.first, k) <= t)[..., None]
             new = LstmState(np.where(real, new.h, state.h), np.where(real, new.c, state.c))
         state = new
         if enc_tapes is not None:
             enc_tapes.append(tape)
-    hs = np.empty((S, B, gap_len, enc.hidden_dim))
-    preds = np.empty((S, B, gap_len, context.shape[3]))
     x = context[:, :, -1]
-    for t in range(gap_len):
-        state, tape = lstm_step(dec, x, state)
+    if plan.to_dec is not None:
+        x, state = x[:, plan.to_dec], LstmState(state.h[:, plan.to_dec], state.c[:, plan.to_dec])
+    off = plan.offsets
+    hs = np.empty((S, off[-1], dec.hidden_dim))
+    preds = np.empty((S, off[-1], d))
+    for t, m in enumerate(plan.dec_live):
+        state, tape = lstm_step(dec, _prefix(x, m),
+                                LstmState(_prefix(state.h, m), _prefix(state.c, m)))
         if dec_tapes is not None:
             dec_tapes.append(tape)
-        hs[:, :, t] = state.h
+        hs[:, off[t]:off[t + 1]] = state.h
         x = np.matmul(state.h, head_w) + head_b
-        preds[:, :, t] = x
+        preds[:, off[t]:off[t + 1]] = x
     return StreamTrace(hs, preds, enc_tapes, dec_tapes)
 
 
-def _stream_backward(params: ModelParams, st: StreamTrace, first: np.ndarray,
+def _stream_backward(params: ModelParams, st: StreamTrace, batch: _Batch,
                      d_pred: np.ndarray, dh_merge: np.ndarray | None, g: ModelParams) -> None:
     """Backpropagate the S stacked streams, newest decoder step first.
 
-    `d_pred` (S, B, T, d) is the loss gradient on each local prediction and
-    `dh_merge` (S, B, T, h) the merge layer's gradient on each decoder
-    hidden vector, both in processing order. The gradient w.r.t. a
-    prediction combines its own loss term with the gradient flowing out of
-    the next step's input, because predictions are self-fed. Encoder steps
-    before a row's first real step pass its gradients through untouched
-    and add nothing to the parameter gradients.
+    `d_pred` (S, N, d) is the loss gradient on each local prediction and
+    `dh_merge` (S, N, h) the merge layer's gradient on each decoder hidden
+    vector, both packed like `st`, in processing order. The gradient w.r.t.
+    a prediction combines its own loss term with the gradient flowing out
+    of the next step's input, because predictions are self-fed. Each step
+    runs on the rows its forward step ran on: a row enters the decoder's
+    gradients, with zeros, at the last step of its gap, and leaves the
+    encoder's at its first live step, before which it holds no parameters.
+    Encoder steps before a stream's first real row pass that row's
+    gradients through untouched and add nothing to the parameter gradients.
     """
-    S, B, T, d = d_pred.shape
+    S, _, d = d_pred.shape
+    plan = batch.plan
+    off = plan.offsets
     dec = LstmParams(params.lstm_w[2:2 + S], params.lstm_b[2:2 + S])
     g_dec = LstmParams(g.lstm_w[2:2 + S], g.lstm_b[2:2 + S])
     head_w = params.head_w[:S]
-    dh = np.zeros((S, B, dec.hidden_dim))
-    dc = np.zeros((S, B, dec.hidden_dim))
-    d_in = None
+    dh = dc = np.zeros((S, 0, dec.hidden_dim))
+    d_in = np.zeros((S, 0, d))
     d_preds = np.empty_like(d_pred)
-    for t in reversed(range(T)):
-        d_preds[:, :, t] = d_pred[:, :, t] if d_in is None else d_pred[:, :, t] + d_in
-        dh = dh + np.matmul(d_preds[:, :, t], head_w)
+    for t in reversed(range(len(plan.dec_live))):
+        m, step = plan.dec_live[t], slice(off[t], off[t + 1])
+        d_preds[:, step] = d_pred[:, step] + _grow(d_in, m)
+        dh = _grow(dh, m) + np.matmul(d_preds[:, step], head_w)
         if dh_merge is not None:
-            dh = dh + dh_merge[:, :, t]
-        d_in, dh, dc = lstm_step_backward(dec, st.dec_tapes[t], dh, dc, g_dec)
-    dy = d_preds.reshape(S, B * T, d)
-    g.head_w[:S] += np.matmul(np.swapaxes(dy, -1, -2), st.h.reshape(S, B * T, -1))
-    g.head_b[:S] += dy.sum(axis=1)
+            dh = dh + dh_merge[:, step]
+        d_in, dh, dc = lstm_step_backward(dec, st.dec_tapes[t], dh, _grow(dc, m), g_dec)
+    g.head_w[:S] += np.matmul(np.swapaxes(d_preds, -1, -2), st.h)
+    g.head_b[:S] += d_preds.sum(axis=1)
+    if plan.to_dec is not None:  # back to encoder order
+        back = np.argsort(plan.to_dec)
+        dh, dc = dh[:, back], dc[:, back]
 
     enc = LstmParams(params.lstm_w[0:S], params.lstm_b[0:S])
     g_enc = LstmParams(g.lstm_w[0:S], g.lstm_b[0:S])
-    all_real = first.max()
-    for t in reversed(range(len(st.enc_tapes))):
-        if t >= all_real:
+    for t in reversed(range(len(plan.enc_live))):
+        k = plan.enc_live[t]
+        dh, dc = _prefix(dh, k), _prefix(dc, k)
+        if not plan.partial[t]:
             _, dh, dc = lstm_step_backward(enc, st.enc_tapes[t], dh, dc, g_enc)
             continue
-        real = (first <= t)[..., None]
+        real = (_prefix(plan.first, k) <= t)[..., None]
         _, dh_new, dc_new = lstm_step_backward(enc, st.enc_tapes[t], np.where(real, dh, 0.0),
                                                np.where(real, dc, 0.0), g_enc)
         dh, dc = np.where(real, dh_new, dh), np.where(real, dc_new, dc)
@@ -477,29 +592,24 @@ def _merge_input(gamma: np.ndarray, gamma_prime: np.ndarray, h_fw: np.ndarray,
 
 
 def _forward(params: ModelParams, batch: _Batch,
-             keep_tapes: bool) -> tuple[ForwardTrace, StreamTrace]:
-    """The batched forward pass behind `forward` and `loss_and_grads`."""
+             keep_tapes: bool) -> tuple[_Pairs, StreamTrace]:
+    """The batched forward pass behind `forward` and `loss_and_grads`: the
+    streams, then the merge of each real (window, position) pair."""
     cfg = params.config
-    st = _run_stream(params, batch.context, batch.first, batch.gamma.shape[-1], keep_tapes)
+    st = _run_stream(params, batch, keep_tapes)
     h_fw, pred_fw = st.h[0], st.pred[0]
     if cfg.forward_only:
-        arrays = [h_fw, pred_fw, None, None, pred_fw, None]
+        return _Pairs(h_fw, pred_fw, None, None, pred_fw, None), st
+    # the backward stream runs over each gap in reverse: `rev` puts it in position order
+    h_bw, pred_bw = st.h[1][batch.plan.rev], st.pred[1][batch.plan.rev]
+    u = _merge_input(batch.gamma, batch.gamma_prime, h_fw, h_bw)
+    hidden_acts = None
+    if cfg.merge_hidden > 0:
+        hidden_acts = np.tanh(params.merge[0].apply(u))
+        merged = params.merge[1].apply(hidden_acts)
     else:
-        order = batch.order
-        h_bw = np.take_along_axis(st.h[1], order, axis=1)
-        pred_bw = np.take_along_axis(st.pred[1], order, axis=1)
-        u = _merge_input(batch.gamma, batch.gamma_prime, h_fw, h_bw)
-        hidden_acts = None
-        if cfg.merge_hidden > 0:
-            hidden_acts = np.tanh(params.merge[0].apply(u))
-            merged = params.merge[1].apply(hidden_acts)
-        else:
-            merged = params.merge[0].apply(u)
-        arrays = [h_fw, pred_fw, h_bw, pred_bw, merged, hidden_acts]
-    keep = batch.keep
-    if keep is not None:
-        arrays = [None if a is None else np.where(keep, a, 0.0) for a in arrays]
-    return ForwardTrace(*arrays, batch.gap_len), st
+        merged = params.merge[0].apply(u)
+    return _Pairs(h_fw, pred_fw, h_bw, pred_bw, merged, hidden_acts), st
 
 
 def forward(params: ModelParams, windows, schedule) -> ForwardTrace:
@@ -514,22 +624,18 @@ def forward(params: ModelParams, windows, schedule) -> ForwardTrace:
     """
     cfg = params.config
     batch, single = _layout(windows, schedule, cfg.input_dim, 1 if cfg.forward_only else 2)
-    trace, _ = _forward(params, batch, keep_tapes=False)
-    if not single:
-        return trace
-    return ForwardTrace(*(None if a is None else a[0] for a in (
-        trace.h_fw, trace.pred_fw, trace.h_bw, trace.pred_bw, trace.merged,
-        trace.merge_hidden_acts)), int(trace.gap_len[0]))
+    return ForwardTrace(_forward(params, batch, keep_tapes=False)[0], batch, single)
 
 
-def _loss_terms(trace: ForwardTrace, truth: np.ndarray) -> list[np.ndarray]:
+def _loss_terms(pairs: _Pairs, batch: _Batch, truth: np.ndarray) -> list[np.ndarray]:
     """Mean squared error of each loss term, per window: the merged output,
     then (full network) the forward and the backward stream predictions.
-    Each window's mean runs over its own gap."""
-    preds = [trace.merged] if trace.pred_bw is None else [
-        trace.merged, trace.pred_fw, trace.pred_bw]
-    count = trace.gap_len * truth.shape[-1]
-    return [np.sum((p - truth) ** 2, axis=(-2, -1)) / count for p in preds]
+    Each window's mean runs over its own gap; `truth` is packed like `pairs`."""
+    preds = [pairs.merged] if pairs.pred_bw is None else [
+        pairs.merged, pairs.pred_fw, pairs.pred_bw]
+    count = batch.gap_len * truth.shape[-1]
+    return [np.bincount(batch.plan.rows, np.sum((p - truth) ** 2, axis=-1), len(count)) / count
+            for p in preds]
 
 
 def loss(trace: ForwardTrace, truth):
@@ -541,15 +647,17 @@ def loss(trace: ForwardTrace, truth):
     batch. A batch's `truth` is a (B, T, d) array or a list of each
     window's gap rows.
     """
-    truth = _truth_rows(truth, trace.gap_len, trace.merged.shape[-1])
-    total = sum(_loss_terms(trace, truth))
-    return float(total) if np.ndim(total) == 0 else total
+    batch = trace._batch
+    truth = _truth_rows(truth, trace.gap_len, trace._pairs.merged.shape[-1])
+    truth = truth.reshape(-1, *truth.shape[-2:])[batch.plan.rows, batch.plan.pos]
+    total = sum(_loss_terms(trace._pairs, batch, truth))
+    return float(total[0]) if np.ndim(trace.gap_len) == 0 else total
 
 
-def _merge_backward(params: ModelParams, trace: ForwardTrace, gamma: np.ndarray,
-                    gamma_prime: np.ndarray, d_merged: np.ndarray,
-                    g: list[Affine]) -> tuple[np.ndarray, np.ndarray]:
-    """Backward through the merge layer only, with the trace held fixed.
+def _merge_backward(params: ModelParams, trace, gamma: np.ndarray, gamma_prime: np.ndarray,
+                    d_merged: np.ndarray, g: list[Affine]) -> tuple[np.ndarray, np.ndarray]:
+    """Backward through the merge layer only, with the trace (a ForwardTrace
+    or packed pairs) held fixed.
 
     Returns the gradients w.r.t. each decoder hidden vector at the merge
     input: the gamma factors multiply straight through, which is what makes
@@ -611,50 +719,39 @@ def loss_and_grads(
         raise ValueError("training needs ground-truth gap rows")
     truth = batch.truth
 
-    trace, st = _forward(params, batch, keep_tapes=True)
-    terms = _loss_terms(trace, truth)
-    coef = (2.0 / (batch.gap_len * cfg.input_dim))[:, None, None]
+    pairs, st = _forward(params, batch, keep_tapes=True)
+    terms = _loss_terms(pairs, batch, truth)
+    coef = (2.0 / (batch.gap_len * cfg.input_dim))[batch.plan.rows, None]
     g = params_from_flat(cfg, np.zeros_like(params.flat))
     if cfg.forward_only:
         loss_val = terms[0]
-        d_pred, dh_merge = (coef * (trace.pred_fw - truth))[None], None
+        d_pred, dh_merge = (coef * (pairs.pred_fw - truth))[None], None
     else:
         w_merged, w_fw, w_bw = term_weights
         loss_val = w_merged * terms[0] + w_fw * terms[1] + w_bw * terms[2]
-        dh_fw, dh_bw = _merge_backward(params, trace, batch.gamma, batch.gamma_prime,
-                                       (w_merged * coef) * (trace.merged - truth), g.merge)
+        dh_fw, dh_bw = _merge_backward(params, pairs, batch.gamma, batch.gamma_prime,
+                                       (w_merged * coef) * (pairs.merged - truth), g.merge)
         # the backward stream runs over each gap in reverse: map to its order
-        order = batch.order
-        d_pred = np.stack([(w_fw * coef) * (trace.pred_fw - truth), np.take_along_axis(
-            (w_bw * coef) * (trace.pred_bw - truth), order, axis=1)])
-        dh_merge = np.stack([dh_fw, np.take_along_axis(dh_bw, order, axis=1)])
-    _stream_backward(params, st, batch.first, d_pred, dh_merge, g)
+        rev = batch.plan.rev
+        d_pred = np.stack([(w_fw * coef) * (pairs.pred_fw - truth),
+                           ((w_bw * coef) * (pairs.pred_bw - truth))[rev]])
+        dh_merge = np.stack([dh_fw, dh_bw[rev]])
+    _stream_backward(params, st, batch, d_pred, dh_merge, g)
     return float(np.sum(loss_val)), g
-
-
-def _bucket(gap_len: int) -> int:
-    """Gap lengths in (2^(k-1), 2^k] share bucket k, so no row of a bucket
-    runs more than twice its own decoder steps."""
-    return (gap_len - 1).bit_length()
 
 
 def _fill(params: ModelParams, before, after, lengths: list[int],
           variant: str) -> list[np.ndarray]:
-    """Each gap's (T_i, d) imputation, one `forward` per bucket of gap lengths."""
+    """Each gap's (T_i, d) imputation, all gaps in one `forward` call."""
     if not len(before) == len(after) == len(lengths):
         raise ShapeError(f"{len(before)} before and {len(after)} after contexts "
                          f"for {len(lengths)} gaps")
+    if not lengths:
+        return []
     schedules = {t: make_schedule(t, variant) for t in set(lengths)}
-    buckets: dict[int, list[int]] = {}
-    for i, t in enumerate(lengths):
-        buckets.setdefault(_bucket(t), []).append(i)
-    out: list[np.ndarray] = [None] * len(lengths)  # type: ignore[list-item]
-    for idx in buckets.values():
-        windows = [ImputationWindow(before[i], None, after[i]) for i in idx]
-        merged = forward(params, windows, [schedules[lengths[i]] for i in idx]).merged
-        for j, i in enumerate(idx):
-            out[i] = merged[j, :lengths[i]]
-    return out
+    windows = [ImputationWindow(b, None, a) for b, a in zip(before, after)]
+    merged = forward(params, windows, [schedules[t] for t in lengths]).merged
+    return [m[:t] for m, t in zip(merged, lengths)]
 
 
 def impute(
@@ -669,8 +766,10 @@ def impute(
     One gap: `before`/`after` are (L, d) rows (1-D when d = 1) and
     `gap_len` an int, giving (gap_len, d). Several gaps of any shapes:
     lists of each gap's rows and a list of gap lengths, giving a list of
-    (gap_len_i, d) arrays. Gaps are batched by power-of-two range of gap
-    length; each gap's result does not depend on the others.
+    (gap_len_i, d) arrays. All gaps run as one batch whose every step
+    covers only the rows still reading context or filling their gap, so a
+    call costs the longest context plus the longest gap in LSTM steps; each
+    gap's result does not depend on the others.
     """
     variant = variant or params.config.schedule_variant
     if np.ndim(gap_len) > 0:

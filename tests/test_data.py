@@ -432,6 +432,14 @@ def _rewrite_cases(draw):
 
 @given(_rewrite_cases())
 @settings(max_examples=200, deadline=None)
+# spliced quote-free records beside records the csv module re-writes:
+@example(('1,a\n"2",b\n3,"x\ny"\n4,c\n5,d\n', 0, False, [0, 1, 2, 3], [[0.5], [1.5], [2.5], [-0.0]]))
+@example(("v,w\n1,\u00e9\n2,b\n3,c\n", 0, True, [0, 1], [[1e22], [-3.25]]))  # non-ASCII
+@example(("1,a\r2,b\r\r3,c", 0, False, [1, 2], [[0.1], [2.0]]))  # CR-only endings
+@example(("v,w\r\na,1\r\nb, 2 \r\n", 1, True, [0, 1], [[5e-324], [7.0]]))  # CRLF endings
+@example(("1\n2\n\n3\n", 0, False, [0, 2], [[4.0], [-1.5]]))  # single-field records
+@example(("a,x,1\nb,y,2\nc,z,3\nd,w,4\ne,v,5", 2, False, [1, 2, 3, 4],
+          [[0.25], [0.5], [0.75], [1.0]]))  # adjacent gap rows: one run
 def test_rewrite_csv_matches_the_line_by_line_oracle(case):
     text, column, header, rows, values = case
     with tempfile.TemporaryDirectory() as work:
@@ -444,6 +452,22 @@ def test_rewrite_csv_matches_the_line_by_line_oracle(case):
         rewrite_csv(out, load_csv(path, columns=[column], header=header), rows, values)
         with open(out, "rb") as got, open(ref, "rb") as want:
             assert got.read() == want.read()
+
+
+@pytest.mark.parametrize("rows, values, message", [
+    ([2, 0], [[1.0], [2.0]], "rows must strictly increase, got row 0 after row 2"),
+    ([1, 1], [[1.0], [2.0]], "rows must strictly increase, got row 1 after row 1"),
+    ([0, 1, 2], [[1.0]], "3 rows but 1 value rows"),
+    ([-1], [[1.0]], "row -1 is outside the table's 4 data rows"),
+    ([0], [[1.0, 2.0]], r"each row needs 1 value\(s\)"),
+    ([7], [[1.0]], "row 7 is outside the table's 4 data rows"),
+], ids=["decreasing", "repeated", "fewer-values", "negative", "wide-values", "past-the-end"])
+def test_rewrite_csv_rejects_bad_rows_and_values(tmp_path, rows, values, message):
+    path, out = tmp_path / "in.csv", tmp_path / "out.csv"
+    path.write_bytes(b"v,w\n1,a\n2,b\n3,c\n4,d\n")
+    with pytest.raises(DataError, match=message):
+        rewrite_csv(out, load_csv(path, columns=["v"]), rows, values)
+    assert not out.exists()
 
 
 def test_rewrite_csv_keeps_a_multi_line_record_whole(tmp_path):

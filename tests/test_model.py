@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gapfill.model import (
@@ -331,25 +331,29 @@ class TestImpute:
         b = impute(params, before, after, 2)
         assert np.array_equal(a, b)
 
-
-    def test_gaps_are_batched_by_power_of_two_length(self, monkeypatch):
+    def test_all_gaps_run_as_one_batch_of_live_rows(self, monkeypatch):
         import gapfill.model as model_module
 
         rng = Rng(29)
         params = init_model_params(NetworkConfig(input_dim=1, hidden_dim=2), rng)
         lengths = [64, 1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 7, 1]
-        before = [rng.normal_array((t, 1)) for t in lengths]
-        after = [rng.normal_array((t, 1)) for t in lengths]
-        batches, real_forward = [], model_module.forward
-
-        def counting_forward(p, windows, schedules):
-            batches.append(sorted(s.gap_len for s in schedules))
-            return real_forward(p, windows, schedules)
-
-        monkeypatch.setattr(model_module, "forward", counting_forward)
+        before = [rng.normal_array((1 + t // 2, 1)) for t in lengths]
+        after = [rng.normal_array((t + 3, 1)) for t in lengths]
+        forwards, steps = [], []
+        real_forward, real_step = model_module.forward, model_module.lstm_step
+        monkeypatch.setattr(model_module, "forward",
+                            lambda *args: forwards.append(args) or real_forward(*args))
+        monkeypatch.setattr(model_module, "lstm_step",
+                            lambda *args: steps.append(args) or real_step(*args))
         filled = impute(params, before, after, lengths)
-        assert sorted(batches) == [[1, 1], [2], [3, 4], [5, 7, 8], [9, 16], [17, 32], [33, 64]]
+        assert len(forwards) == 1
+        # both streams step together: the longest context span, then the longest gap
+        span = max(max(len(b), len(a)) for b, a in zip(before, after))
+        assert len(steps) == span + max(lengths)
         assert [len(f) for f in filled] == lengths
+        assert impute(params, [], [], []) == [] and len(forwards) == 1
+        for f, b, a, t in zip(filled, before, after, lengths):
+            assert np.allclose(f, impute(params, b, a, t), rtol=0, atol=1e-12)
 
 
 class TestReadme:
@@ -470,15 +474,35 @@ class TestBatchedPath:
     @given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 8), d=st.integers(1, 3),
            h=st.integers(1, 5), max_gap=st.integers(1, 6), max_context=st.integers(1, 5),
            variant=st.sampled_from(SCHEDULE_VARIANTS), merge_hidden=st.sampled_from([0, 3]),
-           forward_only=st.booleans(), ragged=st.booleans())
+           forward_only=st.booleans(), ragged=st.booleans(), shapes=st.none())
     @settings(max_examples=60, deadline=None)
+    # (before, gap, after) lengths given outright: the longest gap with the
+    # shortest context and the reverse, so the encoder and decoder orders differ
+    @example(seed=1, batch=4, d=1, h=3, max_gap=1, max_context=1, variant="linear",
+             merge_hidden=0, forward_only=False, ragged=True,
+             shapes=[(1, 6, 1), (5, 1, 5), (3, 3, 2), (1, 6, 2)])
+    @example(seed=2, batch=3, d=2, h=2, max_gap=1, max_context=1, variant="endpoint",
+             merge_hidden=3, forward_only=True, ragged=True,
+             shapes=[(1, 5, 1), (4, 1, 4), (2, 2, 2)])
+    # `before` longer than `after` in some rows and shorter in others
+    @example(seed=3, batch=4, d=1, h=4, max_gap=1, max_context=1, variant="linear",
+             merge_hidden=3, forward_only=False, ragged=True,
+             shapes=[(5, 2, 1), (1, 3, 5), (4, 4, 2), (2, 1, 3)])
+    # every row live at every encoder and decoder step
+    @example(seed=4, batch=4, d=2, h=3, max_gap=1, max_context=1, variant="constant",
+             merge_hidden=0, forward_only=False, ragged=False, shapes=[(3, 4, 3)] * 4)
+    # one row
+    @example(seed=5, batch=1, d=1, h=2, max_gap=1, max_context=1, variant="linear",
+             merge_hidden=0, forward_only=False, ragged=True, shapes=[(2, 3, 4)])
     def test_matches_the_per_window_oracle(self, seed, batch, d, h, max_gap, max_context,
-                                           variant, merge_hidden, forward_only, ragged):
+                                           variant, merge_hidden, forward_only, ragged, shapes):
         rng = Rng(seed)
         cfg = NetworkConfig(input_dim=d, hidden_dim=h, schedule_variant=variant,
                             merge_hidden=merge_hidden, forward_only=forward_only)
         params = init_model_params(cfg, rng)
-        if ragged:  # every row its own before, gap and after length
+        if shapes is not None:
+            batch = len(shapes)
+        elif ragged:  # every row its own before, gap and after length
             shapes = [(1 + rng.randrange(max_context), 1 + rng.randrange(max_gap),
                        1 + rng.randrange(max_context)) for _ in range(batch)]
         else:  # one shape, before and after of unequal length
