@@ -97,7 +97,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="benchmark model variants per the config's datasets")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, default=None, help="override training.seed")
-    p.add_argument("--jobs", type=int, default=1, help="parallel training jobs")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="processes that train, this one included; the rest are forked, "
+                        "at most one per training (without fork: trains serially)")
 
     p = sub.add_parser("gradcheck", help="verify the closed-form gradients numerically")
     p.add_argument("--seed", type=int, default=0)

@@ -13,6 +13,7 @@ import itertools
 import locale
 import math
 import operator
+import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -387,6 +388,11 @@ def rewrite_csv(path, table: SeriesTable, rows, values) -> None:
     are quoted. Each run of adjacent rewritten records is written as one
     block, and the bytes between runs are copied through, each in one write.
     Bad `rows` or `values` are a DataError, and no file is written.
+
+    The output is written whole to a new file beside `path` and then renamed
+    onto it, so a write that fails leaves `path` as it was, even when `path`
+    is the file `table` was loaded from; the new file is removed. Like
+    `open(path, "w")` on a new file, the output gets mode 0666 less the umask.
     """
     raw, starts = table.source, table.line_starts
     if raw is None:
@@ -395,27 +401,34 @@ def rewrite_csv(path, table: SeriesTable, rows, values) -> None:
     lines = table.row_lines[rows]
     fields, encoding = table.file_fields, _text_encoding()
     view = memoryview(raw)
-    with open(path, "wb") as fh:
-        done, block = 0, []
-        for line, lo, hi, row in zip(lines.tolist(), starts[lines].tolist(),
-                                     starts[lines + 1].tolist(), values):
-            record = raw[lo:hi]
-            if record.isascii() and b'"' not in record:
-                body = record.rstrip(b"\r\n")
-                cells = body.split(b",")
-                for col, v in zip(fields, row):
-                    cells[col] = repr(v).encode()
-                piece = b",".join(cells) + record[len(body):]
-            else:
-                piece, hi = _rewrite_record(raw, starts, line, fields, row, encoding)
-            if lo != done:
-                fh.write(b"".join(block))
-                fh.write(view[done:lo])
-                block = []
-            block.append(piece)
-            done = hi
-        fh.write(b"".join(block))
-        fh.write(view[done:])
+    tmp = f"{os.fspath(path)}.{os.urandom(4).hex()}.tmp"
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            done, block = 0, []
+            for line, lo, hi, row in zip(lines.tolist(), starts[lines].tolist(),
+                                         starts[lines + 1].tolist(), values):
+                record = raw[lo:hi]
+                if record.isascii() and b'"' not in record:
+                    body = record.rstrip(b"\r\n")
+                    cells = body.split(b",")
+                    for col, v in zip(fields, row):
+                        cells[col] = repr(v).encode()
+                    piece = b",".join(cells) + record[len(body):]
+                else:
+                    piece, hi = _rewrite_record(raw, starts, line, fields, row, encoding)
+                if lo != done:
+                    fh.write(b"".join(block))
+                    fh.write(view[done:lo])
+                    block = []
+                block.append(piece)
+                done = hi
+            fh.write(b"".join(block))
+            fh.write(view[done:])
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _rewrite_rows(table: SeriesTable, rows, values) -> tuple[np.ndarray, list[list[float]]]:

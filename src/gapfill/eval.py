@@ -9,8 +9,9 @@ from __future__ import annotations
 import csv
 import io
 import math
+import multiprocessing
+import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -184,7 +185,7 @@ class BenchmarkConfig:
 
 
 def _train_cell(args):
-    """Train one (dataset, network-kind) pair; top-level so pools can pickle it."""
+    """Train one (dataset, network-kind) pair."""
     label, kind, norm_train, cfg = args
     train_windows = extract_windows(norm_train, cfg.window)
     if len(train_windows) < 2:
@@ -211,11 +212,113 @@ def _describe(exc: Exception) -> str:
     return "".join(traceback.format_exception(exc)).rstrip()
 
 
+def _try_cell(job):
+    """`_train_cell(job)`, or the `_describe`d error it raised."""
+    try:
+        return _train_cell(job)
+    except Exception as exc:  # one failed cell must not abort the grid
+        return _describe(exc)
+
+
+class _CellCounter:
+    """Hands out the cell indices 0..n-1 once each, to whichever trainer asks
+    first, and records which trainer took each: 0 is the calling process,
+    k > 0 its k-th forked worker."""
+
+    def __init__(self, ctx, n: int):
+        self.n = n
+        self.next = ctx.Value("i", 0)
+        self.owner = ctx.Array("i", n, lock=False)  # written under next's lock
+
+    def take(self, trainer: int) -> int | None:
+        with self.next.get_lock():
+            i = self.next.value
+            if i == self.n:
+                return None
+            self.next.value = i + 1
+            self.owner[i] = trainer
+        return i
+
+
+def _train_worker(jobs, cells: _CellCounter, trainer: int, conn) -> None:
+    """A forked trainer: trains cells until none remain, then sends one
+    `(index, outcome)` message per cell it took.
+
+    It sends only once no cell is left to take: a send blocks while the pipe
+    is full, and the parent reads only after its own share, so a result sent
+    earlier could keep this trainer idle while cells remain.
+    """
+    outcomes = [(i, _try_cell(jobs[i])) for i in iter(lambda: cells.take(trainer), None)]
+    with conn:
+        for message in outcomes:
+            conn.send(message)
+
+
+def _train_forked(jobs, trainers: int) -> list:
+    """`_try_cell` of every job, on the calling process and `trainers - 1`
+    forked workers that take cells one at a time from a shared counter.
+
+    Fork, not spawn: a forked worker starts with the program imported and the
+    jobs in memory, where a spawned one would import numpy and unpickle the
+    jobs first. Forking is safe while the calling process runs no other
+    thread, as the CLI does not.
+    """
+    ctx = multiprocessing.get_context("fork")
+    cells = _CellCounter(ctx, len(jobs))
+    outcomes: dict[int, object] = {}
+    workers = []  # (trainer number, process, reading end of its pipe)
+    done = False
+    # a forked child flushes its copy of any buffered output when it exits
+    sys.stdout.flush()
+    sys.stderr.flush()
+    try:
+        for trainer in range(1, trainers):
+            reader, writer = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_train_worker, args=(jobs, cells, trainer, writer))
+            proc.start()
+            workers.append((trainer, proc, reader))
+            writer.close()  # the worker holds the only writing end: its exit is EOF
+        for i in iter(lambda: cells.take(0), None):
+            outcomes[i] = _try_cell(jobs[i])
+        for trainer, proc, reader in workers:
+            # read to EOF before joining: a worker blocked on a full pipe never exits
+            while True:
+                try:
+                    i, outcome = reader.recv()
+                except EOFError:
+                    break
+                outcomes[i] = outcome
+            proc.join()
+            for i in range(len(jobs)):
+                if cells.owner[i] == trainer and i not in outcomes:
+                    outcomes[i] = (f"training worker {trainer} exited with code "
+                                   f"{proc.exitcode} before returning this cell")
+        done = True
+    finally:
+        for _, proc, reader in workers:
+            if not done:
+                proc.kill()
+            proc.join()
+            reader.close()
+    return [outcomes[i] for i in range(len(jobs))]
+
+
+def _train_grid(jobs, trainers: int) -> list:
+    """`_try_cell` of every job, in order, on up to `trainers` processes; the
+    calling process trains too. Without a fork start method it trains
+    serially."""
+    trainers = min(trainers, len(jobs))
+    if trainers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        return _train_forked(jobs, trainers)
+    return [_try_cell(job) for job in jobs]
+
+
 def run_benchmark(datasets: list[BenchmarkDataset], variants, cfg: BenchmarkConfig) -> EvalReport:
     """Train every needed network per dataset and score the requested variants.
 
     A training run that fails for any reason (divergence, too little data,
-    a crashed worker) marks its dependent cells as failed with the error;
+    a crashed worker) marks its dependent cells as failed with the error,
+    and so does a cell whose score is undefined (MRE on all-zero truth);
     the rest of the grid still completes.
     """
     variants = [ModelVariant(v) for v in variants]
@@ -245,26 +348,11 @@ def run_benchmark(datasets: list[BenchmarkDataset], variants, cfg: BenchmarkConf
             for ds in datasets for kind in kinds_needed]
     trained: dict[tuple[str, str], object] = {}
     failures: dict[tuple[str, str], str] = {}
-
-    def consume(result):
-        label, kind, params, _log = result
-        trained[(label, kind)] = params
-
-    if cfg.jobs > 1:
-        # the pool forks all its workers at the first submit: no more than there are jobs
-        with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(jobs))) as pool:
-            futures = [(job[0], job[1], pool.submit(_train_cell, job)) for job in jobs]
-            for label, kind, fut in futures:
-                try:
-                    consume(fut.result())
-                except Exception as exc:  # one failed cell must not abort the grid
-                    failures[(label, kind)] = _describe(exc)
-    else:
-        for job in jobs:
-            try:
-                consume(_train_cell(job))
-            except Exception as exc:
-                failures[(job[0], job[1])] = _describe(exc)
+    for (label, kind, _, _), outcome in zip(jobs, _train_grid(jobs, cfg.jobs)):
+        if isinstance(outcome, str):
+            failures[(label, kind)] = outcome
+        else:
+            trained[(label, kind)] = outcome[2]
 
     cells: dict[tuple[str, str], EvalCell] = {}
     for ds in datasets:
@@ -291,7 +379,10 @@ def run_benchmark(datasets: list[BenchmarkDataset], variants, cfg: BenchmarkConf
                 pred = trace.merged
             t = denormalize(truth_raw, stats)
             p = denormalize(pred.ravel(), stats)
-            cells[(ds.label, variant.value)] = EvalCell(MetricPair(mae(t, p), mre(t, p)))
+            try:
+                cells[(ds.label, variant.value)] = EvalCell(MetricPair(mae(t, p), mre(t, p)))
+            except ValueError as exc:  # an undefined score fails only its cell
+                cells[(ds.label, variant.value)] = EvalCell(None, str(exc))
     return EvalReport(names, [v.value for v in variants], cells, ranges)
 
 

@@ -200,6 +200,14 @@ class TestImpute:
         changed = [i for i, (a, b) in enumerate(zip(original, filled)) if a != b]
         assert changed == [51, 52, 53]  # header occupies line 0
 
+    def test_out_may_be_the_input_file(self, tmp_path, sine_csv, trained):
+        expected = tmp_path / "filled.csv"
+        assert main(["impute", "--checkpoint", str(trained), "--data", str(sine_csv),
+                     "--gap", "50:3", "--out", str(expected)]) == 0
+        assert main(["impute", "--checkpoint", str(trained), "--data", str(sine_csv),
+                     "--gap", "50:3", "--out", str(sine_csv)]) == 0
+        assert sine_csv.read_bytes() == expected.read_bytes()
+
     def test_zero_length_gap_copies_input(self, tmp_path, sine_csv, trained):
         out = tmp_path / "copy.csv"
         assert main(["impute", "--checkpoint", str(trained), "--data", str(sine_csv),
@@ -390,6 +398,7 @@ class TestImpute:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(paths[flag]) in err
+        assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
 
     @pytest.mark.parametrize("flags, message", [
         (["--gap", "10:999999999999"], "gap 10:999999999999 runs past the 20000-row file"),
@@ -612,6 +621,79 @@ columns = value
             rows = list(csv.reader(fh))
         assert [r[:2] for r in rows[1:]] == [["wave:2", "seq2seqImp"]]
         assert rows[1][4] == "ok"
+
+    @staticmethod
+    def _eval_cfg(tmp_path, data, variants, columns="0"):
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text(f"""
+[model]
+hidden_dim = 4
+[training]
+epochs = 1
+[data]
+before_len = 4
+gap_len = 3
+after_len = 4
+test_fraction = 0.5
+[paths]
+report = {tmp_path / 'report'}
+borda = {tmp_path / 'borda'}
+[eval]
+variants = {variants}
+
+[dataset:s]
+path = {data}
+columns = {columns}
+""")
+        return cfg
+
+    def test_an_undefined_score_fails_only_its_datasets_cells(self, tmp_path, capsys):
+        # column 0 is all zeros in its test half, where MRE is undefined
+        data = tmp_path / "two.csv"
+        data.write_text("tail0,wave\n" + "".join(
+            f"{math.sin(i / 5) if i < 60 else 0},{math.sin(i / 7)}\n" for i in range(120)))
+        cfg = self._eval_cfg(tmp_path, data, "seq2seqImp,seq2seq", columns="tail0,wave")
+        assert main(["eval", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "error: s:0 seq2seqImp: mre is undefined for all-zero truth" in err
+        assert "error: s:0 seq2seq: mre is undefined for all-zero truth" in err
+        with open(tmp_path / "report.csv", newline="") as fh:
+            status = {(r[0], r[1]): r[4] for r in list(csv.reader(fh))[1:]}
+        assert status == {("s:0", "seq2seqImp"): "failed", ("s:0", "seq2seq"): "failed",
+                          ("s:1", "seq2seqImp"): "ok", ("s:1", "seq2seq"): "ok"}
+        assert "FAILED" in (tmp_path / "report.txt").read_text()
+
+    @pytest.mark.skipif("fork" not in __import__("multiprocessing").get_all_start_methods(),
+                        reason="--jobs 2 trains serially without fork")
+    def test_jobs_two_prints_each_table_once(self, tmp_path):
+        data = tmp_path / "wave.csv"
+        assert main(["synth", "--kind", "sine", "--n", "120", "--seed", "2",
+                     "--period", "16", "--out", str(data)]) == 0
+        cfg = self._eval_cfg(tmp_path, data, "seq2seqImp,seq2seq")
+        src = os.path.dirname(os.path.dirname(gapfill.__file__))
+        done = subprocess.run([sys.executable, "-m", "gapfill", "eval", "--config", str(cfg),
+                               "--jobs", "2"],
+                              env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                              text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        report = (tmp_path / "report.txt").read_text()
+        borda = (tmp_path / "borda.txt").read_text()
+        assert done.stdout == report + borda
+        assert done.stderr == ""
+
+    def test_jobs_two_writes_the_same_bytes_as_jobs_one(self, tmp_path):
+        data = tmp_path / "waves.csv"
+        data.write_text("a,b\n" + "".join(
+            f"{math.sin(i / 5)!r},{math.cos(i / 3) + 0.1 * math.sin(i)!r}\n" for i in range(120)))
+        cfg = self._eval_cfg(tmp_path, data, "seq2seqImp,seq2seqImp-noscale,seq2seq",
+                             columns="a,b")  # 2 datasets x 3 trained networks
+        outputs = {}
+        for jobs in ("1", "2"):
+            assert main(["eval", "--config", str(cfg), "--jobs", jobs]) == 0
+            outputs[jobs] = [(tmp_path / name).read_bytes() for name in
+                             ("report.csv", "report.txt", "borda.csv", "borda.txt")]
+        assert outputs["2"] == outputs["1"]
+        assert outputs["1"][0].count(b",ok\n") == 6
 
     def test_eval_without_datasets_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "eval.cfg"

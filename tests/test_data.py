@@ -1,5 +1,7 @@
+import errno
 import os
 import re
+import stat
 import struct
 import tempfile
 
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gapfill.data as data_module
 from gapfill.data import (
     DataError,
     SeriesTable,
@@ -477,6 +480,41 @@ def test_rewrite_csv_keeps_a_multi_line_record_whole(tmp_path):
     assert table.row_lines.tolist() == [1, 3, 5]
     rewrite_csv(out, table, [0, 2], [[0.25], [-4.0]])
     assert out.read_bytes() == b'v,note\r\n0.25,"a\r\nb"\r\n2,x\n\n-4.0,"c,d"'
+
+
+@pytest.mark.parametrize("onto_input", [False, True], ids=["existing-out", "out-is-the-input"])
+def test_rewrite_csv_that_fails_partway_leaves_the_old_file(tmp_path, monkeypatch, onto_input):
+    path = tmp_path / "in.csv"
+    path.write_bytes(b'v,w\n1,a\n2,b\n3,c\n4,"d"\n')
+    out = path if onto_input else tmp_path / "out.csv"
+    if not onto_input:
+        out.write_bytes(b"the file that was there\n")
+    old = out.read_bytes()
+    table = load_csv(path, columns=["v"])
+
+    def disk_full(*args):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    # rows 0 and 2 are written before the quoted record of row 3 is rewritten
+    monkeypatch.setattr(data_module, "_rewrite_record", disk_full)
+    with pytest.raises(OSError, match="No space left"):
+        rewrite_csv(out, table, [0, 2, 3], [[5.0], [6.0], [7.0]])
+    assert out.read_bytes() == old
+    assert sorted(os.listdir(tmp_path)) == sorted({"in.csv", out.name})
+
+
+def test_rewrite_csv_creates_its_output_as_open_does(tmp_path):
+    path, out = tmp_path / "in.csv", tmp_path / "out.csv"
+    path.write_bytes(b"v\n1\n2\n")
+    table = load_csv(path, columns=["v"])
+    old_mask = os.umask(0o027)
+    try:
+        rewrite_csv(out, table, [1], [[0.5]])
+    finally:
+        os.umask(old_mask)
+    assert out.read_bytes() == b"v\n1\n0.5\n"
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
+    assert sorted(os.listdir(tmp_path)) == ["in.csv", "out.csv"]
 
 
 class TestSplit:

@@ -1,6 +1,7 @@
 import csv
 import multiprocessing
-from concurrent.futures import Future
+import os
+import time
 
 import numpy as np
 import pytest
@@ -232,6 +233,14 @@ class TestRunBenchmark:
             run_benchmark(datasets, ["seq2seq"], tiny_benchmark_config())
 
 
+needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                                reason="workers are forked")
+
+
+def one_dataset():
+    return [BenchmarkDataset("d", synth("sine", 120, 0.05, seed=0, period=15.0))]
+
+
 class TestCellIsolation:
     # 22 rows at test_fraction 0.5 leave 11 training rows: one 11-row window
     SHORT = 22
@@ -254,8 +263,7 @@ class TestCellIsolation:
         assert "too few training windows" in report.cells[("short", "seq2seq")].error
         assert report.cells[("ok", "seq2seqImp")].metrics is not None
 
-    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                        reason="the patched trainer reaches pool workers only through fork")
+    @needs_fork  # the patched trainer reaches workers through fork
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_unexpected_exception_fails_only_its_cell(self, jobs, monkeypatch):
         real_train = eval_module.train
@@ -278,38 +286,80 @@ class TestCellIsolation:
         assert report.cells[("d", "seq2seqImp")].metrics is not None
 
 
-class _RecordingExecutor:
-    """Stands in for ProcessPoolExecutor: records max_workers, runs each job inline."""
+@needs_fork
+class TestWorkers:
+    @pytest.mark.parametrize("jobs, trainings, workers",
+                             [(500, 2, 1), (2, 2, 1), (3, 2, 1), (2, 1, 0)])
+    def test_starts_one_worker_fewer_than_the_trainers(self, monkeypatch, jobs, trainings,
+                                                       workers):
+        # seq2seqImp and RNN_FW read one trained network, seq2seq another
+        variants = {1: ["seq2seqImp", "RNN_FW"], 2: ["seq2seqImp", "seq2seq"]}[trainings]
+        started = []
+        real_start = multiprocessing.context.ForkProcess.start
 
-    max_workers: list[int] = []
+        def counting_start(proc):
+            started.append(proc)
+            real_start(proc)
 
-    def __init__(self, max_workers):
-        type(self).max_workers.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        future = Future()
-        future.set_result(fn(*args))
-        return future
-
-
-class TestPoolSize:
-    @pytest.mark.parametrize("jobs, workers", [(500, 2), (2, 2), (3, 2)])
-    def test_pool_never_exceeds_the_number_of_trainings(self, monkeypatch, jobs, workers):
-        monkeypatch.setattr(_RecordingExecutor, "max_workers", [])
-        monkeypatch.setattr(eval_module, "ProcessPoolExecutor", _RecordingExecutor)
+        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", counting_start)
         cfg = tiny_benchmark_config(epochs=1)
         cfg.jobs = jobs
-        report = run_benchmark([BenchmarkDataset("d", synth("sine", 120, 0.05, seed=0,
-                                                            period=15.0))],
-                               ["seq2seqImp", "seq2seq"], cfg)  # two trainings
-        assert _RecordingExecutor.max_workers == [workers]
+        report = run_benchmark(one_dataset(), variants, cfg)
+        assert len(started) == workers
         assert report.complete
+
+    def test_without_fork_jobs_above_one_trains_serially(self, monkeypatch):
+        started = []
+        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", started.append)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        cfg = tiny_benchmark_config(epochs=1)
+        cfg.jobs = 2
+        report = run_benchmark(one_dataset(), ["seq2seqImp", "seq2seq"], cfg)
+        assert started == []
+        assert report.complete
+
+    def test_a_dead_worker_fails_only_the_cells_it_took(self, monkeypatch):
+        caller = os.getpid()
+        died = multiprocessing.get_context("fork").Event()
+        real_train = eval_module.train
+
+        def train_or_die(*args):
+            if os.getpid() != caller:
+                died.set()
+                os._exit(1)
+            assert died.wait(timeout=60)  # the worker has taken the other cell
+            return real_train(*args)
+
+        monkeypatch.setattr(eval_module, "train", train_or_die)
+        cfg = tiny_benchmark_config(epochs=1)
+        cfg.jobs = 2
+        report = run_benchmark(one_dataset(), ["seq2seqImp", "seq2seq"], cfg)
+        assert len(report.failed_cells) == 1
+        error = report.cells[report.failed_cells[0]].error
+        assert error == "training worker 1 exited with code 1 before returning this cell"
+        assert multiprocessing.active_children() == []
+
+    def test_a_caller_that_raises_kills_its_workers(self, monkeypatch):
+        caller = os.getpid()
+        training = multiprocessing.get_context("fork").Event()
+        real_train = eval_module.train
+
+        def stuck_or_interrupted(*args):
+            if os.getpid() != caller:
+                training.set()
+                time.sleep(120)
+                return real_train(*args)
+            assert training.wait(timeout=60)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(eval_module, "train", stuck_or_interrupted)
+        cfg = tiny_benchmark_config(epochs=1)
+        cfg.jobs = 2
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_benchmark(one_dataset(), ["seq2seqImp", "seq2seq"], cfg)
+        assert time.monotonic() - started < 60
+        assert multiprocessing.active_children() == []
 
 
 class TestFormatting:
