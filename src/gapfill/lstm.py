@@ -74,13 +74,14 @@ class CellTape:
     act: np.ndarray  # (B, 4h): sigmoid(i, f, o) then tanh(g)
     c_prev: np.ndarray  # (B, h)
     c: np.ndarray  # (B, h)
+    tc: np.ndarray  # (B, h): tanh(c)
 
 
-def zero_state(hidden_dim: int, *lead: int) -> LstmState:
+def zero_state(hidden_dim: int, *lead: int, dtype=np.float64) -> LstmState:
     """All-zero state: (h,) vectors, (B, h) rows for `zero_state(h, B)`, or
-    (S, B, h) for `zero_state(h, S, B)`."""
+    (S, B, h) for `zero_state(h, S, B)`; `dtype` is the cell's float type."""
     shape = (*lead, hidden_dim)
-    return LstmState(np.zeros(shape), np.zeros(shape))
+    return LstmState(np.zeros(shape, dtype), np.zeros(shape, dtype))
 
 
 def lstm_step(p: LstmParams, x: np.ndarray, s: LstmState) -> tuple[LstmState, CellTape]:
@@ -102,8 +103,9 @@ def lstm_step(p: LstmParams, x: np.ndarray, s: LstmState) -> tuple[LstmState, Ce
     np.tanh(act[..., 3 * h:], out=act[..., 3 * h:])
     c = act[..., h:2 * h] * c_prev
     c += act[..., :h] * act[..., 3 * h:]
-    h_new = act[..., 2 * h:3 * h] * np.tanh(c)
-    tape = CellTape(xh, act, c_prev, c)
+    tc = np.tanh(c)
+    h_new = act[..., 2 * h:3 * h] * tc
+    tape = CellTape(xh, act, c_prev, c, tc)
     if x.ndim == 1:
         return LstmState(h_new[0], c[0]), tape
     return LstmState(h_new, c), tape
@@ -128,7 +130,7 @@ def lstm_step_backward(
     h = p.hidden_dim
     act = tape.act
     i, f, o, g = (act[..., k * h:(k + 1) * h] for k in range(4))
-    tc = np.tanh(tape.c)
+    tc = tape.tc
     dh2 = np.atleast_2d(dh)
     dc = dh2 * o * (1.0 - tc * tc)
     dc += dc_in

@@ -115,7 +115,7 @@ class NetworkConfig:
 
 @dataclass(eq=False)  # identity equality: comparing the arrays has no single truth value
 class ModelParams:
-    """All trainable tensors, each a view of one float64 vector `flat`.
+    """All trainable tensors, each a view of one vector `flat`.
 
     `flat` holds, in order: the fused weights `lstm_w` (4, 4h, d+h) and
     biases `lstm_b` (4, 4h) of the cells enc_fw, enc_bw, dec_fw, dec_bw;
@@ -125,7 +125,9 @@ class ModelParams:
     each pair stacked in stream order; a head maps a stream's hidden vector
     to its local prediction. Built by `params_from_flat`; a pickled or
     copied ModelParams is rebuilt the same way, so its tensors stay views
-    of its own `flat`.
+    of its own `flat`. `flat` is float64, except for the float32 compute
+    copy that `optim.train` runs each mini-batch on; every pass follows
+    the dtype of `flat`.
     """
 
     config: NetworkConfig
@@ -164,6 +166,12 @@ def params_from_flat(config: NetworkConfig, flat: np.ndarray) -> ModelParams:
     if flat.dtype != np.float64 or flat.shape != (n,) or not flat.flags.c_contiguous:
         raise ShapeError(f"parameters need a contiguous float64 vector of {n} floats, "
                          f"got {flat.dtype} {flat.shape}")
+    return _arena_params(config, flat)
+
+
+def _arena_params(config: NetworkConfig, flat: np.ndarray) -> ModelParams:
+    """`params_from_flat` without its checks, so `flat` may be any float
+    type: the float32 compute copy of training is built here."""
     lstm_w, lstm_b, head_w, head_b, *merge = _blocks(config, flat)
     return ModelParams(config, flat, lstm_w, lstm_b, head_w, head_b,
                        [Affine(w, b) for w, b in zip(merge[::2], merge[1::2])])
@@ -423,13 +431,17 @@ def _truth_rows(truth, gap_len, d: int) -> np.ndarray:
     return out
 
 
-def _layout(windows, schedule, d: int, streams: int, truth=None) -> tuple[_Batch, bool]:
+def _layout(params: ModelParams, windows, schedule, truth=None) -> tuple[_Batch, bool]:
     """Lay out one window, as the list of one, or a list of windows of any
-    shapes for `_forward`; also whether the input was a single window.
+    shapes for `_forward` of `params`; also whether the input was a single
+    window.
 
     Each row's gap length comes from its schedule; a shared ScalingSchedule
     gives every row its length. `truth` defaults to the windows' `missing`.
+    The context, stream weights and truth take the dtype of `params.flat`.
     """
+    cfg, dtype = params.config, params.flat.dtype
+    d, streams = cfg.input_dim, 1 if cfg.forward_only else 2
     single = isinstance(windows, ImputationWindow)
     windows = [windows] if single else list(windows)
     if single and truth is not None:
@@ -451,14 +463,16 @@ def _layout(windows, schedule, d: int, streams: int, truth=None) -> tuple[_Batch
     plan = _plan(lens.tobytes(), gap_len.astype(np.int64, copy=False).tobytes(), streams)
     # right-align each stream's context so that every row ends on the last step
     L = int(lens.max())
-    context = np.zeros((streams, len(windows), L, d))
+    context = np.zeros((streams, len(windows), L, d), dtype)
     for s in range(streams):
         for j, i in enumerate(plan.enc):
             r = contexts[s][i]
             context[s, j, L - len(r):] = r
     at = (plan.rows, plan.pos) if gamma.ndim == 2 else plan.pos
-    return _Batch(context, gap_len, gamma[at], gamma_prime[at],
-                  None if truth is None else truth[plan.rows, plan.pos], plan), single
+    if truth is not None:
+        truth = truth[plan.rows, plan.pos].astype(dtype, copy=False)
+    return _Batch(context, gap_len, gamma.astype(dtype, copy=False)[at],
+                  gamma_prime.astype(dtype, copy=False)[at], truth, plan), single
 
 
 def _unpack(batch: _Batch, a: np.ndarray) -> np.ndarray:
@@ -468,7 +482,7 @@ def _unpack(batch: _Batch, a: np.ndarray) -> np.ndarray:
     B, T = len(batch.gap_len), len(plan.dec_live)
     if plan.dense:
         return a.reshape(T, B, *a.shape[1:]).swapaxes(0, 1)
-    out = np.zeros((B, T, *a.shape[1:]))
+    out = np.zeros((B, T, *a.shape[1:]), a.dtype)
     out[plan.rows, plan.pos] = a
     return out
 
@@ -482,7 +496,7 @@ def _grow(a: np.ndarray, k: int) -> np.ndarray:
     """`a` with zero rows appended along axis 1 up to k: `a` itself when it has k."""
     if a.shape[1] == k:
         return a
-    out = np.zeros((a.shape[0], k, *a.shape[2:]))
+    out = np.zeros((a.shape[0], k, *a.shape[2:]), a.dtype)
     out[:, :a.shape[1]] = a
     return out
 
@@ -507,7 +521,7 @@ def _run_stream(params: ModelParams, batch: _Batch, keep_tapes: bool) -> StreamT
     head_w, head_b = np.swapaxes(params.head_w[:S], -1, -2), params.head_b[:S, None]
     enc_tapes: list[CellTape] | None = [] if keep_tapes else None
     dec_tapes: list[CellTape] | None = [] if keep_tapes else None
-    state = zero_state(enc.hidden_dim, S, plan.enc_live[0])
+    state = zero_state(enc.hidden_dim, S, plan.enc_live[0], dtype=context.dtype)
     for t, (k, partial) in enumerate(zip(plan.enc_live, plan.partial)):
         state = LstmState(_grow(state.h, k), _grow(state.c, k))
         new, tape = lstm_step(enc, _prefix(context[:, :, t], k), state)
@@ -521,8 +535,8 @@ def _run_stream(params: ModelParams, batch: _Batch, keep_tapes: bool) -> StreamT
     if plan.to_dec is not None:
         x, state = x[:, plan.to_dec], LstmState(state.h[:, plan.to_dec], state.c[:, plan.to_dec])
     off = plan.offsets
-    hs = np.empty((S, off[-1], dec.hidden_dim))
-    preds = np.empty((S, off[-1], d))
+    hs = np.empty((S, off[-1], dec.hidden_dim), context.dtype)
+    preds = np.empty((S, off[-1], d), context.dtype)
     for t, m in enumerate(plan.dec_live):
         state, tape = lstm_step(dec, _prefix(x, m),
                                 LstmState(_prefix(state.h, m), _prefix(state.c, m)))
@@ -555,8 +569,8 @@ def _stream_backward(params: ModelParams, st: StreamTrace, batch: _Batch,
     dec = LstmParams(params.lstm_w[2:2 + S], params.lstm_b[2:2 + S])
     g_dec = LstmParams(g.lstm_w[2:2 + S], g.lstm_b[2:2 + S])
     head_w = params.head_w[:S]
-    dh = dc = np.zeros((S, 0, dec.hidden_dim))
-    d_in = np.zeros((S, 0, d))
+    dh = dc = np.zeros((S, 0, dec.hidden_dim), d_pred.dtype)
+    d_in = np.zeros((S, 0, d), d_pred.dtype)
     d_preds = np.empty_like(d_pred)
     for t in reversed(range(len(plan.dec_live))):
         m, step = plan.dec_live[t], slice(off[t], off[t + 1])
@@ -622,8 +636,7 @@ def forward(params: ModelParams, windows, schedule) -> ForwardTrace:
     first, then each decoder stream over the whole gap (self-feeding its
     local predictions), and merging last, once both hidden sequences exist.
     """
-    cfg = params.config
-    batch, single = _layout(windows, schedule, cfg.input_dim, 1 if cfg.forward_only else 2)
+    batch, single = _layout(params, windows, schedule)
     return ForwardTrace(_forward(params, batch, keep_tapes=False)[0], batch, single)
 
 
@@ -710,19 +723,20 @@ def loss_and_grads(
     the windows' `missing` rows. `term_weights` scales the (merged,
     forward-stream, backward-stream) loss terms; the default reproduces
     `loss`. The forward-only network has a single term and ignores the
-    weights. The gradient is a ModelParams over a fresh zeroed vector;
-    `dict(iter_params(grads))` keys it by path.
+    weights. The gradient is a ModelParams over a fresh zeroed vector of
+    the dtype of `params.flat`; `dict(iter_params(grads))` keys it by path.
     """
     cfg = params.config
-    batch, _ = _layout(windows, schedule, cfg.input_dim, 1 if cfg.forward_only else 2, truth)
+    batch, _ = _layout(params, windows, schedule, truth)
     if batch.truth is None:
         raise ValueError("training needs ground-truth gap rows")
     truth = batch.truth
 
     pairs, st = _forward(params, batch, keep_tapes=True)
     terms = _loss_terms(pairs, batch, truth)
-    coef = (2.0 / (batch.gap_len * cfg.input_dim))[batch.plan.rows, None]
-    g = params_from_flat(cfg, np.zeros_like(params.flat))
+    coef = (2.0 / (batch.gap_len * cfg.input_dim)).astype(truth.dtype, copy=False)
+    coef = coef[batch.plan.rows, None]
+    g = _arena_params(cfg, np.zeros_like(params.flat))
     if cfg.forward_only:
         loss_val = terms[0]
         d_pred, dh_merge = (coef * (pairs.pred_fw - truth))[None], None

@@ -1,5 +1,9 @@
-"""Float64 primitives: the logistic function, a seeded RNG, and a
+"""Numeric primitives: the logistic function, a seeded RNG, and a
 central-difference gradient checker.
+
+The logistic function keeps a float input's dtype, so it serves both the
+float64 and the float32 arena; the RNG and the gradient checker work in
+float64.
 
 Every function here is pure; the Rng is the only stateful object and must
 stay confined to a single owner at a time.
@@ -25,9 +29,13 @@ def sigmoid(v) -> np.ndarray:
     """Elementwise logistic function, overflow-safe on both tails.
 
     Uses 1/(1+exp(-v)) = (1 + tanh(v/2))/2: one transcendental ufunc, no
-    masks, and tanh saturates to +-1 where exp would overflow.
+    masks, and tanh saturates to +-1 where exp would overflow. A float
+    array keeps its dtype; any other input (integers, lists) becomes float64.
     """
-    out = np.tanh(0.5 * np.asarray(v, dtype=np.float64))
+    v = np.asarray(v)
+    if v.dtype.kind != "f":
+        v = v.astype(np.float64)
+    out = np.tanh(0.5 * v)
     out += 1.0
     out *= 0.5
     return out

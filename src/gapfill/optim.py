@@ -12,6 +12,7 @@ from .model import (
     ImputationWindow,
     ModelParams,
     NetworkConfig,
+    _arena_params,
     clone_params,
     forward,
     init_model_params,
@@ -19,6 +20,7 @@ from .model import (
     loss,
     loss_and_grads,
     make_schedule,
+    params_from_flat,
 )
 from .numerics import Rng
 
@@ -171,13 +173,19 @@ def train(
 
     Deterministic for a fixed config and seed: initialization, shuffling,
     and gradient accumulation order are all driven by one seeded stream.
-    Each mini-batch's loss and gradient come from one batched pass.
+    Each mini-batch's loss and gradient come from one batched pass in
+    float32, on a copy of the float64 master weights refilled before every
+    batch; the gradient is cast up to float64 for its scaling, clipping and
+    Adam. The master weights, Adam's moments, the snapshot and validation
+    stay float64.
     """
     T, _ = _check_windows(windows, "training")
     if _check_windows(val_windows, "validation")[0] != T:
         raise ValueError("training and validation windows disagree on gap length")
     rng = Rng(cfg.seed)
     params = init_model_params(net_cfg, rng)
+    compute = _arena_params(net_cfg, np.empty(params.flat.shape, np.float32))
+    grads = params_from_flat(net_cfg, np.empty_like(params.flat))
     schedule = make_schedule(T, net_cfg.schedule_variant)
     adam = AdamState(params, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
     policy = policy or EarlyStopping(patience=cfg.patience, min_delta=cfg.min_delta)
@@ -191,15 +199,18 @@ def train(
         for batch_no, lo in enumerate(range(0, len(order), cfg.batch_size)):
             batch = order[lo:lo + cfg.batch_size]
             # the isfinite check below is the divergence guard; silence
-            # numpy's overflow chatter on the way to it
+            # numpy's overflow chatter on the way to it, the cast of master
+            # weights beyond float32's range to inf included
             with np.errstate(over="ignore", invalid="ignore"):
-                value, grads = loss_and_grads(params, [windows[i] for i in batch], schedule)
+                np.copyto(compute.flat, params.flat)
+                value, grads32 = loss_and_grads(compute, [windows[i] for i in batch], schedule)
             if not np.isfinite(value):
                 raise DivergenceError(
                     f"non-finite training loss at epoch {epoch}, batch {batch_no}",
                     epoch=epoch, batch=batch_no)
             epoch_loss += value
             g = grads.flat
+            np.copyto(g, grads32.flat)
             g *= 1.0 / len(batch)
             if cfg.clip_norm > 0.0:
                 # numpy's pairwise sum, not a BLAS dot: a threaded BLAS dot

@@ -55,6 +55,23 @@ def test_zero_params_keep_zero_state():
     assert np.array_equal(state.c, np.zeros(3))
 
 
+def test_tape_keeps_tanh_of_the_new_cell_memory():
+    rng = Rng(4)
+    p = random_cell(2, 3, rng)
+    state, tape = lstm_step(p, rng.normal_array((5, 2)),
+                            LstmState(rng.normal_array((5, 3)), rng.normal_array((5, 3))))
+    assert np.array_equal(tape.tc, np.tanh(tape.c))
+    assert np.array_equal(state.h, tape.act[:, 6:9] * tape.tc)  # the output gate's block
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_zero_state_takes_the_cell_dtype(dtype):
+    state = zero_state(3, 2, 5, dtype=dtype)
+    assert state.h.shape == state.c.shape == (2, 5, 3)
+    assert state.h.dtype == state.c.dtype == dtype
+    assert not state.h.any() and not state.c.any()
+
+
 def test_saturated_gates_carry_memory():
     # forget gate pinned open, input gate pinned shut: c passes through
     p = all_zero_params(1, 4)

@@ -25,6 +25,7 @@ from gapfill.model import (
     n_params,
     params_from_flat,
 )
+from gapfill.model import _arena_params
 from gapfill.numerics import Rng, ShapeError
 from gapfill.optim import AdamState, adam_step
 
@@ -541,6 +542,35 @@ class TestBatchedPath:
         for got, ref in zip(filled, refs):
             assert got.shape == ref["merged"].shape
             assert np.allclose(got, ref["merged"], rtol=0, atol=1e-12)
+
+    # float32 rounds at 6e-8 relative. The loss is a float64 sum of float32
+    # squared errors, held to 1e-5 relative. A gradient element sums products
+    # over every step and window, and cancellation can leave it far below its
+    # tensor's scale, so each tensor is held to 1e-4 of its largest magnitude
+    # (about 840 float32 ulps; 400 seeded batches measured at most 1.0e-5).
+    @given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 6), d=st.integers(1, 3),
+           h=st.integers(1, 6), max_gap=st.integers(1, 8), max_context=st.integers(1, 8),
+           variant=st.sampled_from(SCHEDULE_VARIANTS), merge_hidden=st.sampled_from([0, 3]),
+           forward_only=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_float32_arena_matches_the_float64_one(self, seed, batch, d, h, max_gap,
+                                                   max_context, variant, merge_hidden,
+                                                   forward_only):
+        rng = Rng(seed)
+        cfg = NetworkConfig(input_dim=d, hidden_dim=h, schedule_variant=variant,
+                            merge_hidden=merge_hidden, forward_only=forward_only)
+        params = init_model_params(cfg, rng)
+        shapes = [(1 + rng.randrange(max_context), 1 + rng.randrange(max_gap),
+                   1 + rng.randrange(max_context)) for _ in range(batch)]
+        windows = [random_window(rng, d, *shape) for shape in shapes]
+        schedules = [make_schedule(gap, variant) for _, gap, _ in shapes]
+        value, grads = loss_and_grads(params, windows, schedules)
+        value32, grads32 = loss_and_grads(_arena_params(cfg, params.flat.astype(np.float32)),
+                                          windows, schedules)
+        assert grads32.flat.dtype == np.float32
+        assert value32 == pytest.approx(value, rel=1e-5)
+        for (path, got), (_, want) in zip(iter_params(grads32), iter_params(grads)):
+            assert np.all(np.abs(got - want) <= 1e-4 * np.abs(want).max()), path
 
     def test_one_window_matches_the_oracle(self):
         rng = Rng(37)

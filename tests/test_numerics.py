@@ -37,6 +37,19 @@ class TestActivations:
         s = sigmoid(np.array([x, -x]))
         assert abs(s[0] + s[1] - 1.0) < 1e-15
 
+    def test_sigmoid_keeps_a_float_dtype(self):
+        x = np.linspace(-30, 30, 101)
+        out32 = sigmoid(x.astype(np.float32))
+        assert out32.dtype == np.float32
+        assert np.allclose(out32, sigmoid(x), rtol=0, atol=1e-7)
+        # float64 keeps the bits of (1 + tanh(x/2)) / 2
+        assert sigmoid(x).tobytes() == ((np.tanh(0.5 * x) + 1.0) * 0.5).tobytes()
+
+    @pytest.mark.parametrize("v", [[0, 1, -2], np.array([0, 1, -2]), 3])
+    def test_sigmoid_of_a_non_float_input_is_float64(self, v):
+        assert np.asarray(sigmoid(v)).dtype == np.float64
+        assert np.array_equal(sigmoid(v), sigmoid(np.asarray(v, dtype=np.float64)))
+
     def test_ranges(self):
         xs = np.linspace(-40, 40, 201)
         assert np.all((sigmoid(xs) >= 0) & (sigmoid(xs) <= 1))

@@ -8,6 +8,8 @@ import sys
 import numpy as np
 import pytest
 
+import gapfill.model
+import gapfill.optim
 from gapfill.data import WindowSpec, compute_norm_stats, extract_windows, normalize_table, synth
 from gapfill.model import (
     ImputationWindow,
@@ -202,6 +204,54 @@ class TestTrain:
         with pytest.raises(DivergenceError, match="epoch"):
             train(NetworkConfig(input_dim=1, hidden_dim=3), fit, val, None, cfg)
 
+    @pytest.mark.filterwarnings("error")
+    def test_divergence_in_the_float32_copy_raises_no_warning(self):
+        # the first update moves the master weights by ~1e200, past float32's range
+        windows = sine_windows(n=60)
+        fit, val = split_validation(windows, 0.2)
+        cfg = TrainConfig(lr=1e200, epochs=4, batch_size=8, seed=0)
+        with pytest.raises(DivergenceError, match="epoch 1, batch 1") as info:
+            train(NetworkConfig(input_dim=1, hidden_dim=3), fit, val, None, cfg)
+        assert (info.value.epoch, info.value.batch) == (1, 1)
+
+    def test_a_batch_runs_every_step_in_float32_and_validation_in_float64(self, monkeypatch):
+        dtypes = {"batch": set(), "validation": set()}
+        phase = ["validation"]
+        step, step_backward = gapfill.model.lstm_step, gapfill.model.lstm_step_backward
+        batch_pass = gapfill.optim.loss_and_grads
+
+        def in_batch(*args):
+            phase[0] = "batch"
+            try:
+                return batch_pass(*args)
+            finally:
+                phase[0] = "validation"
+
+        def seen(*arrays):
+            dtypes[phase[0]].update(a.dtype for a in arrays)
+
+        def traced_step(p, x, s):
+            new, tape = step(p, x, s)
+            seen(p.w, p.b, x, s.h, s.c, new.h, new.c, *vars(tape).values())
+            return new, tape
+
+        def traced_step_backward(p, tape, dh, dc, acc):
+            out = step_backward(p, tape, dh, dc, acc)
+            seen(p.w, p.b, dh, dc, acc.w, acc.b, *vars(tape).values(), *out)
+            return out
+
+        monkeypatch.setattr(gapfill.optim, "loss_and_grads", in_batch)
+        monkeypatch.setattr(gapfill.model, "lstm_step", traced_step)
+        monkeypatch.setattr(gapfill.model, "lstm_step_backward", traced_step_backward)
+        rng = Rng(5)
+        # contexts of mixed lengths, so encoder rows join late and some steps are partial
+        windows = [ImputationWindow(rng.normal_array((lb, 2)), rng.normal_array((3, 2)),
+                                    rng.normal_array((la, 2)))
+                   for lb, la in [(2, 5), (4, 1), (3, 3)]]
+        net = NetworkConfig(input_dim=2, hidden_dim=4, merge_hidden=3)
+        train(net, windows, windows[:2], None, TrainConfig(epochs=1, batch_size=8, seed=2))
+        assert dtypes == {"batch": {np.dtype(np.float32)}, "validation": {np.dtype(np.float64)}}
+
     def test_empty_window_sets_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             train(NetworkConfig(), [], [], None, TrainConfig())
@@ -223,6 +273,21 @@ class TestTrain:
         _, log = train(NetworkConfig(input_dim=1, hidden_dim=3), fit, val, None, cfg)
         assert log.clip_events > 0
 
+    @staticmethod
+    def _digests_by_blas_thread_count(script: str) -> set[str]:
+        """What `script` prints when run with BLAS on one thread and on two."""
+        here = os.path.dirname(os.path.abspath(__file__))
+        path = os.pathsep.join([os.path.join(os.path.dirname(here), "src"), here])
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                  text=True, timeout=300, check=False)
+            assert proc.returncode == 0, proc.stderr
+            digests.add(proc.stdout.strip())
+        return digests
+
     def test_clipped_training_ignores_the_blas_thread_count(self):
         # at h=64 the gradient has ~68k floats, where a threaded BLAS dot
         # would split the clip norm's sum by thread
@@ -236,17 +301,32 @@ class TestTrain:
             "params, log = train(NetworkConfig(hidden_dim=64), fit, val, None, cfg)\n"
             "assert log.clip_events > 0\n"
             "print(hashlib.sha256(params.flat.tobytes()).hexdigest())\n")
-        here = os.path.dirname(os.path.abspath(__file__))
-        path = os.pathsep.join([os.path.join(os.path.dirname(here), "src"), here])
-        digests = set()
-        for threads in ("1", "2"):
-            env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
-                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
-            proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                                  text=True, timeout=300, check=False)
-            assert proc.returncode == 0, proc.stderr
-            digests.add(proc.stdout.strip())
-        assert len(digests) == 1
+        assert len(self._digests_by_blas_thread_count(script)) == 1
+
+    def test_float32_checkpoints_repeat_and_ignore_the_blas_thread_count(self, tmp_path):
+        # h=64 without clipping: each batch's float32 sgemm calls are the
+        # only BLAS work; two trainings in one process must write the same bytes
+        script = (
+            "import hashlib\n"
+            "import pathlib\n"
+            "import numpy as np\n"
+            "from gapfill.checkpoint import save_checkpoint\n"
+            "from gapfill.data import NormStats\n"
+            "from gapfill.model import NetworkConfig\n"
+            "from gapfill.optim import TrainConfig, split_validation, train\n"
+            "from test_optim import sine_windows\n"
+            "fit, val = split_validation(sine_windows(n=120), 0.2)\n"
+            "cfg = TrainConfig(epochs=2, batch_size=8, seed=0)\n"
+            "stats = NormStats(np.zeros(1), np.ones(1))\n"
+            "files = []\n"
+            "for k in range(2):\n"
+            f"    path = pathlib.Path({str(tmp_path)!r}) / f'{{k}}.ckpt'\n"
+            "    save_checkpoint(path, train(NetworkConfig(hidden_dim=64), fit, val, None,\n"
+            "                                cfg)[0], stats)\n"
+            "    files.append(path.read_bytes())\n"
+            "assert files[0] == files[1]\n"
+            "print(hashlib.sha256(files[0]).hexdigest())\n")
+        assert len(self._digests_by_blas_thread_count(script)) == 1
 
     def test_clip_that_never_fires_changes_no_bit(self):
         windows = sine_windows(n=80)
