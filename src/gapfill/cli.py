@@ -41,7 +41,7 @@ from .eval import (
     report_rows,
     run_benchmark,
 )
-from .model import SCHEDULE_VARIANTS, gradient_check, impute
+from .model import SCHEDULE_VARIANTS, _arena_params, gradient_check, impute
 from .optim import DivergenceError, split_validation, train, write_train_log
 
 EXIT_OK = 0
@@ -191,29 +191,35 @@ def cmd_impute(args) -> int:
         if s1 + l1 > s2:
             raise DataError(f"gap {s2}:{l2} overlaps gap {s1}:{l1}")
 
-    values = table.values
-    observed = ~table.missing.any(axis=1)
-    in_gap = np.zeros(table.n_rows, dtype=bool)
+    usable = ~table.missing.any(axis=1)  # observed and outside every gap
     for start, length in gaps:
         if start + length > table.n_rows:
             raise DataError(f"gap {start}:{length} runs past the {table.n_rows}-row file")
-        in_gap[start:start + length] = True
+        usable[start:start + length] = False
 
+    values = normalize(table.values, stats)
     befores, afters = [], []
     for (start, length), context in zip(gaps, contexts):
         lo, hi = start - context, start + length + context
         if lo < 0 or hi > table.n_rows:
             raise DataError(f"gap {start}:{length}: needs {context} observed rows on each side")
-        ctx_rows = np.r_[lo:start, start + length:hi]
-        if not observed[ctx_rows].all() or in_gap[ctx_rows].any():
+        if not (usable[lo:start].all() and usable[start + length:hi].all()):
             raise DataError(f"gap {start}:{length}: context rows must be observed values")
-        befores.append(normalize(values[lo:start], stats))
-        afters.append(normalize(values[start + length:hi], stats))
+        befores.append(values[lo:start])
+        afters.append(values[start + length:hi])
 
-    filled = impute(params, befores, afters, [length for _, length in gaps], args.variant)
+    lengths = [length for _, length in gaps]
+    # the model runs on a float32 copy of the weights, as training's
+    # mini-batches do; fills that float32 cannot hold finite (weights or
+    # context beyond its range) are computed in float64
+    with np.errstate(over="ignore", invalid="ignore"):
+        filled = impute(_arena_params(params.config, params.flat.astype(np.float32)),
+                        befores, afters, lengths, args.variant)
+    fills = np.concatenate(filled) if filled else np.empty((0, d))
+    if not np.isfinite(fills).all():
+        fills = np.concatenate(impute(params, befores, afters, lengths, args.variant))
     rows = [start + k for start, length in gaps for k in range(length)]
-    values = denormalize(np.concatenate(filled), stats) if filled else []
-    rewrite_csv(args.out, table, rows, values)
+    rewrite_csv(args.out, table, rows, denormalize(fills, stats))
     print(f"filled {len(rows)} row(s) across {len(gaps)} gap(s) into {args.out}")
     return EXIT_OK
 

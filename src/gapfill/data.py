@@ -251,44 +251,68 @@ def _load_records(raw: bytes, path, columns, markers, header, rows) -> SeriesTab
 # where numpy's cast does not. A CR not followed by LF is checked apart.
 _FAST_PATH_STOPS = (b'"', b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
+# the bytes the numpy path compares at a time, so its temporaries stay small
+_BLOCK = 1 << 18
+
 
 def _load_fast(raw: bytes, columns, markers, header, rows) -> SeriesTable | None:
     """`load_csv` for quote-free ASCII text, or None to read `raw` with csv.reader.
 
     In such text every non-empty line is one record and every comma ends a
-    field. numpy finds the line and comma offsets, and each selected field
-    is gathered into one fixed-width bytes array, stripped of ASCII
-    whitespace and cast with one `astype(np.float64)`, which parses as
-    float() does. Any problem (uneven widths, a header or selection error,
-    no data rows, a cell the cast rejects) returns None, so that
-    `_load_records` raises its error.
+    field. One scan finds every field's end, a comma or a line's LF, and
+    the LFs among them split the ends into lines: a line's first field
+    starts after the previous line's LF, and each comma opens the next
+    field. Each selected field is gathered into one fixed-width bytes
+    array, stripped of ASCII whitespace and cast with one
+    `astype(np.float64)`, which parses as float() does. Any problem
+    (uneven widths, a header or selection error, no data rows, a cell the
+    cast rejects) returns None, so that `_load_records` raises its error.
     """
-    if (not raw.isascii() or any(stop in raw for stop in _FAST_PATH_STOPS)
-            or (b"\r" in raw and raw.count(b"\r") != raw.count(b"\r\n"))):
+    if not raw or not raw.isascii() or any(stop in raw for stop in _FAST_PATH_STOPS):
         return None
     buf = np.frombuffer(raw, dtype=np.uint8)
-    ends = _offsets(buf, 10)  # each line's end: its LF, its CR if CRLF, or the end of text
-    line_starts = np.concatenate(([0], ends + 1))
-    if line_starts[-1] != len(raw):  # the last line has no line ending
-        ends, line_starts = np.append(ends, len(raw)), np.append(line_starts, len(raw))
-    crs = _offsets(buf, 13)  # each opens a CRLF ending
-    ends[np.searchsorted(ends, crs)] = crs
-    rec = np.flatnonzero(ends > line_starts[:-1])  # csv.reader skips empty lines
-    starts, ends = line_starts[rec], ends[rec]
-    if not rec.size or (ends - starts).max() > csv.field_size_limit():
+    ends = _field_ends(buf)
+    # full-length temporaries are dropped as soon as they are read: a higher
+    # peak can make the allocator hand the freed memory back to the system,
+    # and each call then faults it in again
+    is_lf = np.take(buf, ends, mode="clip") == 10
+    is_lf[-1] |= ends[-1] == buf.size  # the end of a last line without a line ending
+    lf = np.flatnonzero(is_lf)  # the index in `ends` of each line's last field end
+    del is_lf
+    line_ends = ends[lf]  # each line's end: its LF, its CR if CRLF, or the end of text
+    line_starts = np.empty(lf.size + 1, np.intp)
+    line_starts[0], line_starts[-1] = 0, buf.size
+    np.add(line_ends[:-1], 1, out=line_starts[1:-1])
+    if b"\r" in raw:  # a CR must open a CRLF ending, which ends its line a byte early
+        crlf = buf[np.maximum(line_ends - 1, 0)] == 13
+        crlf[-1] &= ends[-1] != buf.size  # the end of the text ends no CRLF
+        if np.count_nonzero(crlf) != sum(int(np.count_nonzero(buf[i:i + _BLOCK] == 13))
+                                         for i in range(0, buf.size, _BLOCK)):
+            return None
+        line_ends -= crlf
+    per_line = np.empty_like(lf)  # the fields of each line
+    per_line[0] = lf[0] + 1
+    np.subtract(lf[1:], lf[:-1], out=per_line[1:])
+    del lf
+    length = line_ends - line_starts[:-1]
+    if length.max() > csv.field_size_limit():
         return None
-    commas = _offsets(buf, 44)
-    first = np.searchsorted(commas, starts)  # each record's first comma
-    last = int(np.searchsorted(commas, ends[0]) - first[0])  # the last field's index
-    if (np.searchsorted(commas, ends) - first != last).any():
+    nonempty = length > 0  # csv.reader skips empty lines
+    del length
+    rec = np.flatnonzero(nonempty)
+    if not rec.size:
         return None
-    first_row = raw[starts[0]:ends[0]].decode("ascii").split(",")
+    last = int(per_line[rec[0]]) - 1  # the last field's index
+    if ((per_line != last + 1) & nonempty).any():
+        return None
+    del per_line, nonempty
+    first_row = raw[line_starts[rec[0]]:line_ends[rec[0]]].decode("ascii").split(",")
     try:
         names = _header_names(first_row, columns, markers, header, None)
         if names is None:
             names = [f"col{i}" for i in range(last + 1)]
         else:
-            rec, starts, ends, first = rec[1:], starts[1:], ends[1:], first[1:]
+            rec = rec[1:]
         fields = list(range(last + 1)) if columns is None else [_column_index(names, s)
                                                                 for s in columns]
     except DataError:
@@ -297,13 +321,14 @@ def _load_fast(raw: bytes, columns, markers, header, rows) -> SeriesTable | None
         return None
 
     take = _row_index(rows, rec.size)
-    if take is not None:
-        starts, ends, first = starts[take], ends[take], first[take]
+    cast_lines = rec if take is None else rec[take]
+    starts, stops = line_starts[cast_lines], line_ends[cast_lines]
+    first = np.searchsorted(ends, starts)  # the index in `ends` of each one's first field end
     codes = [m.encode("ascii") for m in markers if m.isascii() and "\0" not in m]
     cast = np.empty((starts.size, len(fields)))
     for f in set(fields):
-        lo = starts if f == 0 else commas[first + f - 1] + 1
-        width = (ends if f == last else commas[first + f]) - lo
+        lo = starts if f == 0 else ends[first + f - 1] + 1
+        width = (stops if f == last else ends[first + f]) - lo
         w = max(1, int(width.max(initial=0)))
         # row i is the w bytes from lo[i] (a copy), but no window runs past the end
         cells = np.lib.stride_tricks.sliding_window_view(buf, w)[np.minimum(lo, buf.size - w)]
@@ -321,12 +346,12 @@ def _load_fast(raw: bytes, columns, markers, header, rows) -> SeriesTable | None
     return _table(names, fields, _spread(cast, take, rec.size), rec, raw, line_starts)
 
 
-def _offsets(buf: np.ndarray, byte: int) -> np.ndarray:
-    """The positions of `byte` in `buf`, found a block at a time so that the
-    comparison's temporary stays small."""
-    block = 1 << 20
-    return np.concatenate([np.flatnonzero(buf[i:i + block] == byte) + i
-                           for i in range(0, buf.size, block)] + [np.empty(0, np.intp)])
+def _field_ends(buf: np.ndarray) -> np.ndarray:
+    """The offset of every comma and LF in `buf`, then `buf.size` if the text
+    does not end in an LF."""
+    tail = [] if buf[-1] == 10 else [np.array([buf.size])]
+    return np.concatenate([np.flatnonzero((buf[i:i + _BLOCK] == 44) | (buf[i:i + _BLOCK] == 10))
+                           + i for i in range(0, buf.size, _BLOCK)] + tail)
 
 
 def _table(names, fields, values, row_lines, source, line_starts) -> SeriesTable:

@@ -20,6 +20,17 @@ S independent cells can run as one: a stacked cell holds (S, 4h, d+h)
 weights and (S, 4h) biases, its states and inputs are (S, B, .) arrays,
 and each step is one batched matrix product over the stream axis.
 
+A forward step multiplies by the forward operand: the fused weight
+transposed to a contiguous (d+h, 4h) array, or (S, d+h, 4h) stacked, with
+the i, f, o columns and their biases halved. Since
+sigmoid(a) = (1 + tanh(a/2))/2 and halving is exact, one in-place tanh
+over all 4h pre-activations serves both kinds of gate: the g block is
+done, and one scale and one shift over all 4h columns (x 0.5, + 0.5 on i,
+f, o; x 1, + -0.0 on g, which leave it as it is) finish the sigmoids, to
+the same bits as (1 + tanh(a/2))/2. A `ForwardCell` builds the operand
+once for the steps of a forward pass; a plain `LstmParams` builds it on
+each step, so it always reads the weights as they are.
+
 `model.init_model_params` draws the weights Uniform(-k, k) with
 k = 1/sqrt(hidden_dim); biases start at zero except the forget bias, which
 starts at 1 so early training does not erase the cell memory.
@@ -31,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import ShapeError, sigmoid
+from .numerics import ShapeError
 
 
 class LstmParams:
@@ -54,6 +65,33 @@ class LstmParams:
     @property
     def hidden_dim(self) -> int:
         return self.b.shape[-1] // 4
+
+    def operand(self) -> tuple[np.ndarray, ...]:
+        """The forward operand of `w` and `b` as they are now: the weight
+        (d+h, 4h) and the bias (1, 4h), stacked (S, .) like the cell, with
+        the i, f, o columns halved; then the (4h,) scale and shift that turn
+        tanh of the halved i, f, o columns into their sigmoids and keep the
+        g columns (x * 1 + -0.0 is x, signed zeros included)."""
+        w, b = self.w, self.b
+        sig = slice(0, 3 * self.hidden_dim)
+        scale, shift = np.ones(b.shape[-1], w.dtype), np.full(b.shape[-1], -0.0, w.dtype)
+        scale[sig], shift[sig] = 0.5, 0.5
+        wt = np.empty((*w.shape[:-2], w.shape[-1], w.shape[-2]), w.dtype)
+        np.multiply(np.swapaxes(w, -1, -2), scale, out=wt)
+        return wt, (b * scale)[..., None, :], scale, shift
+
+
+class ForwardCell(LstmParams):
+    """A cell whose forward operand is built once, from `w` and `b` as they
+    are when it is made: a snapshot for the steps of one forward pass.
+    Weights that change afterwards need a new ForwardCell."""
+
+    def __init__(self, w: np.ndarray, b: np.ndarray):
+        super().__init__(w, b)
+        self._operand = super().operand()
+
+    def operand(self) -> tuple[np.ndarray, ...]:
+        return self._operand
 
 
 @dataclass
@@ -89,18 +127,24 @@ def lstm_step(p: LstmParams, x: np.ndarray, s: LstmState) -> tuple[LstmState, Ce
     with a stacked cell, S batches of states as (S, B, .) arrays.
 
     Returns the new state, shaped like the input, and the tape for backward.
+    Runs in the dtype of the cell's weights; pass a `ForwardCell` to step
+    one operand many times.
     """
     d, h = p.input_dim, p.hidden_dim
     if x.shape[-1] != d:
         raise ShapeError(f"input has length {x.shape[-1]}, cell expects {d}")
     if s.h.shape[-1] != h or s.c.shape[-1] != h:
         raise ShapeError(f"state has length {s.h.shape[-1]}, cell expects {h}")
-    c_prev = np.atleast_2d(s.c)
-    xh = np.concatenate([np.atleast_2d(x), np.atleast_2d(s.h)], axis=-1)
-    act = np.matmul(xh, np.swapaxes(p.w, -1, -2))
-    act += p.b[..., None, :]
-    act[..., :3 * h] = sigmoid(act[..., :3 * h])
-    np.tanh(act[..., 3 * h:], out=act[..., 3 * h:])
+    wt, bt, scale, shift = p.operand()
+    if x.ndim == 1:
+        xh, c_prev = np.concatenate([x, s.h])[None], s.c[None]
+    else:
+        xh, c_prev = np.concatenate([x, s.h], axis=-1), s.c
+    act = np.matmul(xh, wt)
+    act += bt
+    np.tanh(act, out=act)
+    act *= scale  # sigmoid(a) = (1 + tanh(a/2))/2 on i, f, o; g is tanh(a) already
+    act += shift
     c = act[..., h:2 * h] * c_prev
     c += act[..., :h] * act[..., 3 * h:]
     tc = np.tanh(c)

@@ -42,7 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lstm import CellTape, LstmParams, LstmState, lstm_step, lstm_step_backward, zero_state
+from .lstm import (CellTape, ForwardCell, LstmParams, LstmState, lstm_step, lstm_step_backward,
+                   zero_state)
 from .numerics import Rng, ShapeError, finite_diff_grad
 
 SCHEDULE_VARIANTS = ("linear", "endpoint", "constant")
@@ -516,8 +517,8 @@ def _run_stream(params: ModelParams, batch: _Batch, keep_tapes: bool) -> StreamT
     """
     context, plan = batch.context, batch.plan
     S, _, _, d = context.shape
-    enc = LstmParams(params.lstm_w[0:S], params.lstm_b[0:S])
-    dec = LstmParams(params.lstm_w[2:2 + S], params.lstm_b[2:2 + S])
+    enc = ForwardCell(params.lstm_w[0:S], params.lstm_b[0:S])
+    dec = ForwardCell(params.lstm_w[2:2 + S], params.lstm_b[2:2 + S])
     head_w, head_b = np.swapaxes(params.head_w[:S], -1, -2), params.head_b[:S, None]
     enc_tapes: list[CellTape] | None = [] if keep_tapes else None
     dec_tapes: list[CellTape] | None = [] if keep_tapes else None

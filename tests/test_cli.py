@@ -16,7 +16,7 @@ import gapfill
 from gapfill.checkpoint import load_checkpoint, save_checkpoint
 from gapfill.cli import main
 from gapfill.data import NormStats, load_csv
-from gapfill.model import NetworkConfig, init_model_params, iter_params
+from gapfill.model import NetworkConfig, impute, init_model_params, iter_params
 from gapfill.numerics import Rng
 
 TRAIN_CFG = """
@@ -46,6 +46,12 @@ def sine_csv(tmp_path):
                "--noise", "0.05", "--period", "20", "--out", str(path)])
     assert rc == 0
     return path
+
+
+# `gapfill impute` runs the model in float32, and BLAS may sum a batch of
+# one row in another order than a larger batch, so a gap's fill can move
+# by a few float32 ulps with the other gaps of its call (data here is O(1))
+BATCH_ATOL_32 = 1e-6
 
 
 def untrained_checkpoint(path, input_dim=1):
@@ -272,7 +278,7 @@ class TestImpute:
             assert main(args + ["--gap", gap, "--out", str(alone)]) == 0
             start, length = map(int, gap.split(":"))
             single = load_csv(alone).values[start:start + length, 0]
-            assert np.allclose(table[start:start + length], single, rtol=0, atol=1e-12)
+            assert np.allclose(table[start:start + length], single, rtol=0, atol=BATCH_ATOL_32)
 
     def test_gaps_unlike_the_trained_length_are_filled_independently(self, tmp_path):
         # a model trained on 10-row gaps fills gaps of 1-33 rows in one call,
@@ -312,7 +318,8 @@ class TestImpute:
             alone = tmp_path / f"alone-{start}.csv"
             assert main(args + ["--gap", f"{start}:{length}", "--out", str(alone)]) == 0
             single = load_csv(alone, columns=["value"]).values[start:start + length, 0]
-            assert np.allclose(values[start:start + length], single, rtol=0, atol=1e-12)
+            assert np.allclose(values[start:start + length], single, rtol=0,
+                               atol=BATCH_ATOL_32)
 
     def test_context_must_be_observed(self, tmp_path, trained, sine_csv, capsys):
         lines = sine_csv.read_text().splitlines()
@@ -325,6 +332,67 @@ class TestImpute:
         assert main(["impute", "--checkpoint", str(trained), "--data", str(holed),
                      "--gap", "51:3", "--out", str(tmp_path / "y.csv")]) == 1
         assert "observed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("gaps, named", [
+        (["50:3", "55:2"], "50:3"),  # the after context of 50:3 runs into 55:2
+        (["50:1", "53:4"], "53:4"),  # the before context of 53:4 runs into 50:1
+    ])
+    def test_context_that_runs_into_another_gap_is_rejected(self, tmp_path, sine_csv, trained,
+                                                           capsys, gaps, named):
+        args = ["impute", "--checkpoint", str(trained), "--data", str(sine_csv)]
+        out = tmp_path / "x.csv"
+        assert main(args + [a for g in gaps for a in ("--gap", g)] + ["--out", str(out)]) == 1
+        assert f"gap {named}: context rows must be observed" in capsys.readouterr().err
+        assert not out.exists()
+        # contexts that touch but do not enter the other gap are fine
+        assert main(args + ["--gap", "50:2", "--gap", "56:2", "--out", str(out)]) == 0
+
+    def test_the_model_steps_in_float32(self, tmp_path, sine_csv, trained, monkeypatch):
+        dtypes = set()
+        step = gapfill.model.lstm_step
+
+        def traced_step(p, x, s):
+            new, tape = step(p, x, s)
+            dtypes.update(a.dtype for a in (p.w, p.b, x, s.h, s.c, new.h, new.c,
+                                            *vars(tape).values()))
+            return new, tape
+
+        monkeypatch.setattr(gapfill.model, "lstm_step", traced_step)
+        assert main(["impute", "--checkpoint", str(trained), "--data", str(sine_csv),
+                     "--gap", "50:3", "--gap", "90:7", "--out", str(tmp_path / "x.csv")]) == 0
+        assert dtypes == {np.dtype(np.float32)}
+
+    def test_fills_match_the_float64_model(self, tmp_path, sine_csv, trained):
+        params, stats = load_checkpoint(trained)
+        values = load_csv(sine_csv).values[:, 0]
+        gaps = [(20, 1), (40, 3), (90, 7), (150, 12), (200, 5)]
+        out = tmp_path / "filled.csv"
+        assert main(["impute", "--checkpoint", str(trained), "--data", str(sine_csv), "--out",
+                     str(out)] + [a for s, n in gaps for a in ("--gap", f"{s}:{n}")]) == 0
+        filled = load_csv(out).values[:, 0]
+        norm = (values - stats.mean[0]) / stats.std[0]
+        want = impute(params, [norm[s - n:s] for s, n in gaps],
+                      [norm[s + n:s + 2 * n] for s, n in gaps], [n for _, n in gaps])
+        got = [(filled[s:s + n] - stats.mean[0]) / stats.std[0] for s, n in gaps]
+        # in normalized units: float32 rounding through at most 24 steps of a
+        # hidden-6 cell and the merge (the benchmark's hidden-64 models stay
+        # within 3.1e-6 over 8 gap sets of 100 gaps)
+        for g, w in zip(got, want):
+            assert np.allclose(g, w[:, 0], atol=1e-5, rtol=0)
+        assert not all(np.array_equal(g, w[:, 0]) for g, w in zip(got, want))
+
+    def test_fills_float32_cannot_hold_are_computed_in_float64(self, tmp_path, sine_csv):
+        # a merge weight beyond float32's range: the float32 copy holds inf
+        params = init_model_params(NetworkConfig(input_dim=1, hidden_dim=2), Rng(0))
+        params.merge[0].w[0, 0] = 1e39
+        save_checkpoint(tmp_path / "big.ckpt", params, NormStats(np.zeros(1), np.ones(1)))
+        out = tmp_path / "filled.csv"
+        assert main(["impute", "--checkpoint", str(tmp_path / "big.ckpt"), "--data",
+                     str(sine_csv), "--gap", "50:3", "--out", str(out)]) == 0
+        values = load_csv(sine_csv).values[:, 0]
+        want = impute(params, values[47:50], values[53:56], 3)[:, 0]
+        assert np.isfinite(want).all()
+        assert np.array_equal(load_csv(out).values[50:53, 0], want)
 
     @pytest.mark.parametrize("context", ["-1", "0", "-5"])
     def test_context_below_one_is_a_usage_error(self, tmp_path, sine_csv, trained, capsys,

@@ -407,6 +407,53 @@ def test_both_paths_cast_only_the_rows_asked_for(case, rows):
 
 
 @st.composite
+def _plain_files(draw):
+    """Quote-free ASCII CSV text of numbers and missing markers with every
+    record equally wide, LF or CRLF, with or without a last line ending;
+    its header flag for `load_csv`, and each data row's cells."""
+    n_cols, n_rows = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    # a lone empty cell would make an empty line, which holds no record
+    markers = ["NA", ""] if n_cols > 1 else ["NA"]
+    cell = st.one_of(st.floats().map(repr), st.integers(-10**9, 10**9).map(str),
+                     st.sampled_from(markers))
+    rows = [[draw(cell) for _ in range(n_cols)] for _ in range(n_rows)]
+    header = draw(st.booleans())
+    lines = [",".join(f"h{c}" for c in range(n_cols))] if header else []
+    lines += [",".join(draw(st.sampled_from(["", " "])) + c for c in row) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    text = eol.join(lines) + draw(st.sampled_from(["", eol]))
+    return text.encode("ascii"), draw(st.sampled_from([header, None])), rows
+
+
+@given(_plain_files(), st.one_of(st.none(), _ROW_RANGES))
+@example((b"v\n1\n2", None, [["1"], ["2"]]), None)
+@example((b"a,b\r\n1,NA\r\n,2", True, [["1", "NA"], ["", "2"]]), [(1, 2)])
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_quote_free_files_of_even_width_never_reach_the_csv_reader(case, rows):
+    raw, header, cells = case
+
+    def csv_reader_path(*args):
+        raise AssertionError("a quote-free file of even width reached _load_records")
+
+    with tempfile.TemporaryDirectory() as work, pytest.MonkeyPatch.context() as mp:
+        path = os.path.join(work, "in.csv")
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        mp.setattr(data_module, "_load_records", csv_reader_path)
+        table = load_csv(path, header=header, rows=rows)
+    want = np.array([[np.nan if c.strip() in ("NA", "") else float(c) for c in row]
+                     for row in cells])
+    cast = np.ones(len(cells), dtype=bool) if rows is None else np.array(
+        [any(a <= r < b for a, b in rows) for r in range(len(cells))], dtype=bool)
+    want[~cast] = np.nan
+    missing = ~np.isfinite(want)
+    assert table.missing.tolist() == missing.tolist()
+    assert table.values[~missing].tobytes() == want[~missing].tobytes()
+
+
+@st.composite
 def _rewrite_cases(draw):
     """A CSV with quoted, multi-line and non-ASCII cells, blank lines, LF, CRLF or
     CR endings; the value column; and the data rows to rewrite with their values."""

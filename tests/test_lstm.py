@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gapfill.lstm import LstmParams, LstmState, lstm_step, lstm_step_backward, zero_state
-from gapfill.model import NetworkConfig, init_model_params
+from gapfill.lstm import (ForwardCell, LstmParams, LstmState, lstm_step, lstm_step_backward,
+                          zero_state)
+from gapfill.model import (ImputationWindow, NetworkConfig, clone_params, forward,
+                           init_model_params, make_schedule)
 from gapfill.numerics import Rng, ShapeError, finite_diff_grad
 
 from _reference import cell_gates, lstm_step_scalar
@@ -102,6 +106,83 @@ def test_multi_step_matches_scalar_reference():
         h_ref, c_ref = lstm_step_scalar(p, list(x), h_ref, c_ref)
     assert np.allclose(state.h, h_ref, atol=1e-12, rtol=0)
     assert np.allclose(state.c, c_ref, atol=1e-12, rtol=0)
+
+
+def _stacked_case(d, h, streams, batch, seed):
+    """`streams` random cells stacked, and (S, B, .) inputs and states."""
+    rng = Rng(seed)
+    cells = [random_cell(d, h, rng) for _ in range(streams)]
+    w, b = np.stack([c.w for c in cells]), np.stack([c.b for c in cells])
+    x = 3.0 * rng.normal_array((streams, batch, d))  # large enough to saturate some gates
+    return cells, w, b, x, LstmState(rng.normal_array((streams, batch, h)),
+                                     rng.normal_array((streams, batch, h)))
+
+
+_SHAPES = dict(d=st.integers(1, 3), h=st.integers(1, 5), streams=st.integers(1, 3),
+               batch=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(**_SHAPES)
+def test_step_matches_scalar_reference_in_every_layout(d, h, streams, batch, seed):
+    cells, w, b, x, s = _stacked_case(d, h, streams, batch, seed)
+    stacked, _ = lstm_step(ForwardCell(w, b), x, s)
+    for k, cell in enumerate(cells):
+        rows, _ = lstm_step(ForwardCell(cell.w, cell.b), x[k], LstmState(s.h[k], s.c[k]))
+        for r in range(batch):
+            one, _ = lstm_step(cell, x[k, r], LstmState(s.h[k, r], s.c[k, r]))
+            h_ref, c_ref = lstm_step_scalar(cell, list(x[k, r]), list(s.h[k, r]),
+                                            list(s.c[k, r]))
+            for got in (LstmState(stacked.h[k, r], stacked.c[k, r]),
+                        LstmState(rows.h[r], rows.c[r]), one):
+                assert np.allclose(got.h, h_ref, atol=1e-12, rtol=0)
+                assert np.allclose(got.c, c_ref, atol=1e-12, rtol=0)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(**_SHAPES)
+def test_float32_step_matches_float64_to_float32_rounding(d, h, streams, batch, seed):
+    _, w, b, x, s = _stacked_case(d, h, streams, batch, seed)
+    new64, tape64 = lstm_step(ForwardCell(w, b), x, s)
+    f32 = np.float32
+    new32, tape32 = lstm_step(ForwardCell(w.astype(f32), b.astype(f32)), x.astype(f32),
+                              LstmState(s.h.astype(f32), s.c.astype(f32)))
+    assert {a.dtype for a in (new32.h, new32.c, *vars(tape32).values())} == {np.dtype(f32)}
+    # each pre-activation sums d + h + 1 products of |.| < 10 at a relative
+    # rounding of 6e-8 each; tanh and sigmoid do not amplify it
+    for a, b64 in [(new32.h, new64.h), (new32.c, new64.c), (tape32.act, tape64.act)]:
+        assert np.allclose(a, b64, atol=1e-5, rtol=0)
+
+
+def test_forward_cell_steps_exactly_like_the_plain_cell():
+    _, w, b, x, s = _stacked_case(2, 4, 2, 3, 7)
+    plain, plain_tape = lstm_step(LstmParams(w, b), x, s)
+    cell, cell_tape = lstm_step(ForwardCell(w, b), x, s)
+    assert np.array_equal(plain.h, cell.h) and np.array_equal(plain.c, cell.c)
+    assert all(np.array_equal(a, c) for a, c in zip(vars(plain_tape).values(),
+                                                     vars(cell_tape).values()))
+
+
+def test_weights_changed_between_passes_are_the_weights_stepped():
+    rng = Rng(31)
+    p = random_cell(2, 3, rng)
+    x, s = rng.normal_array((4, 2)), LstmState(rng.normal_array((4, 3)), rng.normal_array((4, 3)))
+    before, _ = lstm_step(p, x, s)
+    p.w *= -0.5
+    p.b += 0.25
+    after, _ = lstm_step(p, x, s)
+    fresh, _ = lstm_step(LstmParams(p.w.copy(), p.b.copy()), x, s)
+    assert np.array_equal(after.h, fresh.h) and not np.allclose(after.h, before.h)
+
+    # a forward pass builds its cells' operands anew: an in-place update shows
+    params = init_model_params(NetworkConfig(input_dim=1, hidden_dim=3), rng)
+    window = ImputationWindow(rng.normal_array((4, 1)), None, rng.normal_array((4, 1)))
+    schedule = make_schedule(3)
+    first = forward(params, window, schedule).merged
+    params.flat *= 1.5
+    second = forward(params, window, schedule).merged
+    assert np.array_equal(second, forward(clone_params(params), window, schedule).merged)
+    assert not np.allclose(first, second)
 
 
 def test_dimension_mismatch_rejected():
