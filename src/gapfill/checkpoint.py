@@ -24,9 +24,10 @@ and one gather of `flat`, a load is one length check, one read of the
 payload and one scatter.
 
 A load checks the header and the file length before it allocates the
-parameters, and rejects a flag byte other than 0 or 1, a non-finite mean,
-a standard deviation that is not finite and positive, and a non-finite
-parameter, none of which a trained model writes.
+parameters, and rejects a flag byte other than 0 or 1, a reserved byte
+other than 0, a non-finite mean, a standard deviation that is not finite
+and positive, and a non-finite parameter, none of which a trained model
+writes.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ def load_checkpoint(path) -> tuple[ModelParams, NormStats]:
         raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
     if len(buf) < _HEADER.size:
         raise CheckpointError(f"{path}: truncated checkpoint")
-    (_, version, input_dim, hidden_dim, variant_code, merge_mlp, forward_only, _reserved,
+    (_, version, input_dim, hidden_dim, variant_code, merge_mlp, forward_only, reserved,
      merge_hidden, n_cols) = _HEADER.unpack_from(buf)
     if version != FORMAT_VERSION:
         raise CheckpointError(f"{path}: unsupported format version {version}")
@@ -83,6 +84,8 @@ def load_checkpoint(path) -> tuple[ModelParams, NormStats]:
         raise CheckpointError(f"{path}: unknown schedule variant code {variant_code}")
     if forward_only > 1:
         raise CheckpointError(f"{path}: forward-only flag is {forward_only}, not 0 or 1")
+    if reserved != 0:
+        raise CheckpointError(f"{path}: reserved header byte is {reserved}, not 0")
     if merge_mlp != (1 if merge_hidden > 0 else 0):
         raise CheckpointError(f"{path}: merge flag disagrees with merge width {merge_hidden}")
     for name, value in (("input_dim", input_dim), ("hidden_dim", hidden_dim), ("n_cols", n_cols)):

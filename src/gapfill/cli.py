@@ -293,7 +293,10 @@ def cmd_gradcheck(args) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage error, or the help
+        return EXIT_OK if exc.code == 0 else EXIT_USAGE
     if args.print_defaults:
         print(default_config_text(), end="")
         return EXIT_OK

@@ -20,15 +20,6 @@ class ConfigError(ValueError):
     """Invalid configuration file or value."""
 
 
-def _parse_bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
-
-
 def parse_markers(text: str) -> tuple[str, ...]:
     return tuple(m.strip() for m in text.split(","))
 

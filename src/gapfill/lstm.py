@@ -96,7 +96,7 @@ class ForwardCell(LstmParams):
 
 @dataclass
 class LstmState:
-    h: np.ndarray  # (h,), (B, h) or (S, B, h)
+    h: np.ndarray  # (B, h) or (S, B, h)
     c: np.ndarray
 
 
@@ -116,43 +116,38 @@ class CellTape:
 
 
 def zero_state(hidden_dim: int, *lead: int, dtype=np.float64) -> LstmState:
-    """All-zero state: (h,) vectors, (B, h) rows for `zero_state(h, B)`, or
-    (S, B, h) for `zero_state(h, S, B)`; `dtype` is the cell's float type."""
+    """All-zero state: (B, h) rows for `zero_state(h, B)`, or (S, B, h) for
+    `zero_state(h, S, B)`; `dtype` is the cell's float type."""
     shape = (*lead, hidden_dim)
     return LstmState(np.zeros(shape, dtype), np.zeros(shape, dtype))
 
 
 def lstm_step(p: LstmParams, x: np.ndarray, s: LstmState) -> tuple[LstmState, CellTape]:
-    """One forward step for one state (1-D), a batch of states (rows), or,
-    with a stacked cell, S batches of states as (S, B, .) arrays.
+    """One forward step for a batch of states as (B, .) rows or, with a
+    stacked cell, S batches of them as (S, B, .) arrays; one state is the
+    batch of one.
 
     Returns the new state, shaped like the input, and the tape for backward.
     Runs in the dtype of the cell's weights; pass a `ForwardCell` to step
     one operand many times.
     """
     d, h = p.input_dim, p.hidden_dim
-    if x.shape[-1] != d:
-        raise ShapeError(f"input has length {x.shape[-1]}, cell expects {d}")
+    if x.ndim < 2 or x.shape[-1] != d:
+        raise ShapeError(f"input has shape {x.shape}, cell expects (B, {d}) rows")
     if s.h.shape[-1] != h or s.c.shape[-1] != h:
         raise ShapeError(f"state has length {s.h.shape[-1]}, cell expects {h}")
     wt, bt, scale, shift = p.operand()
-    if x.ndim == 1:
-        xh, c_prev = np.concatenate([x, s.h])[None], s.c[None]
-    else:
-        xh, c_prev = np.concatenate([x, s.h], axis=-1), s.c
+    xh = np.concatenate([x, s.h], axis=-1)
     act = np.matmul(xh, wt)
     act += bt
     np.tanh(act, out=act)
     act *= scale  # sigmoid(a) = (1 + tanh(a/2))/2 on i, f, o; g is tanh(a) already
     act += shift
-    c = act[..., h:2 * h] * c_prev
+    c = act[..., h:2 * h] * s.c
     c += act[..., :h] * act[..., 3 * h:]
     tc = np.tanh(c)
     h_new = act[..., 2 * h:3 * h] * tc
-    tape = CellTape(xh, act, c_prev, c, tc)
-    if x.ndim == 1:
-        return LstmState(h_new[0], c[0]), tape
-    return LstmState(h_new, c), tape
+    return LstmState(h_new, c), CellTape(xh, act, s.c, c, tc)
 
 
 def lstm_step_backward(
@@ -164,35 +159,30 @@ def lstm_step_backward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Backward through one step.
 
-    `dh`/`dc_in` are the loss gradients w.r.t. this step's h and c outputs
-    (1-D, one row per batch member, or (S, B, h) for a stacked cell).
-    Parameter gradients, summed over the batch, accumulate into the fused
-    arrays of `acc` (stacked like `p`); returns the gradients w.r.t. the
-    step input, the previous hidden state, and the previous cell memory,
-    shaped like `dh`.
+    `dh`/`dc_in` are the loss gradients w.r.t. this step's h and c outputs,
+    as (B, h) rows, or (S, B, h) for a stacked cell. Parameter gradients,
+    summed over the batch, accumulate into the fused arrays of `acc`
+    (stacked like `p`); returns the gradients w.r.t. the step input, the
+    previous hidden state, and the previous cell memory, shaped like `dh`.
     """
     h = p.hidden_dim
     act = tape.act
     i, f, o, g = (act[..., k * h:(k + 1) * h] for k in range(4))
     tc = tape.tc
-    dh2 = np.atleast_2d(dh)
-    dc = dh2 * o * (1.0 - tc * tc)
+    dc = dh * o * (1.0 - tc * tc)
     dc += dc_in
     d_act = np.empty_like(act)
     # sigmoid gates: d/da sigmoid(a) = s (1 - s)
     sig = act[..., :3 * h]
     d_act[..., :h] = dc * g
     d_act[..., h:2 * h] = dc * tape.c_prev
-    d_act[..., 2 * h:3 * h] = dh2 * tc
+    d_act[..., 2 * h:3 * h] = dh * tc
     d_act[..., :3 * h] *= sig * (1.0 - sig)
     d_act[..., 3 * h:] = dc * i * (1.0 - g * g)
 
     acc.w += np.matmul(np.swapaxes(d_act, -1, -2), tape.xh)
     acc.b += d_act.sum(axis=-2)
     dxh = np.matmul(d_act, p.w)
-    dc_prev = dc * f
     d = p.input_dim
-    if dh.ndim == 1:
-        return dxh[0, :d], dxh[0, d:], dc_prev[0]
-    return dxh[..., :d], dxh[..., d:], dc_prev
+    return dxh[..., :d], dxh[..., d:], dc * f
 

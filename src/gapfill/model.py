@@ -284,26 +284,23 @@ class _Pairs:
 
 
 class ForwardTrace:
-    """Everything one forward pass produced, ordered by gap position.
+    """Everything one forward pass over B windows produced, ordered by gap
+    position.
 
-    Each array is (T, .) for one window and (B, T, .) for a batch, where T
-    is the batch's longest gap; positions past a row's own gap hold zeros.
-    The pass computes them packed, one row per real (window, position)
-    pair, and each array is laid out on its first read, so a caller pays
-    only for the arrays it reads.
+    Each array is (B, T, .), where T is the batch's longest gap; positions
+    past a row's own gap hold zeros, and `gap_len` holds each row's gap
+    length as a (B,) array. The pass computes them packed, one row per real
+    (window, position) pair, and each array is laid out on its first read,
+    so a caller pays only for the arrays it reads.
     """
 
-    def __init__(self, pairs: _Pairs, batch: _Batch, single: bool):
-        self._pairs, self._batch, self._single = pairs, batch, single
-        # the window's gap length, or each row's as a (B,) array
-        self.gap_len: int | np.ndarray = int(batch.gap_len[0]) if single else batch.gap_len
+    def __init__(self, pairs: _Pairs, batch: _Batch):
+        self._pairs, self._batch = pairs, batch
+        self.gap_len: np.ndarray = batch.gap_len
 
     def _laid_out(self, name: str) -> np.ndarray | None:
         a = getattr(self._pairs, name)
-        if a is None:
-            return None
-        a = _unpack(self._batch, a)
-        return a[0] if self._single else a
+        return None if a is None else _unpack(self._batch, a)
 
     h_fw = functools.cached_property(lambda self: self._laid_out("h_fw"))
     pred_fw = functools.cached_property(lambda self: self._laid_out("pred_fw"))  # local predictions
@@ -383,10 +380,8 @@ class _Batch:
 
 
 def _rows(a, name: str, d: int) -> np.ndarray:
-    """Validate one window's (n, d) rows (1-D when d = 1)."""
+    """Validate one window's (n, d) rows."""
     a = np.asarray(a, dtype=np.float64)
-    if a.ndim == 1:
-        a = a[:, None]
     if a.ndim != 2 or a.shape[1] != d:
         raise ShapeError(f"{name}: expected shape (n, {d}), got {a.shape}")
     if a.shape[0] < 1:
@@ -409,33 +404,22 @@ def _schedule_rows(schedule, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return gap_len, gamma, gamma_prime
 
 
-def _truth_rows(truth, gap_len, d: int) -> np.ndarray:
-    """Ground truth laid out like a trace: (T, d) for one window, (B, T, d)
-    for a batch, zero past each row's gap. A batch's truth is a (B, T, d)
-    array or a list of each window's rows."""
-    single = np.ndim(gap_len) == 0
-    lens = np.atleast_1d(gap_len)
-    rows = [np.asarray(r, dtype=np.float64) for r in ([truth] if single else truth)]
-    rows = [r[:, None] if r.ndim == 1 else r for r in rows]
-    if len(rows) != len(lens):
-        raise ShapeError(f"truth for {len(rows)} window(s), {len(lens)} expected")
-    for r, T in zip(rows, lens):
-        if r.ndim != 2 or r.shape[0] != T:
-            raise ShapeError(f"truth has shape {r.shape} for a gap of {T}")
-        if r.shape[1] != d:
-            raise ShapeError(f"truth: expected {d} column(s), got shape {r.shape}")
-    if single:
-        return rows[0]
-    out = np.zeros((len(rows), lens.max(), d))
-    for i, r in enumerate(rows):
-        out[i, :len(r)] = r
+def _truth_rows(truth, gap_len: np.ndarray, d: int) -> np.ndarray:
+    """A list of each window's (T_i, d) ground-truth rows, laid out like a
+    trace: (B, T, d), zero past each row's gap."""
+    rows = [np.asarray(r, dtype=np.float64) for r in truth]
+    if len(rows) != len(gap_len):
+        raise ShapeError(f"truth for {len(rows)} window(s), {len(gap_len)} expected")
+    out = np.zeros((len(rows), gap_len.max(), d))
+    for i, (r, T) in enumerate(zip(rows, gap_len)):
+        if r.shape != (T, d):
+            raise ShapeError(f"truth has shape {r.shape} for a gap of {T} in {d} column(s)")
+        out[i, :T] = r
     return out
 
 
-def _layout(params: ModelParams, windows, schedule, truth=None) -> tuple[_Batch, bool]:
-    """Lay out one window, as the list of one, or a list of windows of any
-    shapes for `_forward` of `params`; also whether the input was a single
-    window.
+def _layout(params: ModelParams, windows, schedule, truth=None) -> _Batch:
+    """Lay out a list of windows of any shapes for `_forward` of `params`.
 
     Each row's gap length comes from its schedule; a shared ScalingSchedule
     gives every row its length. `truth` defaults to the windows' `missing`.
@@ -443,10 +427,9 @@ def _layout(params: ModelParams, windows, schedule, truth=None) -> tuple[_Batch,
     """
     cfg, dtype = params.config, params.flat.dtype
     d, streams = cfg.input_dim, 1 if cfg.forward_only else 2
-    single = isinstance(windows, ImputationWindow)
-    windows = [windows] if single else list(windows)
-    if single and truth is not None:
-        truth = [truth]
+    if isinstance(windows, ImputationWindow):
+        raise ShapeError("expected a list of windows, got one ImputationWindow")
+    windows = list(windows)
     if not windows:
         raise ValueError("cannot run an empty window list")
     has_truth = [w.missing is not None for w in windows]
@@ -473,7 +456,7 @@ def _layout(params: ModelParams, windows, schedule, truth=None) -> tuple[_Batch,
     if truth is not None:
         truth = truth[plan.rows, plan.pos].astype(dtype, copy=False)
     return _Batch(context, gap_len, gamma.astype(dtype, copy=False)[at],
-                  gamma_prime.astype(dtype, copy=False)[at], truth, plan), single
+                  gamma_prime.astype(dtype, copy=False)[at], truth, plan)
 
 
 def _unpack(batch: _Batch, a: np.ndarray) -> np.ndarray:
@@ -628,17 +611,17 @@ def _forward(params: ModelParams, batch: _Batch,
 
 
 def forward(params: ModelParams, windows, schedule) -> ForwardTrace:
-    """Run the network over one window, or over a batch of windows.
+    """Run the network over a list of windows.
 
-    `windows` is an ImputationWindow or a list of windows, which may
-    differ in context and gap length; one window runs as the list of one. `schedule` is one
-    ScalingSchedule shared by every window, or a list with one per window;
-    each window's gap length is its schedule's. Stages: both encoders
-    first, then each decoder stream over the whole gap (self-feeding its
-    local predictions), and merging last, once both hidden sequences exist.
+    The windows may differ in context and gap length; one window is the
+    list of one. `schedule` is one ScalingSchedule shared by every window,
+    or a list with one per window; each window's gap length is its
+    schedule's. Stages: both encoders first, then each decoder stream over
+    the whole gap (self-feeding its local predictions), and merging last,
+    once both hidden sequences exist.
     """
-    batch, single = _layout(params, windows, schedule)
-    return ForwardTrace(_forward(params, batch, keep_tapes=False)[0], batch, single)
+    batch = _layout(params, windows, schedule)
+    return ForwardTrace(_forward(params, batch, keep_tapes=False)[0], batch)
 
 
 def _loss_terms(pairs: _Pairs, batch: _Batch, truth: np.ndarray) -> list[np.ndarray]:
@@ -652,20 +635,17 @@ def _loss_terms(pairs: _Pairs, batch: _Batch, truth: np.ndarray) -> list[np.ndar
             for p in preds]
 
 
-def loss(trace: ForwardTrace, truth):
-    """Mean over gap positions of the squared-error terms.
+def loss(trace: ForwardTrace, truth) -> np.ndarray:
+    """Mean over gap positions of the squared-error terms, one value per
+    window as a (B,) array.
 
     Full network: MSE of the merged output plus MSE of each stream's local
     prediction at every position. Forward-only network: MSE of its single
-    prediction stream. A float for one window, one value per window for a
-    batch. A batch's `truth` is a (B, T, d) array or a list of each
-    window's gap rows.
+    prediction stream. `truth` is a list of each window's gap rows.
     """
     batch = trace._batch
     truth = _truth_rows(truth, trace.gap_len, trace._pairs.merged.shape[-1])
-    truth = truth.reshape(-1, *truth.shape[-2:])[batch.plan.rows, batch.plan.pos]
-    total = sum(_loss_terms(trace._pairs, batch, truth))
-    return float(total[0]) if np.ndim(trace.gap_len) == 0 else total
+    return sum(_loss_terms(trace._pairs, batch, truth[batch.plan.rows, batch.plan.pos]))
 
 
 def _merge_backward(params: ModelParams, trace, gamma: np.ndarray, gamma_prime: np.ndarray,
@@ -691,44 +671,35 @@ def _merge_backward(params: ModelParams, trace, gamma: np.ndarray, gamma_prime: 
 def merge_input_grads(params: ModelParams, trace: ForwardTrace, schedule,
                       truth) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of the merged-output loss w.r.t. each stream's hidden vector
-    entering the merge, with the forward trace held fixed; indexed by gap
-    position like the trace. `schedule` is one ScalingSchedule or one per
-    window of a batch trace."""
+    entering the merge, with the forward trace held fixed; (B, T, h) arrays
+    indexed like the trace. `schedule` is one ScalingSchedule or one per
+    window of the trace, and `truth` a list of each window's gap rows."""
     if params.config.forward_only:
         raise ValueError("forward-only network has no merge layer")
     d = params.config.input_dim
-    single = np.ndim(trace.gap_len) == 0
-    gap_len, gamma, gamma_prime = _schedule_rows(schedule, 1 if single else len(trace.gap_len))
-    if not np.array_equal(gap_len, np.atleast_1d(trace.gap_len)):
+    gap_len, gamma, gamma_prime = _schedule_rows(schedule, len(trace.gap_len))
+    if not np.array_equal(gap_len, trace.gap_len):
         raise ShapeError(f"schedule covers gaps of {gap_len} rows, the trace {trace.gap_len}")
-    if single and gamma.ndim == 2:
-        gamma, gamma_prime = gamma[0], gamma_prime[0]
     truth = _truth_rows(truth, trace.gap_len, d)
     scratch = [Affine(np.zeros_like(layer.w), np.zeros_like(layer.b)) for layer in params.merge]
-    scale = 2.0 / (np.asarray(trace.gap_len) * d)
+    scale = 2.0 / (trace.gap_len * d)
     return _merge_backward(params, trace, gamma, gamma_prime,
-                           scale[..., None, None] * (trace.merged - truth), scratch)
+                           scale[:, None, None] * (trace.merged - truth), scratch)
 
 
-def loss_and_grads(
-    params: ModelParams,
-    windows,
-    schedule,
-    truth=None,
-    term_weights: tuple[float, float, float] = (1.0, 1.0, 1.0),
-) -> tuple[float, ModelParams]:
+def loss_and_grads(params: ModelParams, windows, schedule,
+                   truth=None) -> tuple[float, ModelParams]:
     """Loss and its exact gradient w.r.t. every parameter.
 
-    `windows` and `schedule` are as for `forward`; for a batch both the
-    loss and the gradients are summed over its windows. `truth` defaults to
-    the windows' `missing` rows. `term_weights` scales the (merged,
-    forward-stream, backward-stream) loss terms; the default reproduces
-    `loss`. The forward-only network has a single term and ignores the
-    weights. The gradient is a ModelParams over a fresh zeroed vector of
-    the dtype of `params.flat`; `dict(iter_params(grads))` keys it by path.
+    `windows` and `schedule` are as for `forward`; both the loss and the
+    gradients are summed over the windows, so the loss is the sum of what
+    `loss` gives per window. `truth`, a list of each window's gap rows,
+    defaults to the windows' `missing` rows. The gradient is a ModelParams over a fresh
+    zeroed vector of the dtype of `params.flat`; `dict(iter_params(grads))`
+    keys it by path.
     """
     cfg = params.config
-    batch, _ = _layout(params, windows, schedule, truth)
+    batch = _layout(params, windows, schedule, truth)
     if batch.truth is None:
         raise ValueError("training needs ground-truth gap rows")
     truth = batch.truth
@@ -739,57 +710,42 @@ def loss_and_grads(
     coef = coef[batch.plan.rows, None]
     g = _arena_params(cfg, np.zeros_like(params.flat))
     if cfg.forward_only:
-        loss_val = terms[0]
         d_pred, dh_merge = (coef * (pairs.pred_fw - truth))[None], None
     else:
-        w_merged, w_fw, w_bw = term_weights
-        loss_val = w_merged * terms[0] + w_fw * terms[1] + w_bw * terms[2]
         dh_fw, dh_bw = _merge_backward(params, pairs, batch.gamma, batch.gamma_prime,
-                                       (w_merged * coef) * (pairs.merged - truth), g.merge)
+                                       coef * (pairs.merged - truth), g.merge)
         # the backward stream runs over each gap in reverse: map to its order
         rev = batch.plan.rev
-        d_pred = np.stack([(w_fw * coef) * (pairs.pred_fw - truth),
-                           ((w_bw * coef) * (pairs.pred_bw - truth))[rev]])
+        d_pred = np.stack([coef * (pairs.pred_fw - truth), (coef * (pairs.pred_bw - truth))[rev]])
         dh_merge = np.stack([dh_fw, dh_bw[rev]])
     _stream_backward(params, st, batch, d_pred, dh_merge, g)
-    return float(np.sum(loss_val)), g
+    return float(np.sum(sum(terms))), g
 
 
-def _fill(params: ModelParams, before, after, lengths: list[int],
-          variant: str) -> list[np.ndarray]:
-    """Each gap's (T_i, d) imputation, all gaps in one `forward` call."""
+def impute(params: ModelParams, before, after, gap_len,
+           variant: str | None = None) -> list[np.ndarray]:
+    """Fill gaps between observed context; no truth needed.
+
+    `before` and `after` are lists of each gap's (L_i, d) context rows and
+    `gap_len` a list of the gap lengths; returns a list of (gap_len_i, d)
+    arrays. One gap is the list of one. All gaps run as one batch whose
+    every step covers only the rows still reading context or filling their
+    gap, so a call costs the longest context plus the longest gap in LSTM
+    steps; each gap's result does not depend on the others.
+    """
+    if np.ndim(gap_len) != 1:
+        raise ShapeError(f"gap_len: expected a list of gap lengths, got {gap_len!r}")
+    lengths = [int(t) for t in gap_len]
     if not len(before) == len(after) == len(lengths):
         raise ShapeError(f"{len(before)} before and {len(after)} after contexts "
                          f"for {len(lengths)} gaps")
     if not lengths:
         return []
+    variant = variant or params.config.schedule_variant
     schedules = {t: make_schedule(t, variant) for t in set(lengths)}
     windows = [ImputationWindow(b, None, a) for b, a in zip(before, after)]
     merged = forward(params, windows, [schedules[t] for t in lengths]).merged
     return [m[:t] for m, t in zip(merged, lengths)]
-
-
-def impute(
-    params: ModelParams,
-    before,
-    after,
-    gap_len,
-    variant: str | None = None,
-) -> np.ndarray | list[np.ndarray]:
-    """Fill gaps between observed context; no truth needed.
-
-    One gap: `before`/`after` are (L, d) rows (1-D when d = 1) and
-    `gap_len` an int, giving (gap_len, d). Several gaps of any shapes:
-    lists of each gap's rows and a list of gap lengths, giving a list of
-    (gap_len_i, d) arrays. All gaps run as one batch whose every step
-    covers only the rows still reading context or filling their gap, so a
-    call costs the longest context plus the longest gap in LSTM steps; each
-    gap's result does not depend on the others.
-    """
-    variant = variant or params.config.schedule_variant
-    if np.ndim(gap_len) > 0:
-        return _fill(params, before, after, [int(t) for t in gap_len], variant)
-    return _fill(params, [before], [after], [int(gap_len)], variant)[0]
 
 
 @dataclass
@@ -832,7 +788,7 @@ def gradient_check(
 
     Random small networks; every coordinate of `params.flat` is perturbed,
     and the worst one is named by its `iter_params` path. Even-numbered
-    instances check one window, odd-numbered ones a batch of three windows
+    instances check a batch of one window, odd-numbered ones of three windows
     whose context and gap lengths differ; instance k is forward-only when
     k % 5 == 2. `_corrupt_path` is a test hook that deliberately offsets
     one analytic gradient tensor so the check must fail.

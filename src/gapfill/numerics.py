@@ -1,9 +1,10 @@
 """Numeric primitives: the logistic function, a seeded RNG, and a
 central-difference gradient checker.
 
-The logistic function keeps a float input's dtype, so it serves both the
-float64 and the float32 arena; the RNG and the gradient checker work in
-float64.
+No program path calls the logistic function: the LSTM step computes its
+gates' sigmoids from one tanh (`lstm.lstm_step`). It is kept only because
+the benchmark's per-layer span table names it, and goes when that table
+drops the span. The RNG and the gradient checker work in float64.
 
 Every function here is pure; the Rng is the only stateful object and must
 stay confined to a single owner at a time.

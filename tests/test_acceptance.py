@@ -96,8 +96,8 @@ def test_c3_merge_path_gradient_scaling():
     window = ImputationWindow(rng.normal_array((3, 1)), rng.normal_array((3, 1)),
                               rng.normal_array((3, 1)))
     schedule = make_schedule(3, "linear")
-    trace = forward(params, window, schedule)
-    base_fw, _ = merge_input_grads(params, trace, schedule, window.missing)
+    trace = forward(params, [window], schedule)
+    (base_fw,), _ = merge_input_grads(params, trace, schedule, [window.missing])
     ok = True
     worst = 0.0
     for c in (0.0, 2.0):
@@ -105,7 +105,7 @@ def test_c3_merge_path_gradient_scaling():
             gamma = schedule.gamma.copy()
             gamma[t_mod] = c * gamma[t_mod]
             scaled = ScalingSchedule(3, gamma, schedule.gamma_prime.copy(), "linear")
-            mod_fw, _ = merge_input_grads(params, trace, scaled, window.missing)
+            (mod_fw,), _ = merge_input_grads(params, trace, scaled, [window.missing])
             err = float(np.max(np.abs(mod_fw[t_mod] - c * base_fw[t_mod])))
             worst = max(worst, err)
             ok = ok and err <= 1e-12
@@ -204,8 +204,8 @@ def test_c7_determinism_and_persistence(tmp_path):
     loaded, _ = load_checkpoint(tmp_path / "a.ckpt")
     rng = Rng(1)
     before, after = rng.normal_array((4, 1)), rng.normal_array((4, 1))
-    bitwise = np.array_equal(impute(params_a, before, after, 3),
-                             impute(loaded, before, after, 3))
+    bitwise = np.array_equal(impute(params_a, [before], [after], [3])[0],
+                             impute(loaded, [before], [after], [3])[0])
     shapes = all(np.array_equal(ta, tb) for (_, ta), (_, tb)
                  in zip(iter_params(params_a), iter_params(loaded)))
     _report(7, "determinism and persistence", identical and bitwise and shapes,

@@ -56,7 +56,8 @@ def test_round_trip_preserves_predictions_bitwise(tmp_path):
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, params, make_stats())
     loaded, _ = load_checkpoint(path)
-    assert np.array_equal(impute(params, before, after, 3), impute(loaded, before, after, 3))
+    assert np.array_equal(impute(params, [before], [after], [3])[0],
+                          impute(loaded, [before], [after], [3])[0])
 
 
 def test_save_is_deterministic(tmp_path):
@@ -207,6 +208,14 @@ def test_forward_only_flag_must_be_zero_or_one(tmp_path):
     def edit(raw, payload):
         raw[_FORWARD_ONLY] = 2
     with pytest.raises(CheckpointError, match="forward-only flag is 2"):
+        load_checkpoint(_corrupted(tmp_path, edit))
+
+
+@pytest.mark.parametrize("value", [1, 255])
+def test_reserved_byte_must_be_zero(tmp_path, value):
+    def edit(raw, payload):
+        raw[_FORWARD_ONLY + 1] = value
+    with pytest.raises(CheckpointError, match=f"reserved header byte is {value}, not 0"):
         load_checkpoint(_corrupted(tmp_path, edit))
 
 

@@ -371,8 +371,8 @@ class TestImpute:
                      str(out)] + [a for s, n in gaps for a in ("--gap", f"{s}:{n}")]) == 0
         filled = load_csv(out).values[:, 0]
         norm = (values - stats.mean[0]) / stats.std[0]
-        want = impute(params, [norm[s - n:s] for s, n in gaps],
-                      [norm[s + n:s + 2 * n] for s, n in gaps], [n for _, n in gaps])
+        want = impute(params, [norm[s - n:s, None] for s, n in gaps],
+                      [norm[s + n:s + 2 * n, None] for s, n in gaps], [n for _, n in gaps])
         got = [(filled[s:s + n] - stats.mean[0]) / stats.std[0] for s, n in gaps]
         # in normalized units: float32 rounding through at most 24 steps of a
         # hidden-6 cell and the merge (the benchmark's hidden-64 models stay
@@ -390,7 +390,7 @@ class TestImpute:
         assert main(["impute", "--checkpoint", str(tmp_path / "big.ckpt"), "--data",
                      str(sine_csv), "--gap", "50:3", "--out", str(out)]) == 0
         values = load_csv(sine_csv).values[:, 0]
-        want = impute(params, values[47:50], values[53:56], 3)[:, 0]
+        want = impute(params, [values[47:50, None]], [values[53:56, None]], [3])[0][:, 0]
         assert np.isfinite(want).all()
         assert np.array_equal(load_csv(out).values[50:53, 0], want)
 
@@ -898,6 +898,21 @@ class TestMisc:
     def test_no_command_shows_help(self, capsys):
         assert main([]) == 1
         assert "synth" in capsys.readouterr().out
+
+    # 2 means a partial benchmark failure, so a usage error must not exit 2
+    @pytest.mark.parametrize("argv", [["train"], ["train", "--config"], ["--no-such-flag"],
+                                      ["impute", "--checkpoint", "m.ckpt"], ["bogus"],
+                                      ["gradcheck", "--instances", "many"]])
+    def test_a_usage_error_returns_one_with_usage_on_stderr(self, capsys, argv):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: gapfill") and "error:" in captured.err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["train", "-h"]])
+    def test_help_returns_zero(self, capsys, argv):
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("usage: gapfill")
 
 
 class TestExitCodes:

@@ -193,15 +193,15 @@ class TestRunBenchmark:
         params = init_model_params(NetworkConfig(input_dim=1, hidden_dim=3), rng)
         window = random_window(rng, 1, 4, 3, 4)
         schedule = make_schedule(3)
-        base = forward(params, window, schedule)
+        base = forward(params, [window], schedule)
         tensors = v1_tensors(params)
         tensors["enc_bw.w_i"] += 5.0
         tensors["dec_bw.u_f"] -= 2.0
         tensors["head_bw.w"] += 1.0
-        perturbed = forward(params, window, schedule)
+        perturbed = forward(params, [window], schedule)
         for t in range(3):
-            assert np.array_equal(base.pred_fw[t], perturbed.pred_fw[t])
-            assert not np.array_equal(base.pred_bw[t], perturbed.pred_bw[t])
+            assert np.array_equal(base.pred_fw[0, t], perturbed.pred_fw[0, t])
+            assert not np.array_equal(base.pred_bw[0, t], perturbed.pred_bw[0, t])
 
     def test_zero_forward_weight_makes_merge_ignore_forward_stream(self):
         from gapfill.model import ScalingSchedule
@@ -210,13 +210,13 @@ class TestRunBenchmark:
         params = init_model_params(NetworkConfig(input_dim=1, hidden_dim=3), rng)
         window = random_window(rng, 1, 4, 3, 4)
         schedule = ScalingSchedule(3, np.zeros(3), np.ones(3), "linear")
-        base = forward(params, window, schedule)
+        base = forward(params, [window], schedule)
         tensors = v1_tensors(params)
         tensors["dec_fw.u_g"] += 3.0  # perturb the forward decoder
         tensors["enc_fw.w_i"] -= 1.0
-        perturbed = forward(params, window, schedule)
+        perturbed = forward(params, [window], schedule)
         for t in range(3):
-            assert np.array_equal(base.merged[t], perturbed.merged[t])
+            assert np.array_equal(base.merged[0, t], perturbed.merged[0, t])
 
     def test_ranges_reflect_raw_data(self):
         table = synth("sine", 120, 0.0, seed=0, period=4.0)

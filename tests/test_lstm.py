@@ -32,11 +32,12 @@ def random_cell(input_dim, hidden_dim, rng):
 
 
 def lstm_run(p, xs, state):
-    """Run the cell over a sequence of inputs; returns final state, h outputs, tapes."""
+    """Run the cell over a sequence of inputs, each a batch of one row;
+    returns final state, h outputs (as vectors), tapes."""
     hs, tapes = [], []
     for x in xs:
-        state, tape = lstm_step(p, x, state)
-        hs.append(state.h)
+        state, tape = lstm_step(p, x[None], state)
+        hs.append(state.h[0])
         tapes.append(tape)
     return state, hs, tapes
 
@@ -45,18 +46,19 @@ def lstm_backward(p, tapes, grad_h_seq):
     """BPTT over a taped sequence: the fused parameter gradients {"w", "b"},
     each input's gradient, and the gradients w.r.t. the initial state."""
     acc = LstmParams(np.zeros_like(p.w), np.zeros_like(p.b))
-    dh, dc = np.zeros(p.hidden_dim), np.zeros(p.hidden_dim)
+    dh, dc = np.zeros((1, p.hidden_dim)), np.zeros((1, p.hidden_dim))
     dxs = [None] * len(tapes)
     for t in reversed(range(len(tapes))):
-        dxs[t], dh, dc = lstm_step_backward(p, tapes[t], dh + grad_h_seq[t], dc, acc)
-    return {"w": acc.w, "b": acc.b}, dxs, (dh, dc)
+        dx, dh, dc = lstm_step_backward(p, tapes[t], dh + grad_h_seq[t], dc, acc)
+        dxs[t] = dx[0]
+    return {"w": acc.w, "b": acc.b}, dxs, (dh[0], dc[0])
 
 
 def test_zero_params_keep_zero_state():
     p = all_zero_params(2, 3)
-    state, _ = lstm_step(p, np.array([5.0, -1.0]), zero_state(3))
-    assert np.array_equal(state.h, np.zeros(3))
-    assert np.array_equal(state.c, np.zeros(3))
+    state, _ = lstm_step(p, np.array([[5.0, -1.0]]), zero_state(3, 1))
+    assert np.array_equal(state.h, np.zeros((1, 3)))
+    assert np.array_equal(state.c, np.zeros((1, 3)))
 
 
 def test_tape_keeps_tanh_of_the_new_cell_memory():
@@ -82,30 +84,30 @@ def test_saturated_gates_carry_memory():
     gates = cell_gates(p.w, p.b)
     gates["b_f"][:] = 30.0
     gates["b_i"][:] = -30.0
-    c = np.array([1.0, -0.5, 2.0, 0.25])
-    state, _ = lstm_step(p, np.array([3.0]), LstmState(np.zeros(4), c.copy()))
+    c = np.array([[1.0, -0.5, 2.0, 0.25]])
+    state, _ = lstm_step(p, np.array([[3.0]]), LstmState(np.zeros((1, 4)), c.copy()))
     assert np.allclose(state.c, c, atol=1e-9, rtol=0)
 
 
 def test_step_matches_scalar_reference():
     p = random_cell(1, 2, Rng(0))
-    state, _ = lstm_step(p, np.array([1.0]), zero_state(2))
+    state, _ = lstm_step(p, np.array([[1.0]]), zero_state(2, 1))
     h_ref, c_ref = lstm_step_scalar(p, [1.0], [0.0, 0.0], [0.0, 0.0])
-    assert np.allclose(state.h, h_ref, atol=1e-12, rtol=0)
-    assert np.allclose(state.c, c_ref, atol=1e-12, rtol=0)
+    assert np.allclose(state.h[0], h_ref, atol=1e-12, rtol=0)
+    assert np.allclose(state.c[0], c_ref, atol=1e-12, rtol=0)
 
 
 def test_multi_step_matches_scalar_reference():
     rng = Rng(4)
     p = random_cell(2, 3, rng)
     xs = [rng.normal_array((2,)) for _ in range(4)]
-    state = zero_state(3)
+    state = zero_state(3, 1)
     h_ref, c_ref = [0.0] * 3, [0.0] * 3
     for x in xs:
-        state, _ = lstm_step(p, x, state)
+        state, _ = lstm_step(p, x[None], state)
         h_ref, c_ref = lstm_step_scalar(p, list(x), h_ref, c_ref)
-    assert np.allclose(state.h, h_ref, atol=1e-12, rtol=0)
-    assert np.allclose(state.c, c_ref, atol=1e-12, rtol=0)
+    assert np.allclose(state.h[0], h_ref, atol=1e-12, rtol=0)
+    assert np.allclose(state.c[0], c_ref, atol=1e-12, rtol=0)
 
 
 def _stacked_case(d, h, streams, batch, seed):
@@ -130,11 +132,11 @@ def test_step_matches_scalar_reference_in_every_layout(d, h, streams, batch, see
     for k, cell in enumerate(cells):
         rows, _ = lstm_step(ForwardCell(cell.w, cell.b), x[k], LstmState(s.h[k], s.c[k]))
         for r in range(batch):
-            one, _ = lstm_step(cell, x[k, r], LstmState(s.h[k, r], s.c[k, r]))
+            one, _ = lstm_step(cell, x[k, r:r + 1], LstmState(s.h[k, r:r + 1], s.c[k, r:r + 1]))
             h_ref, c_ref = lstm_step_scalar(cell, list(x[k, r]), list(s.h[k, r]),
                                             list(s.c[k, r]))
             for got in (LstmState(stacked.h[k, r], stacked.c[k, r]),
-                        LstmState(rows.h[r], rows.c[r]), one):
+                        LstmState(rows.h[r], rows.c[r]), LstmState(one.h[0], one.c[0])):
                 assert np.allclose(got.h, h_ref, atol=1e-12, rtol=0)
                 assert np.allclose(got.c, c_ref, atol=1e-12, rtol=0)
 
@@ -178,26 +180,28 @@ def test_weights_changed_between_passes_are_the_weights_stepped():
     params = init_model_params(NetworkConfig(input_dim=1, hidden_dim=3), rng)
     window = ImputationWindow(rng.normal_array((4, 1)), None, rng.normal_array((4, 1)))
     schedule = make_schedule(3)
-    first = forward(params, window, schedule).merged
+    first = forward(params, [window], schedule).merged
     params.flat *= 1.5
-    second = forward(params, window, schedule).merged
-    assert np.array_equal(second, forward(clone_params(params), window, schedule).merged)
+    second = forward(params, [window], schedule).merged
+    assert np.array_equal(second, forward(clone_params(params), [window], schedule).merged)
     assert not np.allclose(first, second)
 
 
 def test_dimension_mismatch_rejected():
     p = random_cell(2, 3, Rng(0))
     with pytest.raises(ShapeError):
-        lstm_step(p, np.zeros(5), zero_state(3))
+        lstm_step(p, np.zeros((1, 5)), zero_state(3, 1))
     with pytest.raises(ShapeError):
-        lstm_step(p, np.zeros(2), zero_state(4))
+        lstm_step(p, np.zeros((1, 2)), zero_state(4, 1))
+    with pytest.raises(ShapeError):  # one state is the batch of one, not a vector
+        lstm_step(p, np.zeros(2), zero_state(3))
 
 
 def test_forward_determinism():
     p = random_cell(2, 4, Rng(9))
     xs = [Rng(10).normal_array((2,)) for _ in range(3)]
-    s1, h1, _ = lstm_run(p, xs, zero_state(4))
-    s2, h2, _ = lstm_run(p, xs, zero_state(4))
+    s1, h1, _ = lstm_run(p, xs, zero_state(4, 1))
+    s2, h2, _ = lstm_run(p, xs, zero_state(4, 1))
     assert all(np.array_equal(a, b) for a, b in zip(h1, h2))
     assert np.array_equal(s1.c, s2.c)
 
@@ -207,7 +211,7 @@ def test_hidden_output_bounded():
     for _ in range(10):
         p = random_cell(3, 5, rng)
         xs = [10.0 * rng.normal_array((3,)) for _ in range(6)]
-        _, hs, _ = lstm_run(p, xs, zero_state(5))
+        _, hs, _ = lstm_run(p, xs, zero_state(5, 1))
         for h in hs:
             assert np.all(np.abs(h) < 1.0)
 
@@ -216,7 +220,7 @@ def test_zero_hidden_gradients_give_zero_param_gradients():
     rng = Rng(2)
     p = random_cell(2, 3, rng)
     xs = [rng.normal_array((2,)) for _ in range(4)]
-    _, _, tapes = lstm_run(p, xs, zero_state(3))
+    _, _, tapes = lstm_run(p, xs, zero_state(3, 1))
     grads, dxs, (dh0, dc0) = lstm_backward(p, tapes, [np.zeros(3)] * 4)
     assert all(np.array_equal(g, np.zeros_like(g)) for g in grads.values())
     assert all(np.array_equal(dx, np.zeros(2)) for dx in dxs)
@@ -225,7 +229,7 @@ def test_zero_hidden_gradients_give_zero_param_gradients():
 
 def _sequence_loss(p, xs, grad_spec):
     """Scalar loss matching `grad_spec`: sum of h[t][j]*w entries and final-h MSE."""
-    _, hs, _ = lstm_run(p, xs, zero_state(p.hidden_dim))
+    _, hs, _ = lstm_run(p, xs, zero_state(p.hidden_dim, 1))
     total = 0.0
     for t, vec in grad_spec.get("linear", {}).items():
         total += float(np.dot(vec, hs[t]))
@@ -253,7 +257,7 @@ def _numeric_grads(p, xs, grad_spec, eps=1e-5):
 
 
 def _analytic_grads(p, xs, grad_spec):
-    _, hs, tapes = lstm_run(p, xs, zero_state(p.hidden_dim))
+    _, hs, tapes = lstm_run(p, xs, zero_state(p.hidden_dim, 1))
     n = len(xs)
     grad_h = [np.zeros(p.hidden_dim) for _ in range(n)]
     for t, vec in grad_spec.get("linear", {}).items():

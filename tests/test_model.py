@@ -103,8 +103,8 @@ class TestForward:
     def test_zero_params_emit_merge_bias(self):
         params = zero_model(input_dim=2, merge_bias=[3.5, -1.25])
         window = ImputationWindow(np.ones((3, 2)), np.zeros((4, 2)), np.ones((2, 2)))
-        trace = forward(params, window, make_schedule(4))
-        for xhat in trace.merged:
+        trace = forward(params, [window], make_schedule(4))
+        for xhat in trace.merged[0]:
             assert np.array_equal(xhat, [3.5, -1.25])
 
     def test_linear_gap2_silences_forward_stream_at_the_end(self):
@@ -119,11 +119,12 @@ class TestForward:
         window = random_window(rng, 1, 3, 2, 3)
         schedule = make_schedule(2, "linear")
         assert np.array_equal(schedule.gamma, [0.5, 0.0])
-        trace = forward(params, window, schedule)
-        h_fw2 = trace.h_fw[1][0]
-        h_bw2 = trace.h_bw[1][0]
-        assert trace.merged[1][0] == pytest.approx(h_bw2, abs=1e-15)
-        assert trace.merged[0][0] == pytest.approx(0.5 * trace.h_fw[0][0] + 0.5 * trace.h_bw[0][0], abs=1e-15)
+        trace = forward(params, [window], schedule)
+        h_fw, h_bw, merged = trace.h_fw[0], trace.h_bw[0], trace.merged[0]
+        h_fw2 = h_fw[1][0]
+        h_bw2 = h_bw[1][0]
+        assert merged[1][0] == pytest.approx(h_bw2, abs=1e-15)
+        assert merged[0][0] == pytest.approx(0.5 * h_fw[0][0] + 0.5 * h_bw[0][0], abs=1e-15)
         assert h_fw2 != 0.0  # the forward stream was alive, just silenced
 
     def test_matches_scalar_reference(self):
@@ -132,7 +133,7 @@ class TestForward:
         params = init_model_params(cfg, rng)
         window = random_window(rng, 1, 3, 3, 3)
         schedule = make_schedule(3, "linear")
-        trace = forward(params, window, schedule)
+        trace = forward(params, [window], schedule)
         merged, pred_fw, pred_bw = network_forward_scalar(
             params,
             [list(r) for r in window.before],
@@ -142,9 +143,9 @@ class TestForward:
             list(schedule.gamma_prime),
         )
         for t in range(3):
-            assert np.allclose(trace.merged[t], merged[t], atol=1e-12, rtol=0)
-            assert np.allclose(trace.pred_fw[t], pred_fw[t], atol=1e-12, rtol=0)
-            assert np.allclose(trace.pred_bw[t], pred_bw[t], atol=1e-12, rtol=0)
+            assert np.allclose(trace.merged[0, t], merged[t], atol=1e-12, rtol=0)
+            assert np.allclose(trace.pred_fw[0, t], pred_fw[t], atol=1e-12, rtol=0)
+            assert np.allclose(trace.pred_bw[0, t], pred_bw[t], atol=1e-12, rtol=0)
 
     def test_matches_scalar_reference_multivariate(self):
         rng = Rng(5)
@@ -152,93 +153,93 @@ class TestForward:
         params = init_model_params(cfg, rng)
         window = random_window(rng, 2, 4, 2, 4)
         schedule = make_schedule(2, "endpoint")
-        trace = forward(params, window, schedule)
+        trace = forward(params, [window], schedule)
         merged, _, _ = network_forward_scalar(
             params, [list(r) for r in window.before], 2,
             [list(r) for r in window.after],
             list(schedule.gamma), list(schedule.gamma_prime))
         for t in range(2):
-            assert np.allclose(trace.merged[t], merged[t], atol=1e-12, rtol=0)
+            assert np.allclose(trace.merged[0, t], merged[t], atol=1e-12, rtol=0)
 
     def test_rejects_empty_context(self):
         params = zero_model()
         with pytest.raises(ShapeError):
-            forward(params, ImputationWindow(np.zeros((0, 1)), np.zeros((2, 1)), np.ones((2, 1))),
+            forward(params, [ImputationWindow(np.zeros((0, 1)), np.zeros((2, 1)), np.ones((2, 1)))],
                     make_schedule(2))
 
     def test_rejects_gap_mismatch(self):
         params = zero_model()
         with pytest.raises(ShapeError):
-            forward(params, ImputationWindow(np.ones((2, 1)), np.zeros((3, 1)), np.ones((2, 1))),
+            forward(params, [ImputationWindow(np.ones((2, 1)), np.zeros((3, 1)), np.ones((2, 1)))],
                     make_schedule(2))
 
     def test_forward_only_has_no_backward_stream(self):
         rng = Rng(1)
         params = init_model_params(NetworkConfig(input_dim=1, hidden_dim=2, forward_only=True), rng)
-        trace = forward(params, random_window(rng, 1, 3, 2, 3), make_schedule(2))
+        trace = forward(params, [random_window(rng, 1, 3, 2, 3)], make_schedule(2))
         assert trace.pred_bw is None and trace.h_bw is None
         for t in range(2):
-            assert np.array_equal(trace.merged[t], trace.pred_fw[t])
+            assert np.array_equal(trace.merged[0, t], trace.pred_fw[0, t])
 
 
 class TestLoss:
     def test_zero_when_exact(self):
         params = zero_model(merge_bias=[0.0])
         window = ImputationWindow(np.zeros((2, 1)), np.zeros((2, 1)), np.zeros((2, 1)))
-        trace = forward(params, window, make_schedule(2))
-        assert loss(trace, window.missing) == 0.0
+        trace = forward(params, [window], make_schedule(2))
+        assert loss(trace, [window.missing])[0] == 0.0
 
     def test_single_position_worked_example(self):
         # truth 0, merged 1, forward 2, backward 3 -> 1 + 4 + 9
         trace_like = forward(zero_model(merge_bias=[1.0]),
-                             ImputationWindow(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1))),
+                             [ImputationWindow(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)))],
                              make_schedule(1))
-        trace_like.pred_fw[0] = np.array([2.0])
-        trace_like.pred_bw[0] = np.array([3.0])
-        assert loss(trace_like, np.array([[0.0]])) == 14.0
+        trace_like.pred_fw[0, 0] = np.array([2.0])
+        trace_like.pred_bw[0, 0] = np.array([3.0])
+        assert loss(trace_like, [np.array([[0.0]])])[0] == 14.0
 
     def test_quadratic_homogeneity(self):
         rng = Rng(6)
         params = init_model_params(NetworkConfig(input_dim=1, hidden_dim=2), rng)
         window = random_window(rng, 1, 3, 2, 3)
         schedule = make_schedule(2)
-        trace = forward(params, window, schedule)
-        base = loss(trace, window.missing)
+        trace = forward(params, [window], schedule)
+        base = loss(trace, [window.missing])[0]
         # doubling every residual quadruples the loss
-        scaled = forward(params, window, schedule)
+        scaled = forward(params, [window], schedule)
         for t in range(2):
-            scaled.merged[t] = window.missing[t] + 2 * (trace.merged[t] - window.missing[t])
-            scaled.pred_fw[t] = window.missing[t] + 2 * (trace.pred_fw[t] - window.missing[t])
-            scaled.pred_bw[t] = window.missing[t] + 2 * (trace.pred_bw[t] - window.missing[t])
-        assert loss(scaled, window.missing) == pytest.approx(4 * base, rel=1e-12)
+            scaled.merged[0, t] = window.missing[t] + 2 * (trace.merged[0, t] - window.missing[t])
+            scaled.pred_fw[0, t] = window.missing[t] + 2 * (trace.pred_fw[0, t] - window.missing[t])
+            scaled.pred_bw[0, t] = window.missing[t] + 2 * (trace.pred_bw[0, t] - window.missing[t])
+        assert loss(scaled, [window.missing])[0] == pytest.approx(4 * base, rel=1e-12)
 
     def test_decomposes_into_three_mse_curves(self):
         rng = Rng(7)
         params = init_model_params(NetworkConfig(input_dim=2, hidden_dim=3), rng)
         window = random_window(rng, 2, 3, 3, 3)
         schedule = make_schedule(3)
-        trace = forward(params, window, schedule)
-        total = loss(trace, window.missing)
+        trace = forward(params, [window], schedule)
+        total = loss(trace, [window.missing])[0]
         parts = 0.0
         for t in range(3):
-            parts += mse(window.missing[t], trace.merged[t])
-            parts += mse(window.missing[t], trace.pred_fw[t])
-            parts += mse(window.missing[t], trace.pred_bw[t])
+            parts += mse(window.missing[t], trace.merged[0, t])
+            parts += mse(window.missing[t], trace.pred_fw[0, t])
+            parts += mse(window.missing[t], trace.pred_bw[0, t])
         assert total == pytest.approx(parts / 3, rel=1e-15)
 
     def test_rejects_wrong_truth_length(self):
         params = zero_model()
         window = ImputationWindow(np.ones((2, 1)), np.zeros((2, 1)), np.ones((2, 1)))
-        trace = forward(params, window, make_schedule(2))
+        trace = forward(params, [window], make_schedule(2))
         with pytest.raises(ShapeError):
-            loss(trace, np.zeros((3, 1)))
+            loss(trace, [np.zeros((3, 1))])
 
 
 class TestBackward:
     def test_zero_residuals_give_zero_gradient(self):
         params = zero_model(merge_bias=[0.0])
         window = ImputationWindow(np.zeros((3, 1)), np.zeros((2, 1)), np.zeros((3, 1)))
-        _, grads = loss_and_grads(params, window, make_schedule(2))
+        _, grads = loss_and_grads(params, [window], make_schedule(2))
         assert np.array_equal(grads.flat, np.zeros_like(grads.flat))
 
     def test_matches_finite_differences(self):
@@ -261,8 +262,8 @@ class TestBackward:
         window = random_window(rng, 1, 3, 3, 3)
         gamma = np.array([0.9, 0.0, 0.4])
         schedule = ScalingSchedule(3, gamma, 1.0 - gamma, "linear")
-        trace = forward(params, window, schedule)
-        dh_fw, dh_bw = merge_input_grads(params, trace, schedule, window.missing)
+        trace = forward(params, [window], schedule)
+        (dh_fw,), (dh_bw,) = merge_input_grads(params, trace, schedule, [window.missing])
         assert np.array_equal(dh_fw[1], np.zeros(3))
         assert not np.array_equal(dh_fw[0], np.zeros(3))
         assert not np.array_equal(dh_bw[1], np.zeros(3))
@@ -273,13 +274,13 @@ class TestBackward:
         params = init_model_params(NetworkConfig(input_dim=1, hidden_dim=3), rng)
         window = random_window(rng, 1, 3, 3, 3)
         schedule = make_schedule(3, "linear")
-        trace = forward(params, window, schedule)
-        base_fw, base_bw = merge_input_grads(params, trace, schedule, window.missing)
+        trace = forward(params, [window], schedule)
+        (base_fw,), (base_bw,) = merge_input_grads(params, trace, schedule, [window.missing])
         t_mod = 1
         gamma = schedule.gamma.copy()
         gamma[t_mod] *= c
         modified = ScalingSchedule(3, gamma, schedule.gamma_prime.copy(), "linear")
-        mod_fw, mod_bw = merge_input_grads(params, trace, modified, window.missing)
+        (mod_fw,), (mod_bw,) = merge_input_grads(params, trace, modified, [window.missing])
         assert np.allclose(mod_fw[t_mod], c * base_fw[t_mod], atol=1e-12, rtol=0)
         for t in (0, 2):
             assert np.array_equal(mod_fw[t], base_fw[t])
@@ -287,32 +288,30 @@ class TestBackward:
 
     def test_stream_isolation(self):
         # gamma' pinned to zero and the merge blind to the backward half:
-        # the merged output reduces to a forward-only readout, and the
-        # backward encoder gets no gradient from the merged term.
+        # the merged output reduces to a forward-only readout, and no
+        # gradient of the merged term enters the backward stream.
         rng = Rng(13)
         h = 3
         params = init_model_params(NetworkConfig(input_dim=1, hidden_dim=h), rng)
         params.merge[0].w[:, h:] = 0.0
         window = random_window(rng, 1, 3, 3, 3)
         schedule = ScalingSchedule(3, np.ones(3), np.zeros(3), "linear")
-        trace = forward(params, window, schedule)
+        trace = forward(params, [window], schedule)
         for t in range(3):
-            manual = params.merge[0].w[:, :h] @ trace.h_fw[t] + params.merge[0].b
-            assert np.allclose(trace.merged[t], manual, atol=0, rtol=0)
-        grads = dict(iter_params(loss_and_grads(params, window, schedule,
-                                                term_weights=(1.0, 0.0, 0.0))[1]))
-        for path in ("enc_bw.w", "enc_bw.b", "dec_bw.w", "dec_bw.b"):
-            assert np.array_equal(grads[path], np.zeros_like(grads[path])), path
-        assert np.array_equal(grads["head_bw.w"], np.zeros_like(grads["head_bw.w"]))
+            manual = params.merge[0].w[:, :h] @ trace.h_fw[0, t] + params.merge[0].b
+            assert np.allclose(trace.merged[0, t], manual, atol=0, rtol=0)
+        dh_fw, dh_bw = merge_input_grads(params, trace, schedule, [window.missing])
+        assert np.array_equal(dh_bw, np.zeros_like(dh_bw))
+        assert dh_fw.any()
 
     def test_loss_value_matches_loss_function(self):
         rng = Rng(17)
         params = init_model_params(NetworkConfig(input_dim=1, hidden_dim=2), rng)
         window = random_window(rng, 1, 3, 2, 3)
         schedule = make_schedule(2)
-        value, _ = loss_and_grads(params, window, schedule)
-        assert value == pytest.approx(loss(forward(params, window, schedule), window.missing),
-                                      rel=1e-15)
+        value, _ = loss_and_grads(params, [window], schedule)
+        assert value == pytest.approx(loss(forward(params, [window], schedule),
+                                           [window.missing])[0], rel=1e-15)
 
 
 class TestImpute:
@@ -320,16 +319,16 @@ class TestImpute:
         rng = Rng(19)
         params = init_model_params(NetworkConfig(input_dim=1, hidden_dim=2), rng)
         window = random_window(rng, 1, 3, 4, 3)
-        out = impute(params, window.before, window.after, 4)
-        trace = forward(params, window, make_schedule(4, "linear"))
-        assert np.array_equal(out, np.stack(trace.merged))
+        out, = impute(params, [window.before], [window.after], [4])
+        trace = forward(params, [window], make_schedule(4, "linear"))
+        assert np.array_equal(out, trace.merged[0])
 
     def test_deterministic(self):
         rng = Rng(23)
         params = init_model_params(NetworkConfig(input_dim=2, hidden_dim=3), rng)
         before, after = rng.normal_array((3, 2)), rng.normal_array((3, 2))
-        a = impute(params, before, after, 2)
-        b = impute(params, before, after, 2)
+        a, = impute(params, [before], [after], [2])
+        b, = impute(params, [before], [after], [2])
         assert np.array_equal(a, b)
 
     def test_all_gaps_run_as_one_batch_of_live_rows(self, monkeypatch):
@@ -354,7 +353,7 @@ class TestImpute:
         assert [len(f) for f in filled] == lengths
         assert impute(params, [], [], []) == [] and len(forwards) == 1
         for f, b, a, t in zip(filled, before, after, lengths):
-            assert np.allclose(f, impute(params, b, a, t), rtol=0, atol=1e-12)
+            assert np.allclose(f, impute(params, [b], [a], [t])[0], rtol=0, atol=1e-12)
 
 
 class TestReadme:
@@ -410,7 +409,7 @@ class TestParamPlumbing:
     def test_every_tensor_is_a_view_of_one_vector(self, merge_hidden):
         cfg = NetworkConfig(input_dim=2, hidden_dim=3, merge_hidden=merge_hidden)
         params = init_model_params(cfg, Rng(3))
-        _, grads = loss_and_grads(params, random_window(Rng(4), 2, 3, 2, 3), make_schedule(2))
+        _, grads = loss_and_grads(params, [random_window(Rng(4), 2, 3, 2, 3)], make_schedule(2))
         adam = AdamState(params)
         assert adam.m.shape == adam.v.shape == params.flat.shape == (n_params(cfg),)
         for p in (params, grads):
@@ -465,8 +464,8 @@ class TestParamPlumbing:
         assert params.merge[0].w.shape == (5, 6)
         assert params.merge[1].w.shape == (2, 5)
         window = ImputationWindow(np.ones((2, 2)), np.zeros((2, 2)), np.ones((2, 2)))
-        trace = forward(params, window, make_schedule(2))
-        assert len(trace.merge_hidden_acts) == 2
+        trace = forward(params, [window], make_schedule(2))
+        assert len(trace.merge_hidden_acts[0]) == 2
 
 
 class TestBatchedPath:
@@ -579,8 +578,8 @@ class TestBatchedPath:
         schedule = make_schedule(3, "endpoint")
         ref_value, ref_grads = window_loss_and_grads(params, window.before, window.after,
                                                      window.missing, schedule.gamma,
-                                                     schedule.gamma_prime, (0.5, 2.0, 1.5))
-        value, grads = loss_and_grads(params, window, schedule, term_weights=(0.5, 2.0, 1.5))
+                                                     schedule.gamma_prime)
+        value, grads = loss_and_grads(params, [window], schedule)
         assert value == pytest.approx(ref_value, rel=0, abs=1e-12)
         for path, got in v1_tensors(grads).items():
             assert np.allclose(got, ref_grads[path], rtol=0, atol=1e-12), path
@@ -595,29 +594,6 @@ class TestBatchedPath:
         assert per_window[0] == shared[0]
         assert np.array_equal(per_window[1].flat, shared[1].flat)
 
-    @pytest.mark.parametrize("merge_hidden", [0, 3])
-    def test_one_window_equals_the_list_of_one(self, merge_hidden):
-        rng = Rng(41)
-        params = init_model_params(NetworkConfig(input_dim=2, hidden_dim=3,
-                                                 merge_hidden=merge_hidden), rng)
-        window = random_window(rng, 2, 3, 2, 4)
-        schedule = make_schedule(2, "endpoint")
-        one, listed = forward(params, window, schedule), forward(params, [window], [schedule])
-        assert one.gap_len == 2 and list(listed.gap_len) == [2]
-        for name in ("h_fw", "pred_fw", "h_bw", "pred_bw", "merged", "merge_hidden_acts"):
-            got, want = getattr(one, name), getattr(listed, name)
-            if want is None:
-                assert got is None, name
-            else:
-                assert np.array_equal(got, want[0]), name
-        assert loss(one, window.missing) == loss(listed, [window.missing])[0]
-        value, grads = loss_and_grads(params, window, schedule)
-        value_list, grads_list = loss_and_grads(params, [window], [schedule])
-        assert value == value_list
-        assert np.array_equal(grads.flat, grads_list.flat)
-        assert np.array_equal(impute(params, window.before, window.after, 2),
-                              impute(params, [window.before], [window.after], [2])[0])
-
     def test_stacked_window_arrays_rejected(self):
         rng = Rng(43)
         params = init_model_params(NetworkConfig(input_dim=2, hidden_dim=3), rng)
@@ -626,11 +602,29 @@ class TestBatchedPath:
                                      for name in ("before", "missing", "after")))
         schedule = make_schedule(2)
         with pytest.raises(ShapeError, match="window 0: before"):
-            forward(params, stacked, schedule)
+            forward(params, [stacked], schedule)
         with pytest.raises(ShapeError, match="window 0: before"):
             loss_and_grads(params, [stacked], schedule)
         with pytest.raises(ShapeError, match="window 0: before"):
-            impute(params, stacked.before, stacked.after, 2)
+            impute(params, [stacked.before], [stacked.after], [2])
+        # nor one window, its truth or its context rows outside a list
+        window = windows[0]
+        trace = forward(params, [window], schedule)
+        for call in (lambda: forward(params, window, schedule),
+                     lambda: loss_and_grads(params, window, schedule),
+                     lambda: loss(trace, window.missing),
+                     lambda: merge_input_grads(params, trace, schedule, window.missing),
+                     lambda: impute(params, window.before, window.after, 2),
+                     lambda: impute(params, window.before, window.after, [2])):
+            with pytest.raises(ShapeError):
+                call()
+        # 1-D rows are no (n, 1) rows
+        narrow = init_model_params(NetworkConfig(input_dim=1, hidden_dim=2), rng)
+        flat = ImputationWindow(np.ones(3), np.zeros((2, 1)), np.ones((4, 1)))
+        with pytest.raises(ShapeError, match="window 0: before"):
+            forward(narrow, [flat], schedule)
+        with pytest.raises(ShapeError, match="window 0: after"):
+            impute(narrow, [np.ones((3, 1))], [np.ones(4)], [2])
 
     def test_mixed_shapes_accepted_malformed_rows_rejected(self):
         rng = Rng(43)
