@@ -18,8 +18,8 @@ from .config import ConfigError, RunConfig, default_config_text, load_config, pa
 from .data import (
     DEFAULT_MISSING_MARKERS,
     HEADER_MODES,
+    SYNTH_KINDS,
     DataError,
-    WindowSpec,
     compute_norm_stats,
     denormalize,
     extract_windows,
@@ -60,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("synth", help="write a synthetic CSV series")
-    p.add_argument("--kind", default="sine", choices=("sine", "sum-of-sines", "random-walk"))
+    p.add_argument("--kind", default="sine", choices=SYNTH_KINDS)
     p.add_argument("--n", type=int, default=1000, help="number of rows")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--noise", type=float, default=0.0, help="noise standard deviation")
@@ -129,8 +129,7 @@ def _load_training_data(cfg: RunConfig):
                      header=HEADER_MODES[d["header"]])
     train_part, _ = split_train_test(table, d["test_fraction"])
     stats = compute_norm_stats(train_part)
-    spec = WindowSpec(d["before_len"], d["gap_len"], d["after_len"], d["train_stride"])
-    windows = extract_windows(normalize_table(train_part, stats), spec)
+    windows = extract_windows(normalize_table(train_part, stats), cfg.window_spec())
     if len(windows) < 2:
         raise DataError(f"{d['path']}: only {len(windows)} training windows; "
                         "need at least 2 (shrink the window or add rows)")
@@ -146,7 +145,7 @@ def cmd_train(args) -> int:
     ckpt_path = args.out or cfg.paths["checkpoint"]
     windows, stats = _load_training_data(cfg)
     fit, val = split_validation(windows, cfg.training["val_fraction"])
-    params, log = train(cfg.network_config(), fit, val, None, cfg.train_config())
+    params, log = train(cfg.network_config(), fit, val, cfg.train_config())
     save_checkpoint(ckpt_path, params, stats)
     write_train_log(log, cfg.paths["train_log"] + ".txt", cfg.paths["train_log"] + ".csv")
     print(f"trained {len(log.rows)} epoch(s); best validation loss "
@@ -232,25 +231,26 @@ def cmd_eval(args) -> int:
         cfg.training["seed"] = args.seed
     if not cfg.datasets:
         raise ConfigError("eval needs at least one [dataset:NAME] section")
-    datasets = []
+    datasets = {}
     for spec in cfg.datasets:
         table = load_csv(spec.path, columns=spec.columns, markers=spec.missing,
                          header=HEADER_MODES[spec.header])
         for j, field in enumerate(table.file_fields):
-            datasets.append(BenchmarkDataset(f"{spec.name}:{field}", table.select([j])))
-    d = cfg.data
+            label = f"{spec.name}:{field}"
+            if label in datasets:
+                raise ConfigError(f"dataset:{spec.name}.columns: file column {field} "
+                                  "is selected twice")
+            datasets[label] = BenchmarkDataset(label, table.select([j]))
     bench = BenchmarkConfig(
-        window=WindowSpec(d["before_len"], d["gap_len"], d["after_len"], d["train_stride"]),
+        window=cfg.window_spec(),
         train=cfg.train_config(),
-        hidden_dim=cfg.model["hidden_dim"],
-        schedule_variant=cfg.model["schedule"],
-        merge_hidden=cfg.model["merge_hidden"],
-        test_fraction=d["test_fraction"],
-        eval_stride=d["eval_stride"] or None,
+        network=cfg.network_config(),
+        test_fraction=cfg.data["test_fraction"],
+        eval_stride=cfg.data["eval_stride"],
         val_fraction=cfg.training["val_fraction"],
         jobs=args.jobs,
     )
-    report = run_benchmark(datasets, cfg.eval["variants"], bench)
+    report = run_benchmark(list(datasets.values()), cfg.eval["variants"], bench)
     with open(cfg.paths["report"] + ".txt", "w") as fh:
         fh.write(format_report(report))
     with open(cfg.paths["report"] + ".csv", "w", newline="") as fh:

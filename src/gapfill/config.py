@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
-from .data import DEFAULT_MISSING_MARKERS, HEADER_MODES
+from .data import DEFAULT_MISSING_MARKERS, HEADER_MODES, WindowSpec
 from .eval import DEFAULT_VARIANTS, ModelVariant
 from .model import SCHEDULE_VARIANTS, NetworkConfig
 from .optim import TrainConfig
@@ -33,6 +33,8 @@ def _parse_header(text: str) -> str:
 
 def _parse_variants(text: str) -> tuple[str, ...]:
     names = [v.strip() for v in text.split(",") if v.strip()]
+    if not names or len(set(names)) != len(names):
+        raise ValueError(f"needs one or more variants, each once, got {text!r}")
     for name in names:
         try:
             ModelVariant(name)
@@ -130,13 +132,12 @@ class RunConfig:
             merge_hidden=self.model["merge_hidden"],
         )
 
+    def window_spec(self) -> WindowSpec:
+        d = self.data
+        return WindowSpec(d["before_len"], d["gap_len"], d["after_len"], d["train_stride"])
+
     def train_config(self) -> TrainConfig:
-        t = self.training
-        return TrainConfig(
-            lr=t["lr"], beta1=t["beta1"], beta2=t["beta2"], eps=t["eps"],
-            epochs=t["epochs"], batch_size=t["batch_size"], patience=t["patience"],
-            min_delta=t["min_delta"], seed=t["seed"], clip_norm=t["clip_norm"],
-        )
+        return TrainConfig(**{f.name: self.training[f.name] for f in fields(TrainConfig)})
 
 
 def default_config() -> RunConfig:
@@ -195,6 +196,9 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
             if not values["path"]:
                 raise ConfigError(f"{section}.path: required")
             columns = tuple(c.strip() for c in values["columns"].split(",") if c.strip())
+            if len(set(columns)) != len(columns):
+                raise ConfigError(f"{section}.columns: each column may be named once, "
+                                  f"got {', '.join(columns)}")
             cfg.datasets.append(DatasetSpec(name, values["path"], columns, values["missing"],
                                             values["header"]))
         else:

@@ -12,7 +12,7 @@ import math
 import multiprocessing
 import sys
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -88,6 +88,13 @@ _VARIANT_KIND = {
     ModelVariant.NOSCALE: "noscale",
     ModelVariant.SEQ2SEQ: "forward_only",
 }
+
+# the trace array a variant scores, where it is not the merged output
+_VARIANT_OUTPUT = {ModelVariant.RNN_FW: "pred_fw", ModelVariant.RNN_BW: "pred_bw"}
+
+# how each kind of network departs from the configured one
+_KIND_NETWORK = {"full": {}, "noscale": {"schedule_variant": "constant"},
+                 "forward_only": {"forward_only": True}}
 
 
 @dataclass
@@ -175,11 +182,9 @@ class BenchmarkDataset:
 class BenchmarkConfig:
     window: WindowSpec
     train: TrainConfig
-    hidden_dim: int = 64
-    schedule_variant: str = "linear"
-    merge_hidden: int = 0
+    network: NetworkConfig  # the full network; its input_dim follows each dataset
     test_fraction: float = 0.8
-    eval_stride: int | None = None  # None -> gap length (non-overlapping test gaps)
+    eval_stride: int = 0  # 0 -> gap length (non-overlapping test gaps)
     val_fraction: float = 0.1
     jobs: int = 1
 
@@ -191,16 +196,8 @@ def _train_cell(args):
     if len(train_windows) < 2:
         raise DataError(f"{label}: too few training windows ({len(train_windows)})")
     fit_windows, val_windows = split_validation(train_windows, cfg.val_fraction)
-    net = NetworkConfig(
-        input_dim=norm_train.n_cols,
-        hidden_dim=cfg.hidden_dim,
-        schedule_variant={"full": cfg.schedule_variant,
-                          "noscale": "constant",
-                          "forward_only": cfg.schedule_variant}[kind],
-        merge_hidden=cfg.merge_hidden,
-        forward_only=kind == "forward_only",
-    )
-    params, log = train(net, fit_windows, val_windows, None, cfg.train)
+    net = replace(cfg.network, input_dim=norm_train.n_cols, **_KIND_NETWORK[kind])
+    params, log = train(net, fit_windows, val_windows, cfg.train)
     return label, kind, params, log
 
 
@@ -313,41 +310,54 @@ def _train_grid(jobs, trainers: int) -> list:
     return [_try_cell(job) for job in jobs]
 
 
+def _prepare(ds: BenchmarkDataset, cfg: BenchmarkConfig):
+    """A dataset's normalized training rows, its normalization, its test
+    windows and their gap rows in data units."""
+    train_part, test_part = split_train_test(ds.table, cfg.test_fraction)
+    stats = compute_norm_stats(train_part)
+    eval_spec = replace(cfg.window, stride=cfg.eval_stride or cfg.window.gap_len)
+    test_windows = extract_windows(normalize_table(test_part, stats), eval_spec)
+    if not test_windows:
+        raise DataError("test split yields no evaluation windows")
+    truth = denormalize(np.concatenate([w.missing for w in test_windows]).ravel(), stats)
+    return normalize_table(train_part, stats), stats, test_windows, truth
+
+
 def run_benchmark(datasets: list[BenchmarkDataset], variants, cfg: BenchmarkConfig) -> EvalReport:
     """Train every needed network per dataset and score the requested variants.
 
-    A training run that fails for any reason (divergence, too little data,
-    a crashed worker) marks its dependent cells as failed with the error,
-    and so does a cell whose score is undefined (MRE on all-zero truth);
-    the rest of the grid still completes.
+    A dataset that cannot be prepared (a split without data, a constant or
+    unobserved column, no test window) and a training run that fails for
+    any reason (divergence, too little data, a crashed worker) mark their
+    dependent cells as failed with the error, and so does a cell whose
+    score is undefined (MRE on all-zero truth); the rest of the grid still
+    completes.
     """
     variants = [ModelVariant(v) for v in variants]
+    if not variants or len(set(variants)) != len(variants):
+        raise ValueError(f"needs one or more variants, each once, got "
+                         f"{[v.value for v in variants]}")
     if not datasets:
         raise ValueError("no datasets to benchmark")
     names = [d.label for d in datasets]
     if len(set(names)) != len(names):
         raise ValueError("dataset labels must be unique")
 
+    kinds_needed = sorted({_VARIANT_KIND[v] for v in variants})
     prepared = {}
     ranges = {}
-    for ds in datasets:
-        train_part, test_part = split_train_test(ds.table, cfg.test_fraction)
-        stats = compute_norm_stats(train_part)
-        eval_spec = WindowSpec(cfg.window.before_len, cfg.window.gap_len,
-                               cfg.window.after_len,
-                               cfg.eval_stride or cfg.window.gap_len)
-        test_windows = extract_windows(normalize_table(test_part, stats), eval_spec)
-        if not test_windows:
-            raise ValueError(f"{ds.label}: test split yields no evaluation windows")
-        prepared[ds.label] = (normalize_table(train_part, stats), stats, test_windows)
-        observed = ds.table.values[~ds.table.missing]
-        ranges[ds.label] = (float(observed.min()), float(observed.max()))
-
-    kinds_needed = sorted({_VARIANT_KIND[v] for v in variants})
-    jobs = [(ds.label, kind, prepared[ds.label][0], cfg)
-            for ds in datasets for kind in kinds_needed]
-    trained: dict[tuple[str, str], object] = {}
     failures: dict[tuple[str, str], str] = {}
+    for ds in datasets:
+        try:
+            prepared[ds.label] = _prepare(ds, cfg)
+        except DataError as exc:  # fails only this dataset's cells
+            failures.update({(ds.label, kind): str(exc) for kind in kinds_needed})
+        observed = ds.table.values[~ds.table.missing]
+        ranges[ds.label] = ((float(observed.min()), float(observed.max())) if observed.size
+                            else (math.nan, math.nan))
+
+    jobs = [(label, kind, prepared[label][0], cfg) for label in prepared for kind in kinds_needed]
+    trained: dict[tuple[str, str], object] = {}
     for (label, kind, _, _), outcome in zip(jobs, _train_grid(jobs, cfg.jobs)):
         if isinstance(outcome, str):
             failures[(label, kind)] = outcome
@@ -356,28 +366,20 @@ def run_benchmark(datasets: list[BenchmarkDataset], variants, cfg: BenchmarkConf
 
     cells: dict[tuple[str, str], EvalCell] = {}
     for ds in datasets:
-        _, stats, test_windows = prepared[ds.label]
         traces: dict[str, ForwardTrace] = {}
         for kind in kinds_needed:
             if (ds.label, kind) in failures:
                 continue
             params = trained[(ds.label, kind)]
             schedule = make_schedule(cfg.window.gap_len, params.config.schedule_variant)
-            traces[kind] = forward(params, test_windows, schedule)
-        truth_raw = np.concatenate([w.missing for w in test_windows]).ravel()
+            traces[kind] = forward(params, prepared[ds.label][2], schedule)
         for variant in variants:
             kind = _VARIANT_KIND[variant]
             if (ds.label, kind) in failures:
                 cells[(ds.label, variant.value)] = EvalCell(None, failures[(ds.label, kind)])
                 continue
-            trace = traces[kind]
-            if variant is ModelVariant.RNN_FW:
-                pred = trace.pred_fw
-            elif variant is ModelVariant.RNN_BW:
-                pred = trace.pred_bw
-            else:
-                pred = trace.merged
-            t = denormalize(truth_raw, stats)
+            pred = getattr(traces[kind], _VARIANT_OUTPUT.get(variant, "merged"))
+            _, stats, _, t = prepared[ds.label]
             p = denormalize(pred.ravel(), stats)
             try:
                 cells[(ds.label, variant.value)] = EvalCell(MetricPair(mae(t, p), mre(t, p)))

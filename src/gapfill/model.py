@@ -28,10 +28,11 @@ case B = 1.
 
 Windows in a batch may differ in shape. Contexts are right-aligned: a row
 keeps the zero state until its first real row, so a shorter context reads
-exactly as it would alone. Rows run longest first, so each step covers
-only a prefix of them: the encoder rows that have reached their context,
-the decoder rows still inside their gap. Positions past a row's own gap
-are never computed and read zero in the returned trace.
+exactly as it would alone. Rows run longest gap first, so each decoder
+step covers only a prefix of them, the rows still inside their gap, and
+each encoder step the prefix up to the last row whose context has begun.
+Positions past a row's own gap are never computed and read zero in the
+returned trace.
 """
 
 from __future__ import annotations
@@ -314,23 +315,23 @@ class ForwardTrace:
 class _Plan:
     """Where each row of a batch runs, a function of its shapes alone.
 
-    Encoder rows run by each window's longer context, longest first, so the
-    rows with a real step at encoder step t are the prefix `[:enc_live[t]]`.
-    Decoder rows run longest gap first, so the rows still inside their gap
-    at decoder step t are the prefix `[:dec_live[t]]`, and step t's pairs
-    are `offsets[t]:offsets[t + 1]` of the packed arrays. Ties take the
-    other order's key, so the two orders differ, and `to_dec` is set, only
-    where the windows' context and gap lengths rank them differently.
+    Rows run longest gap first, ties longest context first, in the encoder
+    and the decoder alike. The rows still inside their gap at decoder step t
+    are the prefix `[:dec_live[t]]`, and step t's pairs are
+    `offsets[t]:offsets[t + 1]` of the packed arrays. Encoder step t runs
+    the prefix `[:enc_live[t]]` that ends at the last row with a real step
+    at t; a row in it whose context has not begun keeps the zero state
+    (`first`, `partial`). Such rows occur only where the windows' context
+    and gap lengths rank them differently: never on a dense batch, nor on
+    one whose every context is its gap or one shared length.
     """
 
-    enc: tuple[int, ...]  # (B,): the window of each encoder row
-    first: np.ndarray  # (S, B): each encoder row's first real step
+    first: np.ndarray  # (S, B): each row's first real step in each stream
     enc_live: tuple[int, ...]  # (L,)
     partial: tuple[bool, ...]  # (L,): some live row has no real step yet in one stream
-    to_dec: np.ndarray | None  # (B,): the encoder row of each decoder row; None where they agree
     dec_live: tuple[int, ...]  # (T,)
     offsets: tuple[int, ...]  # (T + 1,)
-    rows: np.ndarray  # (N,): each pair's window, in input order
+    rows: np.ndarray  # (N,): each pair's window by input index; the first B give the row order
     pos: np.ndarray  # (N,): each pair's gap position
     rev: np.ndarray  # (N,): the pair of the same window at the mirrored gap position
     dense: bool  # every window is live at every decoder step, in input order
@@ -346,32 +347,31 @@ def _plan(lens: bytes, gaps: bytes, streams: int) -> _Plan:
     lens = np.frombuffer(lens, dtype=np.int64).reshape(streams, -1)
     gap_len = np.frombuffer(gaps, dtype=np.int64)
     longest = lens.max(axis=0)
-    enc = np.lexsort((-gap_len, -longest))  # longest context first, then longest gap
-    dec = np.lexsort((-longest, -gap_len))  # longest gap first, then longest context
-    L, T = int(longest[enc[0]]), int(gap_len[dec[0]])
-    first = L - lens[:, enc]
-    enc_live = np.searchsorted(L - longest[enc], np.arange(L), side="right")
+    order = np.lexsort((-longest, -gap_len))  # longest gap first, then longest context
+    L, T = int(longest.max()), int(gap_len[order[0]])
+    first = L - lens[:, order]
+    # each row's first real step, then the earliest of it and every later row's
+    begun = np.minimum.accumulate((L - longest[order])[::-1])[::-1]
+    enc_live = np.searchsorted(begun, np.arange(L), side="right")
     partial = np.arange(L) < np.maximum.accumulate(first.max(axis=0))[enc_live - 1]
-    dec_live = np.count_nonzero(gap_len[dec, None] > np.arange(T), axis=0)
+    dec_live = np.count_nonzero(gap_len[order, None] > np.arange(T), axis=0)
     offsets = np.concatenate(([0], np.cumsum(dec_live)))
     pos = np.repeat(np.arange(T), dec_live)
-    rank = np.arange(offsets[-1]) - offsets[pos]  # each pair's decoder row
-    rows = dec[rank]
+    rank = np.arange(offsets[-1]) - offsets[pos]  # each pair's row
+    rows = order[rank]
     rev = offsets[gap_len[rows] - 1 - pos] + rank
-    to_dec = None if np.array_equal(enc, dec) else np.argsort(enc)[dec]
-    for a in (first, to_dec, rows, pos, rev):
-        if a is not None:
-            a.flags.writeable = False
-    return _Plan(tuple(enc.tolist()), first, tuple(enc_live.tolist()), tuple(partial.tolist()),
-                 to_dec, tuple(dec_live.tolist()), tuple(offsets.tolist()), rows, pos, rev,
-                 len(rows) == gap_len.size * T and np.array_equal(dec, np.arange(dec.size)))
+    for a in (first, rows, pos, rev):
+        a.flags.writeable = False
+    return _Plan(first, tuple(enc_live.tolist()), tuple(partial.tolist()),
+                 tuple(dec_live.tolist()), tuple(offsets.tolist()), rows, pos, rev,
+                 len(rows) == gap_len.size * T and np.array_equal(order, np.arange(order.size)))
 
 
 @dataclass
 class _Batch:
     """B windows laid out for the stacked streams, in the rows of `plan`."""
 
-    context: np.ndarray  # (S, B, L, d) in encoder order: `before`, then `after` reversed, right-aligned
+    context: np.ndarray  # (S, B, L, d) in row order: `before`, then `after` reversed, right-aligned
     gap_len: np.ndarray  # (B,) in input order
     gamma: np.ndarray  # (N,): each pair's stream weights
     gamma_prime: np.ndarray
@@ -449,7 +449,7 @@ def _layout(params: ModelParams, windows, schedule, truth=None) -> _Batch:
     L = int(lens.max())
     context = np.zeros((streams, len(windows), L, d), dtype)
     for s in range(streams):
-        for j, i in enumerate(plan.enc):
+        for j, i in enumerate(plan.rows[:len(windows)]):
             r = contexts[s][i]
             context[s, j, L - len(r):] = r
     at = (plan.rows, plan.pos) if gamma.ndim == 2 else plan.pos
@@ -490,12 +490,12 @@ def _run_stream(params: ModelParams, batch: _Batch, keep_tapes: bool) -> StreamT
     only the live rows.
 
     Stream s uses encoder cell s, decoder cell 2 + s and head s. Encoder
-    step t runs on its live prefix of rows, those with a real row in either
-    stream; a row joins with the zero state, and a stream that has no real
-    row yet keeps it until its first real step (`first`). Each decoder
-    starts from its encoder's final state, gathered once into decoder order,
-    with the last context row as input, feeds each local prediction into
-    its next step, and drops a row after the last position of its gap.
+    step t runs on its live prefix of rows, up to the last one with a real
+    row in either stream; a row joins with the zero state, and a stream
+    that has no real row yet keeps it until its first real step (`first`).
+    Each decoder starts from its encoder's final state, in the same row
+    order, with the last context row as input, feeds each local prediction
+    into its next step, and drops a row after the last position of its gap.
     Steps where every row is live run on the whole arrays.
     """
     context, plan = batch.context, batch.plan
@@ -516,8 +516,6 @@ def _run_stream(params: ModelParams, batch: _Batch, keep_tapes: bool) -> StreamT
         if enc_tapes is not None:
             enc_tapes.append(tape)
     x = context[:, :, -1]
-    if plan.to_dec is not None:
-        x, state = x[:, plan.to_dec], LstmState(state.h[:, plan.to_dec], state.c[:, plan.to_dec])
     off = plan.offsets
     hs = np.empty((S, off[-1], dec.hidden_dim), context.dtype)
     preds = np.empty((S, off[-1], d), context.dtype)
@@ -542,10 +540,11 @@ def _stream_backward(params: ModelParams, st: StreamTrace, batch: _Batch,
     a prediction combines its own loss term with the gradient flowing out
     of the next step's input, because predictions are self-fed. Each step
     runs on the rows its forward step ran on: a row enters the decoder's
-    gradients, with zeros, at the last step of its gap, and leaves the
-    encoder's at its first live step, before which it holds no parameters.
-    Encoder steps before a stream's first real row pass that row's
-    gradients through untouched and add nothing to the parameter gradients.
+    gradients, with zeros, at the last step of its gap, and carries them
+    into the encoder's in the same row order; it leaves the encoder's at
+    its first live step, before which it holds no parameters. Encoder steps
+    before a stream's first real row pass that row's gradients through
+    untouched and add nothing to the parameter gradients.
     """
     S, _, d = d_pred.shape
     plan = batch.plan
@@ -565,9 +564,6 @@ def _stream_backward(params: ModelParams, st: StreamTrace, batch: _Batch,
         d_in, dh, dc = lstm_step_backward(dec, st.dec_tapes[t], dh, _grow(dc, m), g_dec)
     g.head_w[:S] += np.matmul(np.swapaxes(d_preds, -1, -2), st.h)
     g.head_b[:S] += d_preds.sum(axis=1)
-    if plan.to_dec is not None:  # back to encoder order
-        back = np.argsort(plan.to_dec)
-        dh, dc = dh[:, back], dc[:, back]
 
     enc = LstmParams(params.lstm_w[0:S], params.lstm_b[0:S])
     g_enc = LstmParams(g.lstm_w[0:S], g.lstm_b[0:S])

@@ -55,14 +55,11 @@ _ADAM_BLOCK = 8192
 
 class AdamState:
     """First/second moment vectors, shaped like `ModelParams.flat`, the step
-    counter, and two short scratch vectors for the update."""
+    counter, and two short scratch vectors for the update; `cfg` holds the
+    learning rate, decays and stabilizer."""
 
-    def __init__(self, params: ModelParams, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    def __init__(self, params: ModelParams, cfg: TrainConfig):
+        self.cfg = cfg
         self.step_count = 0
         self.m = np.zeros_like(params.flat)
         self.v = np.zeros_like(params.flat)
@@ -83,53 +80,54 @@ def adam_step(state: AdamState, params: ModelParams, grads: ModelParams):
         raise ValueError(f"non-finite gradient for parameter {path}")
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    cfg = state.cfg
+    bc1 = 1.0 - cfg.beta1 ** t
+    bc2 = 1.0 - cfg.beta2 ** t
     # block by block, the same elementwise operations in the same order as
     # m += (1-b1)*g; v += (1-b2)*(g*g); theta -= (lr*(m/bc1)) / (sqrt(v/bc2)+eps)
     for lo in range(0, g.size, state._scratch.shape[1]):
         part = slice(lo, lo + state._scratch.shape[1])
         m, v, gb, theta = state.m[part], state.v[part], g[part], params.flat[part]
         a, b = state._scratch[:, :gb.size]
-        m *= state.beta1
-        np.multiply(1.0 - state.beta1, gb, out=a)
+        m *= cfg.beta1
+        np.multiply(1.0 - cfg.beta1, gb, out=a)
         m += a
-        v *= state.beta2
+        v *= cfg.beta2
         np.multiply(gb, gb, out=a)
-        a *= 1.0 - state.beta2
+        a *= 1.0 - cfg.beta2
         v += a
         np.divide(m, bc1, out=a)
-        a *= state.lr
+        a *= cfg.lr
         np.divide(v, bc2, out=b)
         np.sqrt(b, out=b)
-        b += state.eps
+        b += cfg.eps
         a /= b
         theta -= a
     return state, params
 
 
 class EarlyStopping:
-    """Stop after `patience` epochs without validation improvement; keeps the best snapshot."""
+    """Stop after `cfg.patience` epochs without a validation improvement of
+    more than `cfg.min_delta`; keeps the best snapshot."""
 
-    def __init__(self, patience: int = 10, min_delta: float = 0.0):
-        if patience < 1:
+    def __init__(self, cfg: TrainConfig):
+        if cfg.patience < 1:
             raise ValueError("patience must be >= 1")
-        self.patience = patience
-        self.min_delta = min_delta
+        self.cfg = cfg
         self.best_loss = np.inf
         self.best_epoch = 0
         self.best_params: ModelParams | None = None
         self.epochs_since_best = 0
 
     def update(self, epoch: int, val_loss: float, params: ModelParams) -> bool:
-        if val_loss < self.best_loss - self.min_delta:
+        if val_loss < self.best_loss - self.cfg.min_delta:
             self.best_loss = val_loss
             self.best_epoch = epoch
             self.best_params = clone_params(params)
             self.epochs_since_best = 0
             return False
         self.epochs_since_best += 1
-        return self.epochs_since_best >= self.patience
+        return self.epochs_since_best >= self.cfg.patience
 
 
 @dataclass
@@ -166,7 +164,6 @@ def train(
     net_cfg: NetworkConfig,
     windows: list[ImputationWindow],
     val_windows: list[ImputationWindow],
-    policy: EarlyStopping | None,
     cfg: TrainConfig,
 ) -> tuple[ModelParams, TrainLog]:
     """Train a fresh network; returns the best-validation snapshot and the log.
@@ -187,8 +184,8 @@ def train(
     compute = _arena_params(net_cfg, np.empty(params.flat.shape, np.float32))
     grads = params_from_flat(net_cfg, np.empty_like(params.flat))
     schedule = make_schedule(T, net_cfg.schedule_variant)
-    adam = AdamState(params, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
-    policy = policy or EarlyStopping(patience=cfg.patience, min_delta=cfg.min_delta)
+    adam = AdamState(params, cfg)
+    policy = EarlyStopping(cfg)
     log = TrainLog()
     started = time.perf_counter()
     order = list(range(len(windows)))
@@ -243,7 +240,7 @@ def evaluate_loss(params: ModelParams, windows: list[ImputationWindow], schedule
     return float(np.sum(losses)) / len(windows)
 
 
-def split_validation(windows: list[ImputationWindow], fraction: float = 0.1
+def split_validation(windows: list[ImputationWindow], fraction: float
                      ) -> tuple[list[ImputationWindow], list[ImputationWindow]]:
     """Hold out the chronologically last slice of windows for validation."""
     if len(windows) < 2:

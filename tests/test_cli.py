@@ -715,6 +715,64 @@ columns = {columns}
 """)
         return cfg
 
+    @pytest.mark.parametrize("variants", ["seq2seq,seq2seq,RNN_FW", ""],
+                             ids=["repeated", "empty"])
+    def test_a_repeated_or_empty_variant_list_is_a_config_error(self, tmp_path, capsys,
+                                                               variants):
+        data = tmp_path / "wave.csv"
+        data.write_text("".join(f"{math.sin(i / 5)!r}\n" for i in range(40)))
+        cfg = self._eval_cfg(tmp_path, data, variants)
+        assert main(["eval", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "eval.variants" in err
+        assert not (tmp_path / "report.csv").exists()
+
+    @pytest.mark.parametrize("columns", ["0,0", "b,1"], ids=["repeated", "name-and-index"])
+    def test_a_column_selected_twice_is_a_config_error(self, tmp_path, capsys, columns):
+        data = tmp_path / "two.csv"
+        data.write_text("a,b\n" + "".join(
+            f"{math.sin(i / 5)!r},{math.cos(i / 3)!r}\n" for i in range(40)))
+        cfg = self._eval_cfg(tmp_path, data, "seq2seq", columns=columns)
+        assert main(["eval", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("error: dataset:s.columns: ")
+
+    def test_a_dataset_that_cannot_be_prepared_fails_only_its_cells(self, tmp_path, capsys):
+        good, flat, short = tmp_path / "good.csv", tmp_path / "flat.csv", tmp_path / "short.csv"
+        assert main(["synth", "--kind", "sine", "--n", "140", "--seed", "1",
+                     "--period", "16", "--out", str(good)]) == 0
+        flat.write_text("5\n" * 140)  # constant: cannot be normalized
+        (tmp_path / "blank.csv").write_text("NA\n" * 140)  # nothing observed
+        # 20 rows at test_fraction 0.5 leave 10 test rows, short of one 11-row window
+        assert main(["synth", "--kind", "sine", "--n", "20", "--seed", "1",
+                     "--period", "16", "--out", str(short)]) == 0
+        cfg = self._eval_cfg(tmp_path, good, "seq2seqImp,seq2seq")
+        cfg.write_text(cfg.read_text().replace("[dataset:s]", "[dataset:good]")
+                       + f"[dataset:flat]\npath = {flat}\n[dataset:short]\npath = {short}\n"
+                       + f"[dataset:blank]\npath = {tmp_path / 'blank.csv'}\n")
+        assert main(["eval", "--config", str(cfg)]) == 2
+        with open(tmp_path / "report.csv", newline="") as fh:
+            status = {(r[0], r[1]): r[4] for r in list(csv.reader(fh))[1:]}
+        assert status == {(d, v): "ok" if d == "good:0" else "failed"
+                          for d in ("good:0", "flat:0", "short:0", "blank:0")
+                          for v in ("seq2seqImp", "seq2seq")}
+        err = capsys.readouterr().err
+        assert "error: flat:0 seq2seq: column 'col0' is constant; cannot normalize" in err
+        assert "error: short:0 seq2seqImp: test split yields no evaluation windows" in err
+        assert "error: blank:0 seq2seq: column 'col0' has no observed values" in err
+        assert "6 cell(s) failed" in err
+        assert "blank:0  [nan,nan]" in (tmp_path / "report.txt").read_text()
+
+    def test_a_gap_longer_than_the_test_split_fails_every_cell(self, tmp_path, capsys):
+        data = tmp_path / "wave.csv"
+        assert main(["synth", "--kind", "sine", "--n", "300", "--out", str(data)]) == 0
+        cfg = self._eval_cfg(tmp_path, data, "seq2seqImp,RNN_FW")
+        cfg.write_text(cfg.read_text().replace("gap_len = 3", "gap_len = 400"))
+        assert main(["eval", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("test split yields no evaluation windows") == 2
+        assert (tmp_path / "report.csv").read_text().count(",failed\n") == 2
+        assert not (tmp_path / "borda.txt").exists()
+
     def test_an_undefined_score_fails_only_its_datasets_cells(self, tmp_path, capsys):
         # column 0 is all zeros in its test half, where MRE is undefined
         data = tmp_path / "two.csv"

@@ -1,5 +1,8 @@
+import argparse
+
 import pytest
 
+from gapfill.cli import _build_parser
 from gapfill.config import (
     ConfigError,
     default_config,
@@ -7,6 +10,10 @@ from gapfill.config import (
     load_config,
     parse_config_text,
 )
+from gapfill.data import SYNTH_KINDS
+from gapfill.eval import BenchmarkConfig
+from gapfill.model import NetworkConfig
+from gapfill.optim import TrainConfig
 
 
 def test_empty_text_yields_defaults():
@@ -75,6 +82,28 @@ def test_bad_variant_list_rejected():
         parse_config_text("[eval]\nvariants = seq2seqImp,bogus\n")
 
 
+@pytest.mark.parametrize("variants", ["seq2seq,seq2seq,RNN_FW", "", " , "])
+def test_repeated_or_empty_variant_list_rejected(variants):
+    with pytest.raises(ConfigError, match=r"eval\.variants"):
+        parse_config_text(f"[eval]\nvariants = {variants}\n")
+
+
+def test_defaults_agree_with_the_library():
+    cfg = default_config()
+    assert cfg.train_config() == TrainConfig()
+    assert cfg.network_config() == NetworkConfig()
+    bench = BenchmarkConfig(cfg.window_spec(), cfg.train_config(), cfg.network_config())
+    assert bench.test_fraction == cfg.data["test_fraction"]
+    assert bench.val_fraction == cfg.training["val_fraction"]
+    assert bench.eval_stride == cfg.data["eval_stride"]
+
+
+def test_synth_kinds_are_the_generators():
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    kind = next(a for a in sub.choices["synth"]._actions if a.dest == "kind")
+    assert tuple(kind.choices) == SYNTH_KINDS
+
+
 def test_range_validation():
     with pytest.raises(ConfigError, match=r"data\.test_fraction"):
         parse_config_text("[data]\ntest_fraction = 1.5\n")
@@ -120,6 +149,11 @@ def test_header_modes_parse():
     for section in ("[data]", "[dataset:a]\npath = a.csv"):
         with pytest.raises(ConfigError, match=r"header: expected one of auto\|yes\|no"):
             parse_config_text(f"{section}\nheader = true\n")
+
+
+def test_dataset_column_named_twice_rejected():
+    with pytest.raises(ConfigError, match=r"dataset:a\.columns: each column may be named once"):
+        parse_config_text("[dataset:a]\npath = a.csv\ncolumns = 0,0\n")
 
 
 def test_dataset_needs_path():

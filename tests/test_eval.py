@@ -159,7 +159,7 @@ def tiny_benchmark_config(seed=0, epochs=4, hidden=4):
     return BenchmarkConfig(
         window=WindowSpec(4, 3, 4, 1),
         train=TrainConfig(lr=5e-3, epochs=epochs, batch_size=8, seed=seed, patience=10),
-        hidden_dim=hidden,
+        network=NetworkConfig(hidden_dim=hidden),
         test_fraction=0.5,
     )
 
@@ -239,6 +239,14 @@ needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_meth
 
 def one_dataset():
     return [BenchmarkDataset("d", synth("sine", 120, 0.05, seed=0, period=15.0))]
+
+
+class TestVariantList:
+    @pytest.mark.parametrize("variants", [["seq2seq", "seq2seq", "RNN_FW"], []],
+                             ids=["repeated", "empty"])
+    def test_repeated_or_no_variants_rejected(self, variants):
+        with pytest.raises(ValueError, match="variant"):
+            run_benchmark(one_dataset(), variants, tiny_benchmark_config(epochs=1))
 
 
 class TestCellIsolation:

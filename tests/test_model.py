@@ -27,7 +27,7 @@ from gapfill.model import (
 )
 from gapfill.model import _arena_params
 from gapfill.numerics import Rng, ShapeError
-from gapfill.optim import AdamState, adam_step
+from gapfill.optim import AdamState, TrainConfig, adam_step
 
 from _reference import (
     init_params_scalar,
@@ -355,6 +355,28 @@ class TestImpute:
         for f, b, a, t in zip(filled, before, after, lengths):
             assert np.allclose(f, impute(params, [b], [a], [t])[0], rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("context", [None, 4], ids=["context=gap", "context=4"])
+    def test_every_step_runs_only_the_rows_it_needs(self, monkeypatch, context):
+        import gapfill.model as model_module
+
+        rng = Rng(31)
+        params = init_model_params(NetworkConfig(input_dim=1, hidden_dim=2), rng)
+        lengths = [3, 1, 9, 4, 1, 6, 2, 9, 5]
+        contexts = [context or t for t in lengths]
+        before = [rng.normal_array((c, 1)) for c in contexts]
+        after = [rng.normal_array((c, 1)) for c in contexts]
+        rows = []
+        real_step = model_module.lstm_step
+        monkeypatch.setattr(model_module, "lstm_step",
+                            lambda cell, x, state: rows.append(x.shape[1])
+                            or real_step(cell, x, state))
+        impute(params, before, after, lengths)
+        # contexts are right-aligned: a window's first real step is L - its context
+        L = max(contexts)
+        begun = [sum(L - c <= t for c in contexts) for t in range(L)]
+        open_gaps = [sum(T > t for T in lengths) for t in range(max(lengths))]
+        assert rows == begun + open_gaps
+
 
 class TestReadme:
     def test_model_api_block_runs(self):
@@ -410,7 +432,7 @@ class TestParamPlumbing:
         cfg = NetworkConfig(input_dim=2, hidden_dim=3, merge_hidden=merge_hidden)
         params = init_model_params(cfg, Rng(3))
         _, grads = loss_and_grads(params, [random_window(Rng(4), 2, 3, 2, 3)], make_schedule(2))
-        adam = AdamState(params)
+        adam = AdamState(params, TrainConfig())
         assert adam.m.shape == adam.v.shape == params.flat.shape == (n_params(cfg),)
         for p in (params, grads):
             assert p.flat.shape == (n_params(cfg),)
@@ -455,7 +477,8 @@ class TestParamPlumbing:
             assert np.shares_memory(q.flat, t), path
             assert np.array_equal(t, t0), path
         before = {path: t.copy() for path, t in iter_params(q)}
-        adam_step(AdamState(q, lr=0.1), q, params_from_flat(cfg, np.ones(n_params(cfg))))
+        adam_step(AdamState(q, TrainConfig(lr=0.1)), q,
+                  params_from_flat(cfg, np.ones(n_params(cfg))))
         for path, t in iter_params(q):
             assert np.allclose(t, before[path] - 0.1, rtol=0, atol=1e-6), path
 

@@ -50,7 +50,7 @@ def grads_for(params, values):
 class TestAdam:
     def test_zero_gradient_keeps_everything_zero(self):
         params = tiny_params(1.5)
-        state = AdamState(params, lr=0.1)
+        state = AdamState(params, TrainConfig(lr=0.1))
         adam_step(state, params, grads_for(params, 0.0))
         assert np.all(params.flat == 1.5)
         assert not state.m.any() and not state.v.any()
@@ -58,21 +58,21 @@ class TestAdam:
     def test_first_step_magnitude_is_lr(self):
         # g = 1 at step 1: both bias-corrected moments are exactly 1
         params = tiny_params(0.0)
-        state = AdamState(params, lr=0.1)
+        state = AdamState(params, TrainConfig(lr=0.1))
         adam_step(state, params, grads_for(params, 1.0))
         assert np.allclose(params.flat, -0.1, rtol=0, atol=1e-6)
 
     def test_first_step_direction_is_negative_gradient_sign(self):
         params = tiny_params(0.0)
         g = np.resize([3.7, -0.004, 12.0, -5.0], params.flat.shape)
-        adam_step(AdamState(params, lr=0.01), params, grads_for(params, g))
+        adam_step(AdamState(params, TrainConfig(lr=0.01)), params, grads_for(params, g))
         assert np.array_equal(np.sign(params.flat), -np.sign(g))
 
     def test_odd_symmetry_at_step_one(self):
         pos, neg = tiny_params(0.0), tiny_params(0.0)
         g = np.linspace(-2.5, 4.0, pos.flat.size)
-        adam_step(AdamState(pos, lr=0.05), pos, grads_for(pos, g))
-        adam_step(AdamState(neg, lr=0.05), neg, grads_for(neg, -g))
+        adam_step(AdamState(pos, TrainConfig(lr=0.05)), pos, grads_for(pos, g))
+        adam_step(AdamState(neg, TrainConfig(lr=0.05)), neg, grads_for(neg, -g))
         assert np.array_equal(pos.flat, -neg.flat)
 
     @pytest.mark.parametrize("seed, hidden_dim", [(0, 5), (1, 48), (2, 64)])
@@ -84,8 +84,8 @@ class TestAdam:
         theta = params.flat.copy()
         m, v = np.zeros_like(theta), np.zeros_like(theta)
         hyper = dict(lr=10.0 ** -(1 + seed), b1=0.9 - 0.1 * seed, b2=0.999, eps=1e-8)
-        state = AdamState(params, lr=hyper["lr"], beta1=hyper["b1"], beta2=hyper["b2"],
-                          eps=hyper["eps"])
+        state = AdamState(params, TrainConfig(lr=hyper["lr"], beta1=hyper["b1"],
+                                              beta2=hyper["b2"], eps=hyper["eps"]))
         for t in range(1, 8):
             g = rng.normal(size=theta.shape) * 10.0 ** rng.uniform(-6, 2)
             adam_step(state, params, grads_for(params, g))
@@ -97,11 +97,11 @@ class TestAdam:
         params = tiny_params()
         other = init_model_params(NetworkConfig(input_dim=1, hidden_dim=2), Rng(0))
         with pytest.raises(ValueError, match="gradient has"):
-            adam_step(AdamState(params), params, grads_for(other, 1.0))
+            adam_step(AdamState(params, TrainConfig()), params, grads_for(other, 1.0))
 
     def test_non_finite_gradient_names_parameter(self):
         params = tiny_params(0.5)
-        state = AdamState(params)
+        state = AdamState(params, TrainConfig())
         grads = grads_for(params, 1.0)
         # enc_bw.w precedes enc_fw.b in the arena but follows it in iter_params order
         grads.lstm_w[1, 0, 0] = np.inf
@@ -112,7 +112,7 @@ class TestAdam:
 
     def test_works_on_model_params(self):
         model = init_model_params(NetworkConfig(input_dim=1, hidden_dim=2), Rng(0))
-        state = AdamState(model, lr=0.1)
+        state = AdamState(model, TrainConfig(lr=0.1))
         before = {path: arr.copy() for path, arr in iter_params(model)}
         adam_step(state, model, grads_for(model, 1.0))
         for path, arr in iter_params(model):
@@ -122,7 +122,7 @@ class TestAdam:
 class TestEarlyStopping:
     def test_stops_after_patience_non_improving_epochs(self):
         model = init_model_params(NetworkConfig(input_dim=1, hidden_dim=1), Rng(0))
-        policy = EarlyStopping(patience=3)
+        policy = EarlyStopping(TrainConfig(patience=3))
         assert not policy.update(1, 1.0, model)
         assert not policy.update(2, 1.2, model)
         assert not policy.update(3, 1.1, model)
@@ -131,7 +131,7 @@ class TestEarlyStopping:
 
     def test_improvement_resets_counter_and_snapshots(self):
         model = init_model_params(NetworkConfig(input_dim=1, hidden_dim=1), Rng(0))
-        policy = EarlyStopping(patience=2)
+        policy = EarlyStopping(TrainConfig(patience=2))
         policy.update(1, 1.0, model)
         policy.update(2, 1.5, model)
         model.head_b[0, 0] = 123.0
@@ -143,7 +143,7 @@ class TestEarlyStopping:
 
     def test_min_delta_counts_marginal_gains_as_stagnation(self):
         model = init_model_params(NetworkConfig(input_dim=1, hidden_dim=1), Rng(0))
-        policy = EarlyStopping(patience=2, min_delta=0.1)
+        policy = EarlyStopping(TrainConfig(patience=2, min_delta=0.1))
         policy.update(1, 1.0, model)
         assert not policy.update(2, 0.95, model)
         assert policy.update(3, 0.93, model)
@@ -161,7 +161,7 @@ class TestTrain:
         windows = sine_windows()
         fit, val = split_validation(windows, 0.1)
         cfg = TrainConfig(lr=5e-3, epochs=6, batch_size=16, seed=0, patience=10)
-        params, log = train(NetworkConfig(input_dim=1, hidden_dim=6), fit, val, None, cfg)
+        params, log = train(NetworkConfig(input_dim=1, hidden_dim=6), fit, val, cfg)
         assert log.rows[-1].val_loss < log.rows[0].val_loss
         assert log.best_val_loss <= min(r.val_loss for r in log.rows)
 
@@ -170,7 +170,7 @@ class TestTrain:
         fit, val = split_validation(windows, 0.2)
         net = NetworkConfig(input_dim=1, hidden_dim=3)
         cfg = TrainConfig(lr=0.0, epochs=3, batch_size=8, seed=7)
-        params, _ = train(net, fit, val, None, cfg)
+        params, _ = train(net, fit, val, cfg)
         fresh = init_model_params(net, Rng(7))
         for (pa, ta), (pb, tb) in zip(iter_params(params), iter_params(fresh)):
             assert pa == pb
@@ -181,8 +181,8 @@ class TestTrain:
         fit, val = split_validation(windows, 0.2)
         net = NetworkConfig(input_dim=1, hidden_dim=4)
         cfg = TrainConfig(lr=3e-3, epochs=4, batch_size=8, seed=3)
-        a, _ = train(net, fit, val, None, cfg)
-        b, _ = train(net, fit, val, None, cfg)
+        a, _ = train(net, fit, val, cfg)
+        b, _ = train(net, fit, val, cfg)
         for (pa, ta), (pb, tb) in zip(iter_params(a), iter_params(b)):
             assert np.array_equal(ta, tb), pa
 
@@ -191,7 +191,7 @@ class TestTrain:
         fit, val = split_validation(windows, 0.15)
         net = NetworkConfig(input_dim=1, hidden_dim=5)
         cfg = TrainConfig(lr=8e-3, epochs=10, batch_size=16, seed=1, patience=3)
-        params, log = train(net, fit, val, None, cfg)
+        params, log = train(net, fit, val, cfg)
         schedule = make_schedule(3, net.schedule_variant)
         returned = evaluate_loss(params, val, schedule)
         assert returned == pytest.approx(log.best_val_loss, rel=1e-9)
@@ -202,7 +202,7 @@ class TestTrain:
         fit, val = split_validation(windows, 0.2)
         cfg = TrainConfig(lr=1e200, epochs=4, batch_size=8, seed=0)
         with pytest.raises(DivergenceError, match="epoch"):
-            train(NetworkConfig(input_dim=1, hidden_dim=3), fit, val, None, cfg)
+            train(NetworkConfig(input_dim=1, hidden_dim=3), fit, val, cfg)
 
     @pytest.mark.filterwarnings("error")
     def test_divergence_in_the_float32_copy_raises_no_warning(self):
@@ -211,7 +211,7 @@ class TestTrain:
         fit, val = split_validation(windows, 0.2)
         cfg = TrainConfig(lr=1e200, epochs=4, batch_size=8, seed=0)
         with pytest.raises(DivergenceError, match="epoch 1, batch 1") as info:
-            train(NetworkConfig(input_dim=1, hidden_dim=3), fit, val, None, cfg)
+            train(NetworkConfig(input_dim=1, hidden_dim=3), fit, val, cfg)
         assert (info.value.epoch, info.value.batch) == (1, 1)
 
     def test_a_batch_runs_every_step_in_float32_and_validation_in_float64(self, monkeypatch):
@@ -249,19 +249,19 @@ class TestTrain:
                                     rng.normal_array((la, 2)))
                    for lb, la in [(2, 5), (4, 1), (3, 3)]]
         net = NetworkConfig(input_dim=2, hidden_dim=4, merge_hidden=3)
-        train(net, windows, windows[:2], None, TrainConfig(epochs=1, batch_size=8, seed=2))
+        train(net, windows, windows[:2], TrainConfig(epochs=1, batch_size=8, seed=2))
         assert dtypes == {"batch": {np.dtype(np.float32)}, "validation": {np.dtype(np.float64)}}
 
     def test_empty_window_sets_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            train(NetworkConfig(), [], [], None, TrainConfig())
+            train(NetworkConfig(), [], [], TrainConfig())
 
     def test_constant_gap_task_converges_toward_zero(self):
         # identical windows with zero-variance targets: loss should collapse
         base = ImputationWindow(np.full((3, 1), 0.3), np.full((2, 1), 0.3), np.full((3, 1), 0.3))
         windows = [base] * 12
         cfg = TrainConfig(lr=2e-2, epochs=30, batch_size=4, seed=0, patience=30)
-        params, log = train(NetworkConfig(input_dim=1, hidden_dim=3), windows, [base], None, cfg)
+        params, log = train(NetworkConfig(input_dim=1, hidden_dim=3), windows, [base], cfg)
         assert log.rows[-1].train_loss < 0.02 * log.rows[0].train_loss
         val_losses = [r.val_loss for r in log.rows]
         assert min(val_losses) == log.best_val_loss
@@ -270,7 +270,7 @@ class TestTrain:
         windows = sine_windows(n=60)
         fit, val = split_validation(windows, 0.2)
         cfg = TrainConfig(lr=1e-3, epochs=2, batch_size=8, seed=0, clip_norm=1e-6)
-        _, log = train(NetworkConfig(input_dim=1, hidden_dim=3), fit, val, None, cfg)
+        _, log = train(NetworkConfig(input_dim=1, hidden_dim=3), fit, val, cfg)
         assert log.clip_events > 0
 
     @staticmethod
@@ -298,7 +298,7 @@ class TestTrain:
             "from test_optim import sine_windows\n"
             "fit, val = split_validation(sine_windows(n=120), 0.2)\n"
             "cfg = TrainConfig(epochs=1, batch_size=8, seed=0, clip_norm=1e-3)\n"
-            "params, log = train(NetworkConfig(hidden_dim=64), fit, val, None, cfg)\n"
+            "params, log = train(NetworkConfig(hidden_dim=64), fit, val, cfg)\n"
             "assert log.clip_events > 0\n"
             "print(hashlib.sha256(params.flat.tobytes()).hexdigest())\n")
         assert len(self._digests_by_blas_thread_count(script)) == 1
@@ -321,8 +321,8 @@ class TestTrain:
             "files = []\n"
             "for k in range(2):\n"
             f"    path = pathlib.Path({str(tmp_path)!r}) / f'{{k}}.ckpt'\n"
-            "    save_checkpoint(path, train(NetworkConfig(hidden_dim=64), fit, val, None,\n"
-            "                                cfg)[0], stats)\n"
+            "    save_checkpoint(path, train(NetworkConfig(hidden_dim=64), fit, val, cfg)[0],\n"
+            "                    stats)\n"
             "    files.append(path.read_bytes())\n"
             "assert files[0] == files[1]\n"
             "print(hashlib.sha256(files[0]).hexdigest())\n")
@@ -333,8 +333,8 @@ class TestTrain:
         fit, val = split_validation(windows, 0.2)
         net = NetworkConfig(input_dim=1, hidden_dim=4)
         cfg = TrainConfig(lr=3e-3, epochs=3, batch_size=8, seed=3)
-        plain, _ = train(net, fit, val, None, cfg)
-        clipped, log = train(net, fit, val, None, dataclasses.replace(cfg, clip_norm=1e6))
+        plain, _ = train(net, fit, val, cfg)
+        clipped, log = train(net, fit, val, dataclasses.replace(cfg, clip_norm=1e6))
         assert log.clip_events == 0
         assert clipped.flat.tobytes() == plain.flat.tobytes()
 
@@ -359,7 +359,7 @@ def test_write_train_log(tmp_path):
     windows = sine_windows(n=60)
     fit, val = split_validation(windows, 0.2)
     cfg = TrainConfig(lr=1e-3, epochs=2, batch_size=8, seed=0)
-    _, log = train(NetworkConfig(input_dim=1, hidden_dim=2), fit, val, None, cfg)
+    _, log = train(NetworkConfig(input_dim=1, hidden_dim=2), fit, val, cfg)
     text, rows = tmp_path / "log.txt", tmp_path / "log.csv"
     write_train_log(log, text, rows)
     assert "epoch" in text.read_text()
