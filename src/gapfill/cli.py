@@ -14,20 +14,17 @@ import sys
 import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .config import ConfigError, RunConfig, default_config_text, load_config, parse_markers
+from .config import ConfigError, default_config_text, load_config, parse_markers
 from .data import (
     DEFAULT_MISSING_MARKERS,
     HEADER_MODES,
     SYNTH_KINDS,
     DataError,
-    compute_norm_stats,
     denormalize,
-    extract_windows,
     load_csv,
     normalize,
-    normalize_table,
     rewrite_csv,
-    split_train_test,
+    series_windows,
     synth,
     write_csv,
 )
@@ -116,7 +113,20 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _load_training_data(cfg: RunConfig):
+def _select_once(table, option: str) -> None:
+    """Reject a file column selected twice: both copies would share its cells."""
+    for j, field in enumerate(table.file_fields):
+        if field in table.file_fields[:j]:
+            raise ConfigError(f"{option}: file column {field} is selected twice")
+
+
+def cmd_train(args) -> int:
+    cfg = load_config(args.config)
+    if args.seed is not None:
+        cfg.training["seed"] = args.seed
+    if args.variant is not None:
+        cfg.model["schedule"] = args.variant
+    ckpt_path = args.out or cfg.paths["checkpoint"]
     d = cfg.data
     if not d["path"]:
         raise ConfigError("data.path: required for training")
@@ -127,23 +137,11 @@ def _load_training_data(cfg: RunConfig):
             f"is {cfg.model['input_dim']}")
     table = load_csv(d["path"], columns=columns, markers=d["missing"],
                      header=HEADER_MODES[d["header"]])
-    train_part, _ = split_train_test(table, d["test_fraction"])
-    stats = compute_norm_stats(train_part)
-    windows = extract_windows(normalize_table(train_part, stats), cfg.window_spec())
-    if len(windows) < 2:
-        raise DataError(f"{d['path']}: only {len(windows)} training windows; "
-                        "need at least 2 (shrink the window or add rows)")
-    return windows, stats
-
-
-def cmd_train(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.training["seed"] = args.seed
-    if args.variant is not None:
-        cfg.model["schedule"] = args.variant
-    ckpt_path = args.out or cfg.paths["checkpoint"]
-    windows, stats = _load_training_data(cfg)
+    _select_once(table, "data.columns")
+    try:
+        stats, windows, _ = series_windows(table, d["test_fraction"], cfg.window_spec())
+    except DataError as exc:
+        raise DataError(f"{d['path']}: {exc}") from None
     fit, val = split_validation(windows, cfg.training["val_fraction"])
     params, log = train(cfg.network_config(), fit, val, cfg.train_config())
     save_checkpoint(ckpt_path, params, stats)
@@ -186,6 +184,7 @@ def cmd_impute(args) -> int:
                     for r in ((start - c, start), (start + length, start + length + c))]
     table = load_csv(args.data, columns=columns, markers=args.missing,
                      header=HEADER_MODES[args.header], rows=context_rows)
+    _select_once(table, "--column")
     for (s1, l1), (s2, l2) in zip(gaps, gaps[1:]):
         if s1 + l1 > s2:
             raise DataError(f"gap {s2}:{l2} overlaps gap {s1}:{l1}")
@@ -231,16 +230,13 @@ def cmd_eval(args) -> int:
         cfg.training["seed"] = args.seed
     if not cfg.datasets:
         raise ConfigError("eval needs at least one [dataset:NAME] section")
-    datasets = {}
+    datasets = []
     for spec in cfg.datasets:
         table = load_csv(spec.path, columns=spec.columns, markers=spec.missing,
                          header=HEADER_MODES[spec.header])
-        for j, field in enumerate(table.file_fields):
-            label = f"{spec.name}:{field}"
-            if label in datasets:
-                raise ConfigError(f"dataset:{spec.name}.columns: file column {field} "
-                                  "is selected twice")
-            datasets[label] = BenchmarkDataset(label, table.select([j]))
+        _select_once(table, f"dataset:{spec.name}.columns")
+        datasets += [BenchmarkDataset(f"{spec.name}:{field}", table.select([j]))
+                     for j, field in enumerate(table.file_fields)]
     bench = BenchmarkConfig(
         window=cfg.window_spec(),
         train=cfg.train_config(),
@@ -250,7 +246,7 @@ def cmd_eval(args) -> int:
         val_fraction=cfg.training["val_fraction"],
         jobs=args.jobs,
     )
-    report = run_benchmark(list(datasets.values()), cfg.eval["variants"], bench)
+    report = run_benchmark(datasets, cfg.eval["variants"], bench)
     with open(cfg.paths["report"] + ".txt", "w") as fh:
         fh.write(format_report(report))
     with open(cfg.paths["report"] + ".csv", "w", newline="") as fh:

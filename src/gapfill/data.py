@@ -14,7 +14,6 @@ import locale
 import math
 import operator
 import os
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -541,15 +540,10 @@ def extract_windows(table: SeriesTable, spec: WindowSpec) -> list[ImputationWind
     """Slide a window over the rows; offsets go 0, stride, 2*stride, ...
 
     Windows touching any genuinely-missing row are dropped. Too few rows is
-    not an error: the result is empty and a warning is issued.
+    not an error here: the result is empty, and each caller says what it
+    needed the windows for.
     """
     n = table.n_rows
-    if n < spec.total:
-        warnings.warn(
-            f"series of {n} rows is shorter than one {spec.total}-row window; no windows extracted",
-            stacklevel=2,
-        )
-        return []
     row_has_missing = table.missing.any(axis=1)
     out: list[ImputationWindow] = []
     for start in range(0, n - spec.total + 1, spec.stride):
@@ -598,6 +592,27 @@ def denormalize(values: np.ndarray, stats: NormStats) -> np.ndarray:
 
 def normalize_table(table: SeriesTable, stats: NormStats) -> SeriesTable:
     return SeriesTable(list(table.columns), normalize(table.values, stats), table.missing.copy())
+
+
+def series_windows(table: SeriesTable, test_fraction: float, spec: WindowSpec,
+                   test_spec: WindowSpec | None = None
+                   ) -> tuple[NormStats, list[ImputationWindow], list[ImputationWindow]]:
+    """A series' normalization by its training rows (`split_train_test`),
+    its normalized training windows and, given `test_spec`, test windows.
+    A test split without a window is an error, and so is a training split
+    of fewer than 2: training fits on some and validates on the rest."""
+    train_part, test_part = split_train_test(table, test_fraction)
+    stats = compute_norm_stats(train_part)
+    test_windows = []
+    if test_spec is not None:
+        test_windows = extract_windows(normalize_table(test_part, stats), test_spec)
+        if not test_windows:
+            raise DataError("test split yields no evaluation windows")
+    windows = extract_windows(normalize_table(train_part, stats), spec)
+    if len(windows) < 2:
+        raise DataError(f"too few training windows ({len(windows)}); need at least 2 "
+                        "(shrink the window or add rows)")
+    return stats, windows, test_windows
 
 
 def synth(kind: str, n: int, noise_std: float = 0.0, seed: int = 0, period: float = 50.0) -> SeriesTable:

@@ -17,16 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .data import (
-    DataError,
-    SeriesTable,
-    WindowSpec,
-    compute_norm_stats,
-    denormalize,
-    extract_windows,
-    normalize_table,
-    split_train_test,
-)
+from .data import DataError, SeriesTable, WindowSpec, denormalize, series_windows
 from .model import ForwardTrace, NetworkConfig, forward, make_schedule
 from .optim import DivergenceError, TrainConfig, split_validation, train
 
@@ -190,21 +181,17 @@ class BenchmarkConfig:
 
 
 def _train_cell(args):
-    """Train one (dataset, network-kind) pair."""
-    label, kind, norm_train, cfg = args
-    train_windows = extract_windows(norm_train, cfg.window)
-    if len(train_windows) < 2:
-        raise DataError(f"{label}: too few training windows ({len(train_windows)})")
-    fit_windows, val_windows = split_validation(train_windows, cfg.val_fraction)
-    net = replace(cfg.network, input_dim=norm_train.n_cols, **_KIND_NETWORK[kind])
+    """Train one (dataset, network-kind) pair on its fit and validation windows."""
+    label, kind, fit_windows, val_windows, cfg = args
+    net = replace(cfg.network, input_dim=fit_windows[0].before.shape[1], **_KIND_NETWORK[kind])
     params, log = train(net, fit_windows, val_windows, cfg.train)
     return label, kind, params, log
 
 
 def _describe(exc: Exception) -> str:
-    """A failed cell's error text: the message of an expected failure, the
-    full traceback (a worker's included) of an unexpected one."""
-    if isinstance(exc, (DivergenceError, DataError)):
+    """A failed cell's error text: the message of a divergence, the full
+    traceback (a worker's included) of an unexpected failure."""
+    if isinstance(exc, DivergenceError):
         return str(exc)
     return "".join(traceback.format_exception(exc)).rstrip()
 
@@ -311,27 +298,24 @@ def _train_grid(jobs, trainers: int) -> list:
 
 
 def _prepare(ds: BenchmarkDataset, cfg: BenchmarkConfig):
-    """A dataset's normalized training rows, its normalization, its test
+    """A dataset's fit and validation windows, its normalization, its test
     windows and their gap rows in data units."""
-    train_part, test_part = split_train_test(ds.table, cfg.test_fraction)
-    stats = compute_norm_stats(train_part)
     eval_spec = replace(cfg.window, stride=cfg.eval_stride or cfg.window.gap_len)
-    test_windows = extract_windows(normalize_table(test_part, stats), eval_spec)
-    if not test_windows:
-        raise DataError("test split yields no evaluation windows")
+    stats, train_windows, test_windows = series_windows(ds.table, cfg.test_fraction,
+                                                        cfg.window, eval_spec)
     truth = denormalize(np.concatenate([w.missing for w in test_windows]).ravel(), stats)
-    return normalize_table(train_part, stats), stats, test_windows, truth
+    return (*split_validation(train_windows, cfg.val_fraction), stats, test_windows, truth)
 
 
 def run_benchmark(datasets: list[BenchmarkDataset], variants, cfg: BenchmarkConfig) -> EvalReport:
     """Train every needed network per dataset and score the requested variants.
 
     A dataset that cannot be prepared (a split without data, a constant or
-    unobserved column, no test window) and a training run that fails for
-    any reason (divergence, too little data, a crashed worker) mark their
-    dependent cells as failed with the error, and so does a cell whose
-    score is undefined (MRE on all-zero truth); the rest of the grid still
-    completes.
+    unobserved column, no test window, too few training windows) and a
+    training run that fails for any reason (divergence, a crashed worker)
+    mark their dependent cells as failed with the error, and so does a cell
+    whose score is undefined (MRE on all-zero truth); the rest of the grid
+    still completes.
     """
     variants = [ModelVariant(v) for v in variants]
     if not variants or len(set(variants)) != len(variants):
@@ -356,9 +340,10 @@ def run_benchmark(datasets: list[BenchmarkDataset], variants, cfg: BenchmarkConf
         ranges[ds.label] = ((float(observed.min()), float(observed.max())) if observed.size
                             else (math.nan, math.nan))
 
-    jobs = [(label, kind, prepared[label][0], cfg) for label in prepared for kind in kinds_needed]
+    jobs = [(label, kind, fit, val, cfg) for label, (fit, val, *_) in prepared.items()
+            for kind in kinds_needed]
     trained: dict[tuple[str, str], object] = {}
-    for (label, kind, _, _), outcome in zip(jobs, _train_grid(jobs, cfg.jobs)):
+    for (label, kind, *_), outcome in zip(jobs, _train_grid(jobs, cfg.jobs)):
         if isinstance(outcome, str):
             failures[(label, kind)] = outcome
         else:
@@ -372,14 +357,14 @@ def run_benchmark(datasets: list[BenchmarkDataset], variants, cfg: BenchmarkConf
                 continue
             params = trained[(ds.label, kind)]
             schedule = make_schedule(cfg.window.gap_len, params.config.schedule_variant)
-            traces[kind] = forward(params, prepared[ds.label][2], schedule)
+            traces[kind] = forward(params, prepared[ds.label][3], schedule)
         for variant in variants:
             kind = _VARIANT_KIND[variant]
             if (ds.label, kind) in failures:
                 cells[(ds.label, variant.value)] = EvalCell(None, failures[(ds.label, kind)])
                 continue
             pred = getattr(traces[kind], _VARIANT_OUTPUT.get(variant, "merged"))
-            _, stats, _, t = prepared[ds.label]
+            _, _, stats, _, t = prepared[ds.label]
             p = denormalize(pred.ravel(), stats)
             try:
                 cells[(ds.label, variant.value)] = EvalCell(MetricPair(mae(t, p), mre(t, p)))

@@ -291,8 +291,9 @@ class ForwardTrace:
     Each array is (B, T, .), where T is the batch's longest gap; positions
     past a row's own gap hold zeros, and `gap_len` holds each row's gap
     length as a (B,) array. The pass computes them packed, one row per real
-    (window, position) pair, and each array is laid out on its first read,
-    so a caller pays only for the arrays it reads.
+    (window, position) pair, and each array is laid out on its first read
+    into a fresh array, so a caller pays only for the arrays it reads, and
+    writing to one changes nothing that `loss` reads.
     """
 
     def __init__(self, pairs: _Pairs, batch: _Batch):
@@ -334,7 +335,6 @@ class _Plan:
     rows: np.ndarray  # (N,): each pair's window by input index; the first B give the row order
     pos: np.ndarray  # (N,): each pair's gap position
     rev: np.ndarray  # (N,): the pair of the same window at the mirrored gap position
-    dense: bool  # every window is live at every decoder step, in input order
 
 
 # a training loop repeats a few batch shapes: the full and the last
@@ -363,8 +363,7 @@ def _plan(lens: bytes, gaps: bytes, streams: int) -> _Plan:
     for a in (first, rows, pos, rev):
         a.flags.writeable = False
     return _Plan(first, tuple(enc_live.tolist()), tuple(partial.tolist()),
-                 tuple(dec_live.tolist()), tuple(offsets.tolist()), rows, pos, rev,
-                 len(rows) == gap_len.size * T and np.array_equal(order, np.arange(order.size)))
+                 tuple(dec_live.tolist()), tuple(offsets.tolist()), rows, pos, rev)
 
 
 @dataclass
@@ -375,7 +374,7 @@ class _Batch:
     gap_len: np.ndarray  # (B,) in input order
     gamma: np.ndarray  # (N,): each pair's stream weights
     gamma_prime: np.ndarray
-    truth: np.ndarray | None  # (N, d)
+    truth: np.ndarray | None  # (N, d) float64: the windows' `missing` rows, None without them
     plan: _Plan
 
 
@@ -404,26 +403,12 @@ def _schedule_rows(schedule, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return gap_len, gamma, gamma_prime
 
 
-def _truth_rows(truth, gap_len: np.ndarray, d: int) -> np.ndarray:
-    """A list of each window's (T_i, d) ground-truth rows, laid out like a
-    trace: (B, T, d), zero past each row's gap."""
-    rows = [np.asarray(r, dtype=np.float64) for r in truth]
-    if len(rows) != len(gap_len):
-        raise ShapeError(f"truth for {len(rows)} window(s), {len(gap_len)} expected")
-    out = np.zeros((len(rows), gap_len.max(), d))
-    for i, (r, T) in enumerate(zip(rows, gap_len)):
-        if r.shape != (T, d):
-            raise ShapeError(f"truth has shape {r.shape} for a gap of {T} in {d} column(s)")
-        out[i, :T] = r
-    return out
-
-
-def _layout(params: ModelParams, windows, schedule, truth=None) -> _Batch:
+def _layout(params: ModelParams, windows, schedule) -> _Batch:
     """Lay out a list of windows of any shapes for `_forward` of `params`.
 
     Each row's gap length comes from its schedule; a shared ScalingSchedule
-    gives every row its length. `truth` defaults to the windows' `missing`.
-    The context, stream weights and truth take the dtype of `params.flat`.
+    gives every row its length, and a window's `missing` rows, if any, must
+    fill it. The context and stream weights take the dtype of `params.flat`.
     """
     cfg, dtype = params.config, params.flat.dtype
     d, streams = cfg.input_dim, 1 if cfg.forward_only else 2
@@ -435,13 +420,18 @@ def _layout(params: ModelParams, windows, schedule, truth=None) -> _Batch:
     has_truth = [w.missing is not None for w in windows]
     if any(has_truth) and not all(has_truth):
         raise ValueError("either every window of a batch has ground truth or none has")
-    if truth is None and all(has_truth):
-        truth = [w.missing for w in windows]
     contexts = [[_rows(w.before, f"window {i}: before", d) for i, w in enumerate(windows)],
                 [_rows(w.after, f"window {i}: after", d)[::-1] for i, w in enumerate(windows)]]
     gap_len, gamma, gamma_prime = _schedule_rows(schedule, len(windows))
-    if truth is not None:
-        truth = _truth_rows(truth, gap_len, d)
+    truth = None
+    if all(has_truth):
+        truth = np.zeros((len(windows), gap_len.max(), d))
+        for i, (w, T) in enumerate(zip(windows, gap_len)):
+            r = np.asarray(w.missing, dtype=np.float64)
+            if r.shape != (T, d):
+                raise ShapeError(f"window {i}: missing has shape {r.shape} for a gap of {T} "
+                                 f"in {d} column(s)")
+            truth[i, :T] = r
 
     lens = np.array([[len(r) for r in rows] for rows in contexts[:streams]], dtype=np.int64)
     plan = _plan(lens.tobytes(), gap_len.astype(np.int64, copy=False).tobytes(), streams)
@@ -453,19 +443,16 @@ def _layout(params: ModelParams, windows, schedule, truth=None) -> _Batch:
             r = contexts[s][i]
             context[s, j, L - len(r):] = r
     at = (plan.rows, plan.pos) if gamma.ndim == 2 else plan.pos
-    if truth is not None:
-        truth = truth[plan.rows, plan.pos].astype(dtype, copy=False)
     return _Batch(context, gap_len, gamma.astype(dtype, copy=False)[at],
-                  gamma_prime.astype(dtype, copy=False)[at], truth, plan)
+                  gamma_prime.astype(dtype, copy=False)[at],
+                  None if truth is None else truth[plan.rows, plan.pos], plan)
 
 
 def _unpack(batch: _Batch, a: np.ndarray) -> np.ndarray:
-    """Pair values (N, .) as (B, T, .) by window and gap position, zero past
-    each row's gap; a view when every row is live at every step in input order."""
+    """Pair values (N, .) copied out as (B, T, .) by window and gap position,
+    zero past each row's gap."""
     plan = batch.plan
     B, T = len(batch.gap_len), len(plan.dec_live)
-    if plan.dense:
-        return a.reshape(T, B, *a.shape[1:]).swapaxes(0, 1)
     out = np.zeros((B, T, *a.shape[1:]), a.dtype)
     out[plan.rows, plan.pos] = a
     return out
@@ -631,32 +618,39 @@ def _loss_terms(pairs: _Pairs, batch: _Batch, truth: np.ndarray) -> list[np.ndar
             for p in preds]
 
 
-def loss(trace: ForwardTrace, truth) -> np.ndarray:
+def _truth(batch: _Batch) -> np.ndarray:
+    """The batch's packed ground truth, which every loss needs."""
+    if batch.truth is None:
+        raise ValueError("the windows have no ground-truth gap rows")
+    return batch.truth
+
+
+def loss(trace: ForwardTrace) -> np.ndarray:
     """Mean over gap positions of the squared-error terms, one value per
-    window as a (B,) array.
+    window as a (B,) array, against the windows' own `missing` rows.
 
     Full network: MSE of the merged output plus MSE of each stream's local
     prediction at every position. Forward-only network: MSE of its single
-    prediction stream. `truth` is a list of each window's gap rows.
+    prediction stream.
     """
-    batch = trace._batch
-    truth = _truth_rows(truth, trace.gap_len, trace._pairs.merged.shape[-1])
-    return sum(_loss_terms(trace._pairs, batch, truth[batch.plan.rows, batch.plan.pos]))
+    return sum(_loss_terms(trace._pairs, trace._batch, _truth(trace._batch)))
 
 
-def _merge_backward(params: ModelParams, trace, gamma: np.ndarray, gamma_prime: np.ndarray,
-                    d_merged: np.ndarray, g: list[Affine]) -> tuple[np.ndarray, np.ndarray]:
-    """Backward through the merge layer only, with the trace (a ForwardTrace
-    or packed pairs) held fixed.
+def _merge_backward(params: ModelParams, pairs: _Pairs, gamma: np.ndarray,
+                    gamma_prime: np.ndarray, d_merged: np.ndarray,
+                    g: list[Affine]) -> tuple[np.ndarray, np.ndarray]:
+    """Backward through the merge layer only, with the packed pairs of a
+    forward pass held fixed; `gamma`, `gamma_prime` and `d_merged` are
+    packed like them.
 
     Returns the gradients w.r.t. each decoder hidden vector at the merge
     input: the gamma factors multiply straight through, which is what makes
     the stream weights shape learning as well as prediction.
     """
     h = params.config.hidden_dim
-    u = _merge_input(gamma, gamma_prime, trace.h_fw, trace.h_bw)
+    u = _merge_input(gamma, gamma_prime, pairs.h_fw, pairs.h_bw)
     if params.config.merge_hidden > 0:
-        z = trace.merge_hidden_acts
+        z = pairs.merge_hidden_acts
         dz = params.merge[1].backward(z, d_merged, g[1])
         du = params.merge[0].backward(u, dz * (1.0 - z * z), g[0])
     else:
@@ -664,41 +658,40 @@ def _merge_backward(params: ModelParams, trace, gamma: np.ndarray, gamma_prime: 
     return gamma[..., None] * du[..., :h], gamma_prime[..., None] * du[..., h:]
 
 
-def merge_input_grads(params: ModelParams, trace: ForwardTrace, schedule,
-                      truth) -> tuple[np.ndarray, np.ndarray]:
+def merge_input_grads(params: ModelParams, trace: ForwardTrace,
+                      schedule) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of the merged-output loss w.r.t. each stream's hidden vector
     entering the merge, with the forward trace held fixed; (B, T, h) arrays
     indexed like the trace. `schedule` is one ScalingSchedule or one per
-    window of the trace, and `truth` a list of each window's gap rows."""
+    window of the trace; the truth is the windows' `missing` rows."""
     if params.config.forward_only:
         raise ValueError("forward-only network has no merge layer")
-    d = params.config.input_dim
+    batch = trace._batch
+    truth = _truth(batch)
     gap_len, gamma, gamma_prime = _schedule_rows(schedule, len(trace.gap_len))
     if not np.array_equal(gap_len, trace.gap_len):
         raise ShapeError(f"schedule covers gaps of {gap_len} rows, the trace {trace.gap_len}")
-    truth = _truth_rows(truth, trace.gap_len, d)
+    plan, pairs = batch.plan, trace._pairs
+    at = (plan.rows, plan.pos) if gamma.ndim == 2 else plan.pos
     scratch = [Affine(np.zeros_like(layer.w), np.zeros_like(layer.b)) for layer in params.merge]
-    scale = 2.0 / (trace.gap_len * d)
-    return _merge_backward(params, trace, gamma, gamma_prime,
-                           scale[:, None, None] * (trace.merged - truth), scratch)
+    scale = (2.0 / (trace.gap_len * params.config.input_dim))[plan.rows, None]
+    dh_fw, dh_bw = _merge_backward(params, pairs, gamma[at], gamma_prime[at],
+                                   scale * (pairs.merged - truth), scratch)
+    return _unpack(batch, dh_fw), _unpack(batch, dh_bw)
 
 
-def loss_and_grads(params: ModelParams, windows, schedule,
-                   truth=None) -> tuple[float, ModelParams]:
+def loss_and_grads(params: ModelParams, windows, schedule) -> tuple[float, ModelParams]:
     """Loss and its exact gradient w.r.t. every parameter.
 
-    `windows` and `schedule` are as for `forward`; both the loss and the
-    gradients are summed over the windows, so the loss is the sum of what
-    `loss` gives per window. `truth`, a list of each window's gap rows,
-    defaults to the windows' `missing` rows. The gradient is a ModelParams over a fresh
-    zeroed vector of the dtype of `params.flat`; `dict(iter_params(grads))`
-    keys it by path.
+    `windows` and `schedule` are as for `forward`, and every window needs
+    its `missing` rows; both the loss and the gradients are summed over the
+    windows, so the loss is the sum of what `loss` gives per window. The
+    gradient is a ModelParams over a fresh zeroed vector of the dtype of
+    `params.flat`; `dict(iter_params(grads))` keys it by path.
     """
     cfg = params.config
-    batch = _layout(params, windows, schedule, truth)
-    if batch.truth is None:
-        raise ValueError("training needs ground-truth gap rows")
-    truth = batch.truth
+    batch = _layout(params, windows, schedule)
+    truth = _truth(batch).astype(params.flat.dtype, copy=False)
 
     pairs, st = _forward(params, batch, keep_tapes=True)
     terms = _loss_terms(pairs, batch, truth)
@@ -744,6 +737,13 @@ def impute(params: ModelParams, before, after, gap_len,
     return [m[:t] for m, t in zip(merged, lengths)]
 
 
+# `gradient_check` draws each size from 1 up to its bound
+GRADCHECK_MAX_INPUT_DIM = 3
+GRADCHECK_MAX_HIDDEN_DIM = 4
+GRADCHECK_MAX_GAP = 3
+GRADCHECK_CONTEXT_LEN = 3
+
+
 @dataclass
 class GradCheckInstance:
     input_dim: int
@@ -774,10 +774,6 @@ def gradient_check(
     seed: int = 0,
     eps: float = 1e-5,
     tolerance: float = 1e-4,
-    max_input_dim: int = 3,
-    max_hidden_dim: int = 4,
-    max_gap: int = 3,
-    context_len: int = 3,
     _corrupt_path: str | None = None,
 ) -> GradCheckReport:
     """Compare the closed-form gradient against central differences.
@@ -795,9 +791,9 @@ def gradient_check(
     instances: list[GradCheckInstance] = []
     worst = (0.0, "none")
     for k in range(n_instances):
-        d = 1 + rng.randrange(max_input_dim)
-        h = 1 + rng.randrange(max_hidden_dim)
-        T = 1 + rng.randrange(max_gap)
+        d = 1 + rng.randrange(GRADCHECK_MAX_INPUT_DIM)
+        h = 1 + rng.randrange(GRADCHECK_MAX_HIDDEN_DIM)
+        T = 1 + rng.randrange(GRADCHECK_MAX_GAP)
         variant = SCHEDULE_VARIANTS[k % len(SCHEDULE_VARIANTS)]
         merge_hidden = 3 if k % 4 == 3 else 0
         forward_only = k % 5 == 2
@@ -805,15 +801,14 @@ def gradient_check(
                             merge_hidden=merge_hidden, forward_only=forward_only)
         params = init_model_params(cfg, rng)
         if k % 2 == 0:
-            shapes = [(context_len, T, context_len)]
+            shapes = [(GRADCHECK_CONTEXT_LEN, T, GRADCHECK_CONTEXT_LEN)]
         else:
-            c = rng.randrange(context_len)
-            shapes = [(1 + (c + j) % context_len, 1 + (T - 1 + j) % max_gap,
-                       1 + (c + 2 * j) % context_len) for j in range(3)]
+            c = rng.randrange(GRADCHECK_CONTEXT_LEN)
+            shapes = [(1 + (c + j) % GRADCHECK_CONTEXT_LEN, 1 + (T - 1 + j) % GRADCHECK_MAX_GAP,
+                       1 + (c + 2 * j) % GRADCHECK_CONTEXT_LEN) for j in range(3)]
         windows = [ImputationWindow(rng.normal_array((lb, d)), rng.normal_array((t, d)),
                                     rng.normal_array((la, d))) for lb, t, la in shapes]
         schedules = [make_schedule(t, variant) for _, t, _ in shapes]
-        truth = [w.missing for w in windows]
         grads = loss_and_grads(params, windows, schedules)[1]
         for path, tensor in iter_params(grads):
             if path == _corrupt_path:
@@ -821,7 +816,7 @@ def gradient_check(
 
         def f(theta: np.ndarray) -> float:
             trace = forward(params_from_flat(cfg, theta), windows, schedules)
-            return float(np.sum(loss(trace, truth)))
+            return float(np.sum(loss(trace)))
 
         a, numeric = grads.flat, finite_diff_grad(f, params.flat, eps)
         # central differences bottom out at ~1e-11*|loss| of roundoff, so

@@ -236,7 +236,7 @@ def evaluate_loss(params: ModelParams, windows: list[ImputationWindow], schedule
     """Mean window loss over a window list, no parameter updates."""
     if not windows:
         raise ValueError("cannot evaluate on an empty window set")
-    losses = loss(forward(params, windows, schedule), [w.missing for w in windows])
+    losses = loss(forward(params, windows, schedule))
     return float(np.sum(losses)) / len(windows)
 
 

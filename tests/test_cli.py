@@ -161,6 +161,19 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(folder) in err
 
+    @pytest.mark.parametrize("columns", ["a,a", "b,1"], ids=["repeated", "name-and-index"])
+    def test_a_column_selected_twice_is_a_config_error(self, tmp_path, capsys, columns):
+        data = tmp_path / "two.csv"
+        data.write_text("a,b\n" + "".join(
+            f"{math.sin(i / 5)!r},{math.cos(i / 3)!r}\n" for i in range(80)))
+        cfg = write_train_cfg(tmp_path, data)
+        cfg.write_text(cfg.read_text().replace(
+            "[data]\n", f"[data]\ncolumns = {columns}\n").replace(
+            "[model]\n", "[model]\ninput_dim = 2\n"))
+        assert main(["train", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("error: data.columns: file column ")
+        assert not (tmp_path / "model.ckpt").exists()
+
     def test_seed_flag_overrides_config(self, tmp_path, sine_csv):
         cfg = write_train_cfg(tmp_path, sine_csv, lr="0")
         assert main(["train", "--config", str(cfg), "--seed", "5"]) == 0
@@ -393,6 +406,18 @@ class TestImpute:
         want = impute(params, [values[47:50, None]], [values[53:56, None]], [3])[0][:, 0]
         assert np.isfinite(want).all()
         assert np.array_equal(load_csv(out).values[50:53, 0], want)
+
+    @pytest.mark.parametrize("columns", [["a", "a"], ["a", "0"]],
+                             ids=["repeated", "name-and-index"])
+    def test_a_column_selected_twice_is_a_usage_error(self, tmp_path, capsys, columns):
+        data = tmp_path / "two.csv"
+        data.write_text("a,b\n" + "".join(f"{i},{-i}\n" for i in range(20)))
+        ckpt = untrained_checkpoint(tmp_path / "two.ckpt", input_dim=2)
+        flags = [flag for c in columns for flag in ("--column", c)]
+        assert main(["impute", "--checkpoint", str(ckpt), "--data", str(data), "--gap", "8:3",
+                     *flags, "--out", str(tmp_path / "out.csv")]) == 1
+        assert capsys.readouterr().err.startswith("error: --column: file column 0 ")
+        assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("context", ["-1", "0", "-5"])
     def test_context_below_one_is_a_usage_error(self, tmp_path, sine_csv, trained, capsys,
@@ -1070,6 +1095,48 @@ path = {short}
     assert status[("good:0", "seq2seqImp")] == "ok"
     assert status[("short:0", "seq2seqImp")] == "failed"
     assert "2 cell(s) failed" in capsys.readouterr().err
+
+
+def test_a_too_short_series_reports_one_clean_error_line(tmp_path):
+    # 20 rows at test_fraction 0.5 leave 10 rows a side, short of one 11-row
+    # window; 22 rows leave 11, one window
+    src = os.path.dirname(os.path.dirname(gapfill.__file__))
+    sections = []
+    for n, windows in ((20, 0), (22, 1)):
+        data = tmp_path / f"n{n}.csv"
+        data.write_text("".join(f"{math.sin(i / 3)!r}\n" for i in range(n)))
+        sections.append(f"[dataset:n{n}]\npath = {data}\n")
+        cfg = write_train_cfg(tmp_path, data)
+        done = subprocess.run([sys.executable, "-m", "gapfill", "train", "--config", str(cfg)],
+                              env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                              text=True, timeout=300)
+        assert done.returncode == 1
+        assert done.stderr == (f"error: {data}: too few training windows ({windows}); need at "
+                               "least 2 (shrink the window or add rows)\n")
+    cfg = tmp_path / "eval.cfg"
+    cfg.write_text(f"""
+[training]
+epochs = 1
+[data]
+before_len = 4
+gap_len = 3
+after_len = 4
+test_fraction = 0.5
+[paths]
+report = {tmp_path / 'report'}
+borda = {tmp_path / 'borda'}
+[eval]
+variants = seq2seqImp
+""" + "".join(sections))
+    done = subprocess.run([sys.executable, "-m", "gapfill", "eval", "--config", str(cfg)],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 2
+    assert done.stderr.splitlines() == [
+        "error: n20:0 seq2seqImp: test split yields no evaluation windows",
+        "error: n22:0 seq2seqImp: too few training windows (1); need at least 2 "
+        "(shrink the window or add rows)",
+        "warning: 2 cell(s) failed; ranking skipped"]
 
 
 def test_parallel_eval_matches_sequential(tmp_path):

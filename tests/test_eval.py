@@ -13,8 +13,6 @@ from gapfill.data import (
     DataError,
     SeriesTable,
     WindowSpec,
-    compute_norm_stats,
-    normalize_table,
     synth,
 )
 from gapfill.eval import (
@@ -26,7 +24,6 @@ from gapfill.eval import (
     ModelVariant,
     borda,
     borda_points,
-    _train_cell,
     borda_rows,
     format_borda,
     format_report,
@@ -254,10 +251,9 @@ class TestCellIsolation:
     SHORT = 22
 
     def test_too_few_training_windows_is_a_data_error(self):
-        train_part = synth("sine", 11, 0.0, seed=0, period=15.0)  # one 4+3+4 window
-        norm = normalize_table(train_part, compute_norm_stats(train_part))
-        with pytest.raises(DataError, match="too few training windows"):
-            _train_cell(("short", "full", norm, tiny_benchmark_config()))
+        short = BenchmarkDataset("short", synth("sine", self.SHORT, 0.0, seed=0, period=15.0))
+        with pytest.raises(DataError, match=r"^too few training windows \(1\)"):
+            eval_module._prepare(short, tiny_benchmark_config())
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_data_error_fails_only_its_cells(self, jobs):

@@ -187,31 +187,27 @@ class TestLoss:
         params = zero_model(merge_bias=[0.0])
         window = ImputationWindow(np.zeros((2, 1)), np.zeros((2, 1)), np.zeros((2, 1)))
         trace = forward(params, [window], make_schedule(2))
-        assert loss(trace, [window.missing])[0] == 0.0
+        assert loss(trace)[0] == 0.0
 
     def test_single_position_worked_example(self):
-        # truth 0, merged 1, forward 2, backward 3 -> 1 + 4 + 9
-        trace_like = forward(zero_model(merge_bias=[1.0]),
-                             [ImputationWindow(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)))],
-                             make_schedule(1))
-        trace_like.pred_fw[0, 0] = np.array([2.0])
-        trace_like.pred_bw[0, 0] = np.array([3.0])
-        assert loss(trace_like, [np.array([[0.0]])])[0] == 14.0
+        # truth 0, merged 1, forward 2, backward 3 -> 1 + 4 + 9: a zero
+        # model's hidden vectors are zero, so the biases are the predictions
+        params = zero_model(merge_bias=[1.0])
+        params.head_b[...] = [[2.0], [3.0]]
+        trace = forward(params, [ImputationWindow(np.zeros((1, 1)), np.zeros((1, 1)),
+                                                  np.zeros((1, 1)))], make_schedule(1))
+        assert loss(trace)[0] == 14.0
 
     def test_quadratic_homogeneity(self):
         rng = Rng(6)
-        params = init_model_params(NetworkConfig(input_dim=1, hidden_dim=2), rng)
+        # every prediction of a zero model is its biases, here all 0.5
+        params = zero_model(merge_bias=[0.5])
+        params.head_b[...] = 0.5
         window = random_window(rng, 1, 3, 2, 3)
-        schedule = make_schedule(2)
-        trace = forward(params, [window], schedule)
-        base = loss(trace, [window.missing])[0]
         # doubling every residual quadruples the loss
-        scaled = forward(params, [window], schedule)
-        for t in range(2):
-            scaled.merged[0, t] = window.missing[t] + 2 * (trace.merged[0, t] - window.missing[t])
-            scaled.pred_fw[0, t] = window.missing[t] + 2 * (trace.pred_fw[0, t] - window.missing[t])
-            scaled.pred_bw[0, t] = window.missing[t] + 2 * (trace.pred_bw[0, t] - window.missing[t])
-        assert loss(scaled, [window.missing])[0] == pytest.approx(4 * base, rel=1e-12)
+        doubled = ImputationWindow(window.before, 2 * window.missing - 0.5, window.after)
+        base, scaled = loss(forward(params, [window, doubled], make_schedule(2)))
+        assert scaled == pytest.approx(4 * base, rel=1e-12)
 
     def test_decomposes_into_three_mse_curves(self):
         rng = Rng(7)
@@ -219,7 +215,7 @@ class TestLoss:
         window = random_window(rng, 2, 3, 3, 3)
         schedule = make_schedule(3)
         trace = forward(params, [window], schedule)
-        total = loss(trace, [window.missing])[0]
+        total = loss(trace)[0]
         parts = 0.0
         for t in range(3):
             parts += mse(window.missing[t], trace.merged[0, t])
@@ -229,10 +225,32 @@ class TestLoss:
 
     def test_rejects_wrong_truth_length(self):
         params = zero_model()
-        window = ImputationWindow(np.ones((2, 1)), np.zeros((2, 1)), np.ones((2, 1)))
+        fits = ImputationWindow(np.ones((2, 1)), np.zeros((2, 1)), np.ones((2, 1)))
+        longer = ImputationWindow(np.ones((2, 1)), np.zeros((3, 1)), np.ones((2, 1)))
+        with pytest.raises(ShapeError, match="window 1: missing"):
+            loss_and_grads(params, [fits, longer], [make_schedule(2), make_schedule(2)])
+
+    def test_rejects_windows_without_truth(self):
+        params = zero_model()
+        window = ImputationWindow(np.ones((2, 1)), None, np.ones((2, 1)))
         trace = forward(params, [window], make_schedule(2))
-        with pytest.raises(ShapeError):
-            loss(trace, [np.zeros((3, 1))])
+        for call in (lambda: loss(trace),
+                     lambda: merge_input_grads(params, trace, make_schedule(2)),
+                     lambda: loss_and_grads(params, [window], make_schedule(2))):
+            with pytest.raises(ValueError, match="ground-truth"):
+                call()
+
+    @pytest.mark.parametrize("shapes", [[(3, 2, 3)] * 2, [(3, 2, 1), (1, 4, 2)]],
+                             ids=["dense", "ragged"])
+    def test_writing_to_a_trace_array_leaves_the_loss(self, shapes):
+        rng = Rng(8)
+        params = init_model_params(NetworkConfig(input_dim=1, hidden_dim=2, merge_hidden=3), rng)
+        windows = [random_window(rng, 1, *shape) for shape in shapes]
+        trace = forward(params, windows, [make_schedule(gap) for _, gap, _ in shapes])
+        base = loss(trace)
+        for name in ("h_fw", "pred_fw", "h_bw", "pred_bw", "merged", "merge_hidden_acts"):
+            getattr(trace, name)[0, 0] += 100.0
+            assert np.array_equal(loss(trace), base), name
 
 
 class TestBackward:
@@ -263,7 +281,7 @@ class TestBackward:
         gamma = np.array([0.9, 0.0, 0.4])
         schedule = ScalingSchedule(3, gamma, 1.0 - gamma, "linear")
         trace = forward(params, [window], schedule)
-        (dh_fw,), (dh_bw,) = merge_input_grads(params, trace, schedule, [window.missing])
+        (dh_fw,), (dh_bw,) = merge_input_grads(params, trace, schedule)
         assert np.array_equal(dh_fw[1], np.zeros(3))
         assert not np.array_equal(dh_fw[0], np.zeros(3))
         assert not np.array_equal(dh_bw[1], np.zeros(3))
@@ -275,12 +293,12 @@ class TestBackward:
         window = random_window(rng, 1, 3, 3, 3)
         schedule = make_schedule(3, "linear")
         trace = forward(params, [window], schedule)
-        (base_fw,), (base_bw,) = merge_input_grads(params, trace, schedule, [window.missing])
+        (base_fw,), (base_bw,) = merge_input_grads(params, trace, schedule)
         t_mod = 1
         gamma = schedule.gamma.copy()
         gamma[t_mod] *= c
         modified = ScalingSchedule(3, gamma, schedule.gamma_prime.copy(), "linear")
-        (mod_fw,), (mod_bw,) = merge_input_grads(params, trace, modified, [window.missing])
+        (mod_fw,), (mod_bw,) = merge_input_grads(params, trace, modified)
         assert np.allclose(mod_fw[t_mod], c * base_fw[t_mod], atol=1e-12, rtol=0)
         for t in (0, 2):
             assert np.array_equal(mod_fw[t], base_fw[t])
@@ -300,7 +318,7 @@ class TestBackward:
         for t in range(3):
             manual = params.merge[0].w[:, :h] @ trace.h_fw[0, t] + params.merge[0].b
             assert np.allclose(trace.merged[0, t], manual, atol=0, rtol=0)
-        dh_fw, dh_bw = merge_input_grads(params, trace, schedule, [window.missing])
+        dh_fw, dh_bw = merge_input_grads(params, trace, schedule)
         assert np.array_equal(dh_bw, np.zeros_like(dh_bw))
         assert dh_fw.any()
 
@@ -310,8 +328,7 @@ class TestBackward:
         window = random_window(rng, 1, 3, 2, 3)
         schedule = make_schedule(2)
         value, _ = loss_and_grads(params, [window], schedule)
-        assert value == pytest.approx(loss(forward(params, [window], schedule),
-                                           [window.missing])[0], rel=1e-15)
+        assert value == pytest.approx(loss(forward(params, [window], schedule))[0], rel=1e-15)
 
 
 class TestImpute:
@@ -500,7 +517,8 @@ class TestBatchedPath:
            forward_only=st.booleans(), ragged=st.booleans(), shapes=st.none())
     @settings(max_examples=60, deadline=None)
     # (before, gap, after) lengths given outright: the longest gap with the
-    # shortest context and the reverse, so the encoder and decoder orders differ
+    # shortest context and the reverse, so some encoder steps run rows whose
+    # context has not begun yet and keep them at the zero state
     @example(seed=1, batch=4, d=1, h=3, max_gap=1, max_context=1, variant="linear",
              merge_hidden=0, forward_only=False, ragged=True,
              shapes=[(1, 6, 1), (5, 1, 5), (3, 3, 2), (1, 6, 2)])
@@ -548,10 +566,9 @@ class TestBatchedPath:
                 assert np.allclose(row[:gap], ref[name], rtol=0, atol=1e-12), name
                 assert not row[gap:].any(), name  # zero past the row's own gap
 
-        truth = [w.missing for w in windows]
         results = [window_loss_and_grads(params, w.before, w.after, w.missing, s.gamma,
                                          s.gamma_prime) for w, s in zip(windows, schedules)]
-        assert np.allclose(loss(trace, truth), [v for v, _ in results], rtol=0, atol=1e-12)
+        assert np.allclose(loss(trace), [v for v, _ in results], rtol=0, atol=1e-12)
 
         value, grads = loss_and_grads(params, windows, schedules)
         assert value == pytest.approx(sum(v for v, _ in results), rel=0, abs=1e-12)
@@ -630,13 +647,10 @@ class TestBatchedPath:
             loss_and_grads(params, [stacked], schedule)
         with pytest.raises(ShapeError, match="window 0: before"):
             impute(params, [stacked.before], [stacked.after], [2])
-        # nor one window, its truth or its context rows outside a list
+        # nor one window or its context rows outside a list
         window = windows[0]
-        trace = forward(params, [window], schedule)
         for call in (lambda: forward(params, window, schedule),
                      lambda: loss_and_grads(params, window, schedule),
-                     lambda: loss(trace, window.missing),
-                     lambda: merge_input_grads(params, trace, schedule, window.missing),
                      lambda: impute(params, window.before, window.after, 2),
                      lambda: impute(params, window.before, window.after, [2])):
             with pytest.raises(ShapeError):
