@@ -96,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="override training.seed")
     p.add_argument("--jobs", type=int, default=1,
                    help="processes that train, this one included; the rest are forked, "
-                        "at most one per training (without fork: trains serially)")
+                        "at most one per dataset (without fork: trains serially)")
 
     p = sub.add_parser("gradcheck", help="verify the closed-form gradients numerically")
     p.add_argument("--seed", type=int, default=0)
@@ -143,7 +143,10 @@ def cmd_train(args) -> int:
     except DataError as exc:
         raise DataError(f"{d['path']}: {exc}") from None
     fit, val = split_validation(windows, cfg.training["val_fraction"])
-    params, log = train(cfg.network_config(), fit, val, cfg.train_config())
+    (outcome,) = train((cfg.network_config(),), fit, val, cfg.train_config())
+    if isinstance(outcome, DivergenceError):
+        raise outcome
+    params, log = outcome
     save_checkpoint(ckpt_path, params, stats)
     write_train_log(log, cfg.paths["train_log"] + ".txt", cfg.paths["train_log"] + ".csv")
     print(f"trained {len(log.rows)} epoch(s); best validation loss "

@@ -195,10 +195,8 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
             _apply_section(values, _DATASET_KEYS, section, parser.items(section))
             if not values["path"]:
                 raise ConfigError(f"{section}.path: required")
+            # a column selected twice is caught once the file's columns are known
             columns = tuple(c.strip() for c in values["columns"].split(",") if c.strip())
-            if len(set(columns)) != len(columns):
-                raise ConfigError(f"{section}.columns: each column may be named once, "
-                                  f"got {', '.join(columns)}")
             cfg.datasets.append(DatasetSpec(name, values["path"], columns, values["missing"],
                                             values["header"]))
         else:

@@ -2,6 +2,17 @@
 
 MAE and MRE are pooled over every imputed point of every test window, in
 the original (denormalized) units of each dataset.
+
+The harness trains each dataset's networks, one per kind its variants
+need (full, noscale, forward-only), as one stack (`optim.train`): they
+share the dataset's windows, seed and mini-batches, and each one's bits
+are those of training it alone. One stacked `forward` then scores the
+test windows. A dataset is the unit of work: with `jobs` above 1 the
+datasets are split over the calling process and forked workers, so a
+single dataset always trains in the calling process. A network that
+diverges fails only its own cells; an unexpected error while training a
+dataset, or the death of the worker that took it, fails that dataset's
+cells.
 """
 
 from __future__ import annotations
@@ -9,7 +20,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import multiprocessing
 import sys
 import traceback
 from dataclasses import dataclass, field, replace
@@ -18,7 +28,7 @@ from enum import Enum
 import numpy as np
 
 from .data import DataError, SeriesTable, WindowSpec, denormalize, series_windows
-from .model import ForwardTrace, NetworkConfig, forward, make_schedule
+from .model import ForwardTrace, ModelParams, NetworkConfig, forward, make_schedule, stack_networks
 from .optim import DivergenceError, TrainConfig, split_validation, train
 
 
@@ -180,32 +190,28 @@ class BenchmarkConfig:
     jobs: int = 1
 
 
-def _train_cell(args):
-    """Train one (dataset, network-kind) pair on its fit and validation windows."""
-    label, kind, fit_windows, val_windows, cfg = args
-    net = replace(cfg.network, input_dim=fit_windows[0].before.shape[1], **_KIND_NETWORK[kind])
-    params, log = train(net, fit_windows, val_windows, cfg.train)
-    return label, kind, params, log
+def _train_dataset(job) -> list:
+    """Train one dataset's networks, one per kind, as one stack on its fit
+    and validation windows; each kind's trained ModelParams, or its
+    divergence's message."""
+    label, kinds, fit_windows, val_windows, cfg = job
+    nets = [replace(cfg.network, input_dim=fit_windows[0].before.shape[1], **_KIND_NETWORK[kind])
+            for kind in kinds]
+    return [str(outcome) if isinstance(outcome, DivergenceError) else outcome[0]
+            for outcome in train(nets, fit_windows, val_windows, cfg.train)]
 
 
-def _describe(exc: Exception) -> str:
-    """A failed cell's error text: the message of a divergence, the full
-    traceback (a worker's included) of an unexpected failure."""
-    if isinstance(exc, DivergenceError):
-        return str(exc)
-    return "".join(traceback.format_exception(exc)).rstrip()
-
-
-def _try_cell(job):
-    """`_train_cell(job)`, or the `_describe`d error it raised."""
+def _try_dataset(job) -> list:
+    """`_train_dataset(job)`; if it raised, the error with its full
+    traceback (a worker's included) for every kind of the dataset."""
     try:
-        return _train_cell(job)
-    except Exception as exc:  # one failed cell must not abort the grid
-        return _describe(exc)
+        return _train_dataset(job)
+    except Exception as exc:  # one failed dataset must not abort the grid
+        return ["".join(traceback.format_exception(exc)).rstrip()] * len(job[1])
 
 
-class _CellCounter:
-    """Hands out the cell indices 0..n-1 once each, to whichever trainer asks
+class _JobCounter:
+    """Hands out the job indices 0..n-1 once each, to whichever trainer asks
     first, and records which trainer took each: 0 is the calling process,
     k > 0 its k-th forked worker."""
 
@@ -224,32 +230,32 @@ class _CellCounter:
         return i
 
 
-def _train_worker(jobs, cells: _CellCounter, trainer: int, conn) -> None:
-    """A forked trainer: trains cells until none remain, then sends one
-    `(index, outcome)` message per cell it took.
+def _train_worker(jobs, counter: _JobCounter, trainer: int, conn) -> None:
+    """A forked trainer: trains datasets until none remain, then sends one
+    `(index, outcome)` message per dataset it took.
 
-    It sends only once no cell is left to take: a send blocks while the pipe
-    is full, and the parent reads only after its own share, so a result sent
-    earlier could keep this trainer idle while cells remain.
+    It sends only once no dataset is left to take: a send blocks while the
+    pipe is full, and the parent reads only after its own share, so a
+    result sent earlier could keep this trainer idle while datasets remain.
     """
-    outcomes = [(i, _try_cell(jobs[i])) for i in iter(lambda: cells.take(trainer), None)]
+    outcomes = [(i, _try_dataset(jobs[i])) for i in iter(lambda: counter.take(trainer), None)]
     with conn:
         for message in outcomes:
             conn.send(message)
 
 
-def _train_forked(jobs, trainers: int) -> list:
-    """`_try_cell` of every job, on the calling process and `trainers - 1`
-    forked workers that take cells one at a time from a shared counter.
+def _train_forked(ctx, jobs, trainers: int) -> list:
+    """`_try_dataset` of every job, on the calling process and `trainers - 1`
+    workers forked from `ctx` that take datasets one at a time from a
+    shared counter.
 
     Fork, not spawn: a forked worker starts with the program imported and the
     jobs in memory, where a spawned one would import numpy and unpickle the
     jobs first. Forking is safe while the calling process runs no other
     thread, as the CLI does not.
     """
-    ctx = multiprocessing.get_context("fork")
-    cells = _CellCounter(ctx, len(jobs))
-    outcomes: dict[int, object] = {}
+    counter = _JobCounter(ctx, len(jobs))
+    outcomes: dict[int, list] = {}
     workers = []  # (trainer number, process, reading end of its pipe)
     done = False
     # a forked child flushes its copy of any buffered output when it exits
@@ -258,12 +264,12 @@ def _train_forked(jobs, trainers: int) -> list:
     try:
         for trainer in range(1, trainers):
             reader, writer = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_train_worker, args=(jobs, cells, trainer, writer))
+            proc = ctx.Process(target=_train_worker, args=(jobs, counter, trainer, writer))
             proc.start()
             workers.append((trainer, proc, reader))
             writer.close()  # the worker holds the only writing end: its exit is EOF
-        for i in iter(lambda: cells.take(0), None):
-            outcomes[i] = _try_cell(jobs[i])
+        for i in iter(lambda: counter.take(0), None):
+            outcomes[i] = _try_dataset(jobs[i])
         for trainer, proc, reader in workers:
             # read to EOF before joining: a worker blocked on a full pipe never exits
             while True:
@@ -274,9 +280,9 @@ def _train_forked(jobs, trainers: int) -> list:
                 outcomes[i] = outcome
             proc.join()
             for i in range(len(jobs)):
-                if cells.owner[i] == trainer and i not in outcomes:
-                    outcomes[i] = (f"training worker {trainer} exited with code "
-                                   f"{proc.exitcode} before returning this cell")
+                if counter.owner[i] == trainer and i not in outcomes:
+                    outcomes[i] = [f"training worker {trainer} exited with code "
+                                   f"{proc.exitcode} before returning this dataset"] * len(jobs[i][1])
         done = True
     finally:
         for _, proc, reader in workers:
@@ -288,13 +294,16 @@ def _train_forked(jobs, trainers: int) -> list:
 
 
 def _train_grid(jobs, trainers: int) -> list:
-    """`_try_cell` of every job, in order, on up to `trainers` processes; the
-    calling process trains too. Without a fork start method it trains
-    serially."""
+    """`_try_dataset` of every job, in order, on up to `trainers` processes,
+    at most one per dataset; the calling process trains too. Without a fork
+    start method it trains serially."""
     trainers = min(trainers, len(jobs))
-    if trainers > 1 and "fork" in multiprocessing.get_all_start_methods():
-        return _train_forked(jobs, trainers)
-    return [_try_cell(job) for job in jobs]
+    if trainers > 1:
+        import multiprocessing  # only forking needs it, so most runs never load it
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            return _train_forked(multiprocessing.get_context("fork"), jobs, trainers)
+    return [_try_dataset(job) for job in jobs]
 
 
 def _prepare(ds: BenchmarkDataset, cfg: BenchmarkConfig):
@@ -308,12 +317,14 @@ def _prepare(ds: BenchmarkDataset, cfg: BenchmarkConfig):
 
 
 def run_benchmark(datasets: list[BenchmarkDataset], variants, cfg: BenchmarkConfig) -> EvalReport:
-    """Train every needed network per dataset and score the requested variants.
+    """Train every needed network per dataset, as one stack, and score the
+    requested variants.
 
     A dataset that cannot be prepared (a split without data, a constant or
     unobserved column, no test window, too few training windows) and a
-    training run that fails for any reason (divergence, a crashed worker)
-    mark their dependent cells as failed with the error, and so does a cell
+    training that fails for any reason (a diverged network fails its own
+    cells; an unexpected error or a crashed worker its dataset's) mark
+    their dependent cells as failed with the error, and so does a cell
     whose score is undefined (MRE on all-zero truth); the rest of the grid
     still completes.
     """
@@ -340,24 +351,25 @@ def run_benchmark(datasets: list[BenchmarkDataset], variants, cfg: BenchmarkConf
         ranges[ds.label] = ((float(observed.min()), float(observed.max())) if observed.size
                             else (math.nan, math.nan))
 
-    jobs = [(label, kind, fit, val, cfg) for label, (fit, val, *_) in prepared.items()
-            for kind in kinds_needed]
-    trained: dict[tuple[str, str], object] = {}
-    for (label, kind, *_), outcome in zip(jobs, _train_grid(jobs, cfg.jobs)):
-        if isinstance(outcome, str):
-            failures[(label, kind)] = outcome
-        else:
-            trained[(label, kind)] = outcome[2]
+    jobs = [(label, kinds_needed, fit, val, cfg) for label, (fit, val, *_) in prepared.items()]
+    trained: dict[tuple[str, str], ModelParams] = {}
+    for (label, *_), outcomes in zip(jobs, _train_grid(jobs, cfg.jobs)):
+        for kind, outcome in zip(kinds_needed, outcomes):
+            if isinstance(outcome, str):
+                failures[(label, kind)] = outcome
+            else:
+                trained[(label, kind)] = outcome
 
     cells: dict[tuple[str, str], EvalCell] = {}
     for ds in datasets:
+        kinds = [kind for kind in kinds_needed if (ds.label, kind) in trained]
         traces: dict[str, ForwardTrace] = {}
-        for kind in kinds_needed:
-            if (ds.label, kind) in failures:
-                continue
-            params = trained[(ds.label, kind)]
-            schedule = make_schedule(cfg.window.gap_len, params.config.schedule_variant)
-            traces[kind] = forward(params, prepared[ds.label][3], schedule)
+        if kinds:
+            nets = [trained[(ds.label, kind)] for kind in kinds]
+            schedules = [make_schedule(cfg.window.gap_len, p.config.schedule_variant)
+                         for p in nets]
+            traces = dict(zip(kinds, forward(stack_networks(nets), prepared[ds.label][3],
+                                             schedules)))
         for variant in variants:
             kind = _VARIANT_KIND[variant]
             if (ds.label, kind) in failures:

@@ -18,7 +18,9 @@ files is a permutation of them (`model.file_order`).
 
 S independent cells can run as one: a stacked cell holds (S, 4h, d+h)
 weights and (S, 4h) biases, its states and inputs are (S, B, .) arrays,
-and each step is one batched matrix product over the stream axis.
+and each step is one batched matrix product over the stream axis. The
+stack may have more than one leading axis, (K, S, 4h, d+h) for K networks
+of S streams each; every slice computes what it would alone.
 
 A forward step multiplies by the forward operand: the fused weight
 transposed to a contiguous (d+h, 4h) array, or (S, d+h, 4h) stacked, with
@@ -47,13 +49,13 @@ from .numerics import ShapeError
 
 class LstmParams:
     """One cell's parameters: fused weight `w` (4h, d+h) and bias `b` (4h,);
-    or S stacked cells: `w` (S, 4h, d+h) and `b` (S, 4h).
+    or stacked cells: `w` (..., 4h, d+h) and `b` (..., 4h).
 
     Wraps the arrays it is given without copying them.
     """
 
     def __init__(self, w: np.ndarray, b: np.ndarray):
-        if (w.ndim not in (2, 3) or b.shape != w.shape[:-1] or w.shape[-2] % 4
+        if (w.ndim < 2 or b.shape != w.shape[:-1] or w.shape[-2] % 4
                 or w.shape[-1] <= w.shape[-2] // 4):
             raise ShapeError(f"fused weight {w.shape} and bias {b.shape} do not form a cell")
         self.w, self.b = w, b

@@ -26,6 +26,14 @@ state until the merge, so each LSTM step of both runs as one stacked
 or S = 1 for the forward-only network, over B windows. One window is the
 case B = 1.
 
+K networks that share a window list run as one stack (`NetworkStack`):
+their arenas are the rows of one (K, n) array, and each step of all of
+them is one (K, S, B, .) step, where S is 2 if any of them has two
+streams. Each network keeps its own weights, schedule, merge and loss
+terms; a forward-only network in a two-stream stack runs its unused
+backward cells on zero gradients, so their parameters get gradient 0.
+One network is the stack of one.
+
 Windows in a batch may differ in shape. Contexts are right-aligned: a row
 keeps the zero state until its first real row, so a shorter context reads
 exactly as it would alone. Rows run longest gap first, so each decoder
@@ -155,11 +163,19 @@ def n_params(config: NetworkConfig) -> int:
     return sum(math.prod(shape) for shape in _arena_shapes(config))
 
 
-def _blocks(config: NetworkConfig, flat: np.ndarray) -> list[np.ndarray]:
-    """The arena's blocks, shaped by `_arena_shapes`, as views of `flat`."""
+@functools.lru_cache(maxsize=16)
+def _spans(config: NetworkConfig) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """Each arena block's (start, end, shape), in arena order."""
     shapes = _arena_shapes(config)
-    ends = np.cumsum([math.prod(shape) for shape in shapes])
-    return [part.reshape(shape) for part, shape in zip(np.split(flat, ends[:-1]), shapes)]
+    ends = np.cumsum([math.prod(shape) for shape in shapes]).tolist()
+    return tuple(zip([0, *ends[:-1]], ends, shapes))
+
+
+def _blocks(config: NetworkConfig, flat: np.ndarray) -> list[np.ndarray]:
+    """The arena's blocks, shaped by `_arena_shapes`, as views of `flat`;
+    a (K, n) `flat` gives each block a leading K axis."""
+    lead = flat.shape[:-1]
+    return [flat[..., start:end].reshape(*lead, *shape) for start, end, shape in _spans(config)]
 
 
 def params_from_flat(config: NetworkConfig, flat: np.ndarray) -> ModelParams:
@@ -177,6 +193,69 @@ def _arena_params(config: NetworkConfig, flat: np.ndarray) -> ModelParams:
     lstm_w, lstm_b, head_w, head_b, *merge = _blocks(config, flat)
     return ModelParams(config, flat, lstm_w, lstm_b, head_w, head_b,
                        [Affine(w, b) for w, b in zip(merge[::2], merge[1::2])])
+
+
+@dataclass(eq=False)
+class NetworkStack:
+    """K networks of one arena layout whose arenas are the rows of one
+    (K, n) array `flat`.
+
+    `nets[k]` is network k's ModelParams, every tensor a view of row k;
+    `lstm_w` (K, 4, 4h, d+h), `lstm_b`, `head_w` and `head_b` are the
+    networks' cells and heads with a leading network axis, views of `flat`
+    too. The networks may differ in schedule and in `forward_only`, not in
+    `input_dim`, `hidden_dim` or `merge_hidden`.
+    """
+
+    flat: np.ndarray
+    lstm_w: np.ndarray
+    lstm_b: np.ndarray
+    head_w: np.ndarray
+    head_b: np.ndarray
+    nets: tuple[ModelParams, ...]
+
+
+def _stack_arena(configs, flat: np.ndarray) -> NetworkStack:
+    """The stack of `configs` whose arenas are the rows of `flat`, without
+    copying; `flat` is C-contiguous and of any float type, like
+    `_arena_params`'s. Training builds its float64 master and float32
+    compute copy here."""
+    configs = tuple(configs)
+    shapes = _arena_shapes(configs[0])
+    if any(_arena_shapes(c) != shapes for c in configs):
+        raise ShapeError("the networks of a stack need one arena layout: equal input_dim, "
+                         "hidden_dim and merge_hidden")
+    if flat.shape != (len(configs), n_params(configs[0])) or not flat.flags.c_contiguous:
+        raise ShapeError(f"a stack of {len(configs)} networks needs a contiguous "
+                         f"({len(configs)}, {n_params(configs[0])}) arena, got {flat.shape}")
+    lstm_w, lstm_b, head_w, head_b, *_ = _blocks(configs[0], flat)
+    return NetworkStack(flat, lstm_w, lstm_b, head_w, head_b,
+                        tuple(_arena_params(c, row) for c, row in zip(configs, flat)))
+
+
+def stack_networks(nets) -> NetworkStack:
+    """One stack of copies of the networks `nets`, in their order."""
+    nets = list(nets)
+    if not nets:
+        raise ValueError("cannot stack no networks")
+    stack = _stack_arena([p.config for p in nets],
+                         np.empty((len(nets), nets[0].flat.size), nets[0].flat.dtype))
+    for row, params in zip(stack.flat, nets):
+        row[...] = params.flat
+    return stack
+
+
+def _as_stack(params, schedule) -> tuple[NetworkStack, tuple]:
+    """`params` as a stack and each network's schedule: a NetworkStack with
+    one schedule per network, or one network's ModelParams, the stack of one."""
+    if isinstance(params, NetworkStack):
+        schedules = () if isinstance(schedule, ScalingSchedule) else tuple(schedule)
+        if len(schedules) != len(params.nets):
+            raise ShapeError(f"{len(schedules)} schedules for a stack of {len(params.nets)} "
+                             f"networks; a stack takes one per network")
+        return params, schedules
+    return NetworkStack(params.flat[None], params.lstm_w[None], params.lstm_b[None],
+                        params.head_w[None], params.head_b[None], (params,)), (schedule,)
 
 
 @functools.lru_cache(maxsize=16)
@@ -262,11 +341,11 @@ class StreamTrace:
     Outputs are packed step-major, one row per real (window, gap step)
     pair: decoder step t's rows are `_Plan.offsets[t]:offsets[t + 1]`.
     Stream 0 processes row i's gap positions 1..T_i; stream 1, the
-    backward stream, processes T_i..1.
+    backward stream, processes T_i..1. The leading axis is the network's.
     """
 
-    h: np.ndarray  # (S, N, hidden)
-    pred: np.ndarray  # (S, N, input_dim): local predictions
+    h: np.ndarray  # (K, S, N, hidden)
+    pred: np.ndarray  # (K, S, N, input_dim): local predictions
     enc_tapes: list[CellTape] | None
     dec_tapes: list[CellTape] | None
 
@@ -372,8 +451,8 @@ class _Batch:
 
     context: np.ndarray  # (S, B, L, d) in row order: `before`, then `after` reversed, right-aligned
     gap_len: np.ndarray  # (B,) in input order
-    gamma: np.ndarray  # (N,): each pair's stream weights
-    gamma_prime: np.ndarray
+    gamma: list[np.ndarray]  # per network, (N,): each pair's stream weights
+    gamma_prime: list[np.ndarray]
     truth: np.ndarray | None  # (N, d) float64: the windows' `missing` rows, None without them
     plan: _Plan
 
@@ -403,15 +482,17 @@ def _schedule_rows(schedule, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return gap_len, gamma, gamma_prime
 
 
-def _layout(params: ModelParams, windows, schedule) -> _Batch:
-    """Lay out a list of windows of any shapes for `_forward` of `params`.
+def _layout(stack: NetworkStack, windows, schedules) -> _Batch:
+    """Lay out a list of windows of any shapes for `_forward` of `stack`.
 
-    Each row's gap length comes from its schedule; a shared ScalingSchedule
-    gives every row its length, and a window's `missing` rows, if any, must
-    fill it. The context and stream weights take the dtype of `params.flat`.
+    Each row's gap length comes from its schedule, and every network's
+    schedules must give the same lengths; a shared ScalingSchedule gives
+    every row its length, and a window's `missing` rows, if any, must fill
+    it. The context and stream weights take the dtype of `stack.flat`.
     """
-    cfg, dtype = params.config, params.flat.dtype
-    d, streams = cfg.input_dim, 1 if cfg.forward_only else 2
+    dtype = stack.flat.dtype
+    d = stack.nets[0].config.input_dim
+    streams = 1 if all(p.config.forward_only for p in stack.nets) else 2
     if isinstance(windows, ImputationWindow):
         raise ShapeError("expected a list of windows, got one ImputationWindow")
     windows = list(windows)
@@ -422,7 +503,10 @@ def _layout(params: ModelParams, windows, schedule) -> _Batch:
         raise ValueError("either every window of a batch has ground truth or none has")
     contexts = [[_rows(w.before, f"window {i}: before", d) for i, w in enumerate(windows)],
                 [_rows(w.after, f"window {i}: after", d)[::-1] for i, w in enumerate(windows)]]
-    gap_len, gamma, gamma_prime = _schedule_rows(schedule, len(windows))
+    weights = [_schedule_rows(schedule, len(windows)) for schedule in schedules]
+    gap_len = weights[0][0]
+    if any(not np.array_equal(w[0], gap_len) for w in weights[1:]):
+        raise ShapeError("the networks' schedules disagree on the gap lengths")
     truth = None
     if all(has_truth):
         truth = np.zeros((len(windows), gap_len.max(), d))
@@ -442,9 +526,9 @@ def _layout(params: ModelParams, windows, schedule) -> _Batch:
         for j, i in enumerate(plan.rows[:len(windows)]):
             r = contexts[s][i]
             context[s, j, L - len(r):] = r
-    at = (plan.rows, plan.pos) if gamma.ndim == 2 else plan.pos
-    return _Batch(context, gap_len, gamma.astype(dtype, copy=False)[at],
-                  gamma_prime.astype(dtype, copy=False)[at],
+    gammas = [[g.astype(dtype, copy=False)[(plan.rows, plan.pos) if g.ndim == 2 else plan.pos]
+               for g in w[1:]] for w in weights]
+    return _Batch(context, gap_len, [g for g, _ in gammas], [g for _, g in gammas],
                   None if truth is None else truth[plan.rows, plan.pos], plan)
 
 
@@ -459,22 +543,22 @@ def _unpack(batch: _Batch, a: np.ndarray) -> np.ndarray:
 
 
 def _prefix(a: np.ndarray, k: int) -> np.ndarray:
-    """The first k rows (axis 1) of `a`: `a` itself when it has k."""
-    return a if a.shape[1] == k else a[:, :k]
+    """The first k rows (axis -2) of `a`: `a` itself when it has k."""
+    return a if a.shape[-2] == k else a[..., :k, :]
 
 
 def _grow(a: np.ndarray, k: int) -> np.ndarray:
-    """`a` with zero rows appended along axis 1 up to k: `a` itself when it has k."""
-    if a.shape[1] == k:
+    """`a` with zero rows appended along axis -2 up to k: `a` itself when it has k."""
+    if a.shape[-2] == k:
         return a
-    out = np.zeros((a.shape[0], k, *a.shape[2:]), a.dtype)
-    out[:, :a.shape[1]] = a
+    out = np.zeros((*a.shape[:-2], k, a.shape[-1]), a.dtype)
+    out[..., :a.shape[-2], :] = a
     return out
 
 
-def _run_stream(params: ModelParams, batch: _Batch, keep_tapes: bool) -> StreamTrace:
+def _run_stream(stack: NetworkStack, batch: _Batch, keep_tapes: bool) -> StreamTrace:
     """Encode the S stacked contexts, then decode each row's gap, stepping
-    only the live rows.
+    only the live rows, for every network of the stack at once.
 
     Stream s uses encoder cell s, decoder cell 2 + s and head s. Encoder
     step t runs on its live prefix of rows, up to the last one with a real
@@ -485,82 +569,86 @@ def _run_stream(params: ModelParams, batch: _Batch, keep_tapes: bool) -> StreamT
     into its next step, and drops a row after the last position of its gap.
     Steps where every row is live run on the whole arrays.
     """
-    context, plan = batch.context, batch.plan
-    S, _, _, d = context.shape
-    enc = ForwardCell(params.lstm_w[0:S], params.lstm_b[0:S])
-    dec = ForwardCell(params.lstm_w[2:2 + S], params.lstm_b[2:2 + S])
-    head_w, head_b = np.swapaxes(params.head_w[:S], -1, -2), params.head_b[:S, None]
+    plan = batch.plan
+    S, _, _, d = batch.context.shape
+    K = len(stack.nets)
+    context = np.broadcast_to(batch.context, (K, *batch.context.shape))  # every network reads it
+    enc = ForwardCell(stack.lstm_w[:, 0:S], stack.lstm_b[:, 0:S])
+    dec = ForwardCell(stack.lstm_w[:, 2:2 + S], stack.lstm_b[:, 2:2 + S])
+    head_w, head_b = np.swapaxes(stack.head_w[:, :S], -1, -2), stack.head_b[:, :S, None]
     enc_tapes: list[CellTape] | None = [] if keep_tapes else None
     dec_tapes: list[CellTape] | None = [] if keep_tapes else None
-    state = zero_state(enc.hidden_dim, S, plan.enc_live[0], dtype=context.dtype)
+    state = zero_state(enc.hidden_dim, K, S, plan.enc_live[0], dtype=context.dtype)
     for t, (k, partial) in enumerate(zip(plan.enc_live, plan.partial)):
         state = LstmState(_grow(state.h, k), _grow(state.c, k))
-        new, tape = lstm_step(enc, _prefix(context[:, :, t], k), state)
+        new, tape = lstm_step(enc, _prefix(context[..., t, :], k), state)
         if partial:
-            real = (_prefix(plan.first, k) <= t)[..., None]
+            real = (plan.first[:, :k] <= t)[..., None]
             new = LstmState(np.where(real, new.h, state.h), np.where(real, new.c, state.c))
         state = new
         if enc_tapes is not None:
             enc_tapes.append(tape)
-    x = context[:, :, -1]
+    x = context[..., -1, :]
     off = plan.offsets
-    hs = np.empty((S, off[-1], dec.hidden_dim), context.dtype)
-    preds = np.empty((S, off[-1], d), context.dtype)
+    hs = np.empty((K, S, off[-1], dec.hidden_dim), context.dtype)
+    preds = np.empty((K, S, off[-1], d), context.dtype)
     for t, m in enumerate(plan.dec_live):
         state, tape = lstm_step(dec, _prefix(x, m),
                                 LstmState(_prefix(state.h, m), _prefix(state.c, m)))
         if dec_tapes is not None:
             dec_tapes.append(tape)
-        hs[:, off[t]:off[t + 1]] = state.h
+        hs[:, :, off[t]:off[t + 1]] = state.h
         x = np.matmul(state.h, head_w) + head_b
-        preds[:, off[t]:off[t + 1]] = x
+        preds[:, :, off[t]:off[t + 1]] = x
     return StreamTrace(hs, preds, enc_tapes, dec_tapes)
 
 
-def _stream_backward(params: ModelParams, st: StreamTrace, batch: _Batch,
-                     d_pred: np.ndarray, dh_merge: np.ndarray | None, g: ModelParams) -> None:
-    """Backpropagate the S stacked streams, newest decoder step first.
+def _stream_backward(stack: NetworkStack, st: StreamTrace, batch: _Batch, d_pred: np.ndarray,
+                     dh_merge: np.ndarray | None, g: NetworkStack) -> None:
+    """Backpropagate the S stacked streams of every network, newest decoder
+    step first.
 
-    `d_pred` (S, N, d) is the loss gradient on each local prediction and
-    `dh_merge` (S, N, h) the merge layer's gradient on each decoder hidden
-    vector, both packed like `st`, in processing order. The gradient w.r.t.
-    a prediction combines its own loss term with the gradient flowing out
-    of the next step's input, because predictions are self-fed. Each step
-    runs on the rows its forward step ran on: a row enters the decoder's
-    gradients, with zeros, at the last step of its gap, and carries them
-    into the encoder's in the same row order; it leaves the encoder's at
-    its first live step, before which it holds no parameters. Encoder steps
-    before a stream's first real row pass that row's gradients through
-    untouched and add nothing to the parameter gradients.
+    `d_pred` (K, S, N, d) is the loss gradient on each local prediction and
+    `dh_merge` (K, S, N, h) the merge layer's gradient on each decoder
+    hidden vector, both packed like `st`, in processing order. The gradient
+    w.r.t. a prediction combines its own loss term with the gradient
+    flowing out of the next step's input, because predictions are
+    self-fed. Each step runs on the rows its forward step ran on: a row
+    enters the decoder's gradients, with zeros, at the last step of its
+    gap, and carries them into the encoder's in the same row order; it
+    leaves the encoder's at its first live step, before which it holds no
+    parameters. Encoder steps before a stream's first real row pass that
+    row's gradients through untouched and add nothing to the parameter
+    gradients.
     """
-    S, _, d = d_pred.shape
+    K, S, _, d = d_pred.shape
     plan = batch.plan
     off = plan.offsets
-    dec = LstmParams(params.lstm_w[2:2 + S], params.lstm_b[2:2 + S])
-    g_dec = LstmParams(g.lstm_w[2:2 + S], g.lstm_b[2:2 + S])
-    head_w = params.head_w[:S]
-    dh = dc = np.zeros((S, 0, dec.hidden_dim), d_pred.dtype)
-    d_in = np.zeros((S, 0, d), d_pred.dtype)
+    dec = LstmParams(stack.lstm_w[:, 2:2 + S], stack.lstm_b[:, 2:2 + S])
+    g_dec = LstmParams(g.lstm_w[:, 2:2 + S], g.lstm_b[:, 2:2 + S])
+    head_w = stack.head_w[:, :S]
+    dh = dc = np.zeros((K, S, 0, dec.hidden_dim), d_pred.dtype)
+    d_in = np.zeros((K, S, 0, d), d_pred.dtype)
     d_preds = np.empty_like(d_pred)
     for t in reversed(range(len(plan.dec_live))):
         m, step = plan.dec_live[t], slice(off[t], off[t + 1])
-        d_preds[:, step] = d_pred[:, step] + _grow(d_in, m)
-        dh = _grow(dh, m) + np.matmul(d_preds[:, step], head_w)
+        d_preds[:, :, step] = d_pred[:, :, step] + _grow(d_in, m)
+        dh = _grow(dh, m) + np.matmul(d_preds[:, :, step], head_w)
         if dh_merge is not None:
-            dh = dh + dh_merge[:, step]
+            dh = dh + dh_merge[:, :, step]
         d_in, dh, dc = lstm_step_backward(dec, st.dec_tapes[t], dh, _grow(dc, m), g_dec)
-    g.head_w[:S] += np.matmul(np.swapaxes(d_preds, -1, -2), st.h)
-    g.head_b[:S] += d_preds.sum(axis=1)
+    g.head_w[:, :S] += np.matmul(np.swapaxes(d_preds, -1, -2), st.h)
+    g.head_b[:, :S] += d_preds.sum(axis=-2)
 
-    enc = LstmParams(params.lstm_w[0:S], params.lstm_b[0:S])
-    g_enc = LstmParams(g.lstm_w[0:S], g.lstm_b[0:S])
+    enc = LstmParams(stack.lstm_w[:, 0:S], stack.lstm_b[:, 0:S])
+    g_enc = LstmParams(g.lstm_w[:, 0:S], g.lstm_b[:, 0:S])
     for t in reversed(range(len(plan.enc_live))):
         k = plan.enc_live[t]
         dh, dc = _prefix(dh, k), _prefix(dc, k)
         if not plan.partial[t]:
             _, dh, dc = lstm_step_backward(enc, st.enc_tapes[t], dh, dc, g_enc)
             continue
-        real = (_prefix(plan.first, k) <= t)[..., None]
+        real = (plan.first[:, :k] <= t)[..., None]
         _, dh_new, dc_new = lstm_step_backward(enc, st.enc_tapes[t], np.where(real, dh, 0.0),
                                                np.where(real, dc, 0.0), g_enc)
         dh, dc = np.where(real, dh_new, dh), np.where(real, dc_new, dc)
@@ -572,28 +660,33 @@ def _merge_input(gamma: np.ndarray, gamma_prime: np.ndarray, h_fw: np.ndarray,
     return np.concatenate([gamma[..., None] * h_fw, gamma_prime[..., None] * h_bw], axis=-1)
 
 
-def _forward(params: ModelParams, batch: _Batch,
-             keep_tapes: bool) -> tuple[_Pairs, StreamTrace]:
+def _forward(stack: NetworkStack, batch: _Batch,
+             keep_tapes: bool) -> tuple[list[_Pairs], StreamTrace]:
     """The batched forward pass behind `forward` and `loss_and_grads`: the
-    streams, then the merge of each real (window, position) pair."""
-    cfg = params.config
-    st = _run_stream(params, batch, keep_tapes)
-    h_fw, pred_fw = st.h[0], st.pred[0]
-    if cfg.forward_only:
-        return _Pairs(h_fw, pred_fw, None, None, pred_fw, None), st
-    # the backward stream runs over each gap in reverse: `rev` puts it in position order
-    h_bw, pred_bw = st.h[1][batch.plan.rev], st.pred[1][batch.plan.rev]
-    u = _merge_input(batch.gamma, batch.gamma_prime, h_fw, h_bw)
-    hidden_acts = None
-    if cfg.merge_hidden > 0:
-        hidden_acts = np.tanh(params.merge[0].apply(u))
-        merged = params.merge[1].apply(hidden_acts)
-    else:
-        merged = params.merge[0].apply(u)
-    return _Pairs(h_fw, pred_fw, h_bw, pred_bw, merged, hidden_acts), st
+    streams of every network, then each network's merge of each real
+    (window, position) pair."""
+    st = _run_stream(stack, batch, keep_tapes)
+    rev = batch.plan.rev
+    out = []
+    for k, params in enumerate(stack.nets):
+        h_fw, pred_fw = st.h[k, 0], st.pred[k, 0]
+        if params.config.forward_only:
+            out.append(_Pairs(h_fw, pred_fw, None, None, pred_fw, None))
+            continue
+        # the backward stream runs over each gap in reverse: `rev` puts it in position order
+        h_bw, pred_bw = st.h[k, 1][rev], st.pred[k, 1][rev]
+        u = _merge_input(batch.gamma[k], batch.gamma_prime[k], h_fw, h_bw)
+        hidden_acts = None
+        if params.config.merge_hidden > 0:
+            hidden_acts = np.tanh(params.merge[0].apply(u))
+            merged = params.merge[1].apply(hidden_acts)
+        else:
+            merged = params.merge[0].apply(u)
+        out.append(_Pairs(h_fw, pred_fw, h_bw, pred_bw, merged, hidden_acts))
+    return out, st
 
 
-def forward(params: ModelParams, windows, schedule) -> ForwardTrace:
+def forward(params, windows, schedule):
     """Run the network over a list of windows.
 
     The windows may differ in context and gap length; one window is the
@@ -602,15 +695,23 @@ def forward(params: ModelParams, windows, schedule) -> ForwardTrace:
     schedule's. Stages: both encoders first, then each decoder stream over
     the whole gap (self-feeding its local predictions), and merging last,
     once both hidden sequences exist.
+
+    `params` is one network's ModelParams, which gives one ForwardTrace, or
+    a NetworkStack with `schedule` a sequence of one schedule per network,
+    which gives a list of one ForwardTrace per network, each what that
+    network gives alone.
     """
-    batch = _layout(params, windows, schedule)
-    return ForwardTrace(_forward(params, batch, keep_tapes=False)[0], batch)
+    stack, schedules = _as_stack(params, schedule)
+    batch = _layout(stack, windows, schedules)
+    traces = [ForwardTrace(pairs, batch) for pairs in _forward(stack, batch, keep_tapes=False)[0]]
+    return traces if isinstance(params, NetworkStack) else traces[0]
 
 
 def _loss_terms(pairs: _Pairs, batch: _Batch, truth: np.ndarray) -> list[np.ndarray]:
     """Mean squared error of each loss term, per window: the merged output,
     then (full network) the forward and the backward stream predictions.
-    Each window's mean runs over its own gap; `truth` is packed like `pairs`."""
+    Each window's mean runs over its own gap; `truth` is packed like `pairs`
+    and cast to their dtype, so a network is scored in its arena's dtype."""
     preds = [pairs.merged] if pairs.pred_bw is None else [
         pairs.merged, pairs.pred_fw, pairs.pred_bw]
     count = batch.gap_len * truth.shape[-1]
@@ -618,11 +719,11 @@ def _loss_terms(pairs: _Pairs, batch: _Batch, truth: np.ndarray) -> list[np.ndar
             for p in preds]
 
 
-def _truth(batch: _Batch) -> np.ndarray:
-    """The batch's packed ground truth, which every loss needs."""
+def _truth(batch: _Batch, dtype) -> np.ndarray:
+    """The batch's packed ground truth, which every loss needs, in `dtype`."""
     if batch.truth is None:
         raise ValueError("the windows have no ground-truth gap rows")
-    return batch.truth
+    return batch.truth.astype(dtype, copy=False)
 
 
 def loss(trace: ForwardTrace) -> np.ndarray:
@@ -631,9 +732,12 @@ def loss(trace: ForwardTrace) -> np.ndarray:
 
     Full network: MSE of the merged output plus MSE of each stream's local
     prediction at every position. Forward-only network: MSE of its single
-    prediction stream.
+    prediction stream. The trace is scored in its own dtype, the truth cast
+    to it, as `loss_and_grads` scores: on a float32 arena the sum of `loss`
+    is `loss_and_grads`'s value to the bit.
     """
-    return sum(_loss_terms(trace._pairs, trace._batch, _truth(trace._batch)))
+    pairs = trace._pairs
+    return sum(_loss_terms(pairs, trace._batch, _truth(trace._batch, pairs.merged.dtype)))
 
 
 def _merge_backward(params: ModelParams, pairs: _Pairs, gamma: np.ndarray,
@@ -667,7 +771,7 @@ def merge_input_grads(params: ModelParams, trace: ForwardTrace,
     if params.config.forward_only:
         raise ValueError("forward-only network has no merge layer")
     batch = trace._batch
-    truth = _truth(batch)
+    truth = _truth(batch, np.float64)
     gap_len, gamma, gamma_prime = _schedule_rows(schedule, len(trace.gap_len))
     if not np.array_equal(gap_len, trace.gap_len):
         raise ShapeError(f"schedule covers gaps of {gap_len} rows, the trace {trace.gap_len}")
@@ -680,7 +784,7 @@ def merge_input_grads(params: ModelParams, trace: ForwardTrace,
     return _unpack(batch, dh_fw), _unpack(batch, dh_bw)
 
 
-def loss_and_grads(params: ModelParams, windows, schedule) -> tuple[float, ModelParams]:
+def loss_and_grads(params, windows, schedule):
     """Loss and its exact gradient w.r.t. every parameter.
 
     `windows` and `schedule` are as for `forward`, and every window needs
@@ -688,27 +792,39 @@ def loss_and_grads(params: ModelParams, windows, schedule) -> tuple[float, Model
     windows, so the loss is the sum of what `loss` gives per window. The
     gradient is a ModelParams over a fresh zeroed vector of the dtype of
     `params.flat`; `dict(iter_params(grads))` keys it by path.
-    """
-    cfg = params.config
-    batch = _layout(params, windows, schedule)
-    truth = _truth(batch).astype(params.flat.dtype, copy=False)
 
-    pairs, st = _forward(params, batch, keep_tapes=True)
-    terms = _loss_terms(pairs, batch, truth)
-    coef = (2.0 / (batch.gap_len * cfg.input_dim)).astype(truth.dtype, copy=False)
+    For a NetworkStack, with one schedule per network as for `forward`,
+    returns a list of each network's loss and the gradients as a stack of
+    the same networks: each network's values are what it gives alone.
+    """
+    stack, schedules = _as_stack(params, schedule)
+    cfg, dtype = stack.nets[0].config, stack.flat.dtype
+    batch = _layout(stack, windows, schedules)
+    truth = _truth(batch, dtype)
+    pairs, st = _forward(stack, batch, keep_tapes=True)
+    coef = (2.0 / (batch.gap_len * cfg.input_dim)).astype(dtype, copy=False)
     coef = coef[batch.plan.rows, None]
-    g = _arena_params(cfg, np.zeros_like(params.flat))
-    if cfg.forward_only:
-        d_pred, dh_merge = (coef * (pairs.pred_fw - truth))[None], None
-    else:
-        dh_fw, dh_bw = _merge_backward(params, pairs, batch.gamma, batch.gamma_prime,
-                                       coef * (pairs.merged - truth), g.merge)
+    g = _stack_arena([p.config for p in stack.nets], np.zeros_like(stack.flat))
+    K, S = st.h.shape[:2]
+    d_pred = np.zeros(st.pred.shape, dtype)
+    # a forward-only network of a two-stream stack takes zeros on its unused stream
+    dh_merge = None if S == 1 else np.zeros(st.h.shape, dtype)
+    rev = batch.plan.rev
+    values = []
+    for k, (net, p) in enumerate(zip(stack.nets, pairs)):
+        values.append(float(np.sum(sum(_loss_terms(p, batch, truth)))))
+        d_pred[k, 0] = coef * (p.pred_fw - truth)
+        if net.config.forward_only:
+            continue
+        dh_fw, dh_bw = _merge_backward(net, p, batch.gamma[k], batch.gamma_prime[k],
+                                       coef * (p.merged - truth), g.nets[k].merge)
         # the backward stream runs over each gap in reverse: map to its order
-        rev = batch.plan.rev
-        d_pred = np.stack([coef * (pairs.pred_fw - truth), (coef * (pairs.pred_bw - truth))[rev]])
-        dh_merge = np.stack([dh_fw, dh_bw[rev]])
-    _stream_backward(params, st, batch, d_pred, dh_merge, g)
-    return float(np.sum(sum(terms))), g
+        d_pred[k, 1] = (coef * (p.pred_bw - truth))[rev]
+        dh_merge[k, 0], dh_merge[k, 1] = dh_fw, dh_bw[rev]
+    _stream_backward(stack, st, batch, d_pred, dh_merge, g)
+    if isinstance(params, NetworkStack):
+        return values, g
+    return values[0], g.nets[0]
 
 
 def impute(params: ModelParams, before, after, gap_len,

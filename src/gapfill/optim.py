@@ -12,7 +12,8 @@ from .model import (
     ImputationWindow,
     ModelParams,
     NetworkConfig,
-    _arena_params,
+    NetworkStack,
+    _stack_arena,
     clone_params,
     forward,
     init_model_params,
@@ -20,7 +21,7 @@ from .model import (
     loss,
     loss_and_grads,
     make_schedule,
-    params_from_flat,
+    n_params,
 )
 from .numerics import Rng
 
@@ -54,11 +55,12 @@ _ADAM_BLOCK = 8192
 
 
 class AdamState:
-    """First/second moment vectors, shaped like `ModelParams.flat`, the step
-    counter, and two short scratch vectors for the update; `cfg` holds the
-    learning rate, decays and stabilizer."""
+    """First/second moment arrays, shaped like the parameters' `flat` (one
+    network's vector, or a stack's (K, n) rows), the step counter, and two
+    short scratch vectors for the update; `cfg` holds the learning rate,
+    decays and stabilizer."""
 
-    def __init__(self, params: ModelParams, cfg: TrainConfig):
+    def __init__(self, params: ModelParams | NetworkStack, cfg: TrainConfig):
         self.cfg = cfg
         self.step_count = 0
         self.m = np.zeros_like(params.flat)
@@ -66,8 +68,10 @@ class AdamState:
         self._scratch = np.empty((2, min(_ADAM_BLOCK, params.flat.size)))
 
 
-def adam_step(state: AdamState, params: ModelParams, grads: ModelParams):
-    """One bias-corrected Adam update of every parameter, in place.
+def adam_step(state: AdamState, params: ModelParams | NetworkStack,
+              grads: ModelParams | NetworkStack):
+    """One bias-corrected Adam update of every parameter, in place; for a
+    stack, of every network's, elementwise as each would alone.
 
     m <- b1*m + (1-b1)*g;  v <- b2*v + (1-b2)*g^2
     theta <- theta - lr * (m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps)
@@ -76,7 +80,9 @@ def adam_step(state: AdamState, params: ModelParams, grads: ModelParams):
     if g.shape != params.flat.shape:
         raise ValueError(f"gradient has {g.size} floats, the parameters {params.flat.size}")
     if not np.all(np.isfinite(g)):
-        path = next(path for path, t in iter_params(grads) if not np.all(np.isfinite(t)))
+        nets = grads.nets if isinstance(grads, NetworkStack) else (grads,)
+        path = next(path for net in nets for path, t in iter_params(net)
+                    if not np.all(np.isfinite(t)))
         raise ValueError(f"non-finite gradient for parameter {path}")
     state.step_count += 1
     t = state.step_count
@@ -85,9 +91,11 @@ def adam_step(state: AdamState, params: ModelParams, grads: ModelParams):
     bc2 = 1.0 - cfg.beta2 ** t
     # block by block, the same elementwise operations in the same order as
     # m += (1-b1)*g; v += (1-b2)*(g*g); theta -= (lr*(m/bc1)) / (sqrt(v/bc2)+eps)
+    g, theta_all = g.reshape(-1), params.flat.reshape(-1)
+    m_all, v_all = state.m.reshape(-1), state.v.reshape(-1)
     for lo in range(0, g.size, state._scratch.shape[1]):
         part = slice(lo, lo + state._scratch.shape[1])
-        m, v, gb, theta = state.m[part], state.v[part], g[part], params.flat[part]
+        m, v, gb, theta = m_all[part], v_all[part], g[part], theta_all[part]
         a, b = state._scratch[:, :gb.size]
         m *= cfg.beta1
         np.multiply(1.0 - cfg.beta1, gb, out=a)
@@ -161,83 +169,145 @@ def _check_windows(windows: list[ImputationWindow], name: str) -> tuple[int, int
 
 
 def train(
-    net_cfg: NetworkConfig,
+    nets,
     windows: list[ImputationWindow],
     val_windows: list[ImputationWindow],
     cfg: TrainConfig,
-) -> tuple[ModelParams, TrainLog]:
-    """Train a fresh network; returns the best-validation snapshot and the log.
+) -> list[tuple[ModelParams, TrainLog] | DivergenceError]:
+    """Train fresh networks, one per NetworkConfig of `nets`, as one stack.
+
+    Returns one outcome per network, in order: its best-validation snapshot
+    and log, or the DivergenceError that ended its training (a non-finite
+    training loss or gradient, or a non-finite validation loss). One
+    network is the stack of one.
 
     Deterministic for a fixed config and seed: initialization, shuffling,
     and gradient accumulation order are all driven by one seeded stream.
-    Each mini-batch's loss and gradient come from one batched pass in
-    float32, on a copy of the float64 master weights refilled before every
-    batch; the gradient is cast up to float64 for its scaling, clipping and
-    Adam. The master weights, Adam's moments, the snapshot and validation
-    stay float64.
+    The networks need one arena layout, so they draw the same initial
+    values and see the same mini-batches, and each one's outcome is, bit
+    for bit, what training it alone gives. Each mini-batch's losses and
+    gradients come from one batched pass over the stack in float32, on a
+    copy of the float64 master weights refilled before every batch; each
+    network's gradient is cast up to float64 for its scaling, its clipping
+    by its own norm, and Adam. The master weights, Adam's moments, the
+    snapshots and validation stay float64. A network leaves the stack when
+    it stops early or diverges; the others go on.
     """
+    nets = tuple(nets)
+    if not nets:
+        raise ValueError("no networks to train")
     T, _ = _check_windows(windows, "training")
     if _check_windows(val_windows, "validation")[0] != T:
         raise ValueError("training and validation windows disagree on gap length")
+    schedules = [make_schedule(T, net.schedule_variant) for net in nets]
+    master = _stack_arena(nets, np.empty((len(nets), n_params(nets[0]))))
     rng = Rng(cfg.seed)
-    params = init_model_params(net_cfg, rng)
-    compute = _arena_params(net_cfg, np.empty(params.flat.shape, np.float32))
-    grads = params_from_flat(net_cfg, np.empty_like(params.flat))
-    schedule = make_schedule(T, net_cfg.schedule_variant)
-    adam = AdamState(params, cfg)
-    policy = EarlyStopping(cfg)
-    log = TrainLog()
+    master.flat[:] = init_model_params(nets[0], rng).flat  # one layout, so the same draws
+    compute_buf = np.empty(master.flat.shape, np.float32)
+    grads_buf = np.empty(master.flat.shape)
+    live = list(range(len(nets)))  # the network in each row of the stack
+
+    def rows_of(flat) -> NetworkStack:
+        return _stack_arena([nets[k] for k in live], flat[:len(live)])
+
+    compute, grads = rows_of(compute_buf), rows_of(grads_buf)
+    adam = AdamState(master, cfg)
+    policies = [EarlyStopping(cfg) for _ in nets]
+    logs = [TrainLog() for _ in nets]
+    outcomes: list = [None] * len(nets)
+
+    def leave(rows: list[int]) -> None:
+        """Take the networks in stack rows `rows` out of the stack."""
+        nonlocal live, master, compute, grads
+        keep = [r for r in range(len(live)) if r not in rows]
+        live = [live[r] for r in keep]
+        if live:
+            # fancy indexing copies: each array's kept rows, in order, from row 0
+            master = rows_of(master.flat[keep])
+            adam.m, adam.v = adam.m[keep], adam.v[keep]
+            grads_buf[:len(keep)] = grads_buf[keep]
+            compute, grads = rows_of(compute_buf), rows_of(grads_buf)
+
+    def result(row: int):
+        policy, log = policies[live[row]], logs[live[row]]
+        best = policy.best_params if policy.best_params is not None else master.nets[row]
+        log.best_epoch = policy.best_epoch
+        log.best_val_loss = policy.best_loss
+        return clone_params(best), log
+
     started = time.perf_counter()
     order = list(range(len(windows)))
-
     for epoch in range(1, cfg.epochs + 1):
         rng.shuffle(order)
-        epoch_loss = 0.0
+        epoch_loss = dict.fromkeys(live, 0.0)
         for batch_no, lo in enumerate(range(0, len(order), cfg.batch_size)):
             batch = order[lo:lo + cfg.batch_size]
-            # the isfinite check below is the divergence guard; silence
-            # numpy's overflow chatter on the way to it, the cast of master
-            # weights beyond float32's range to inf included
+            # the isfinite checks below are the divergence guard; silence
+            # numpy's overflow chatter on the way to them, the cast of
+            # master weights beyond float32's range to inf included
             with np.errstate(over="ignore", invalid="ignore"):
-                np.copyto(compute.flat, params.flat)
-                value, grads32 = loss_and_grads(compute, [windows[i] for i in batch], schedule)
-            if not np.isfinite(value):
-                raise DivergenceError(
-                    f"non-finite training loss at epoch {epoch}, batch {batch_no}",
-                    epoch=epoch, batch=batch_no)
-            epoch_loss += value
-            g = grads.flat
-            np.copyto(g, grads32.flat)
-            g *= 1.0 / len(batch)
-            if cfg.clip_norm > 0.0:
-                # numpy's pairwise sum, not a BLAS dot: a threaded BLAS dot
-                # sums in an order that depends on its thread count
-                norm = np.sqrt(np.sum(g * g))
-                if norm > cfg.clip_norm:
-                    g *= cfg.clip_norm / norm
-                    log.clip_events += 1
-            adam_step(adam, params, grads)
-        train_loss = epoch_loss / len(order)
-        val_loss = evaluate_loss(params, val_windows, schedule)
-        if not np.isfinite(val_loss):
-            raise DivergenceError(f"non-finite validation loss at epoch {epoch}", epoch=epoch)
-        log.rows.append(TrainLogRow(epoch, train_loss, val_loss, time.perf_counter() - started))
-        if policy.update(epoch, val_loss, params):
-            log.stopped_early = True
-            break
+                np.copyto(compute.flat, master.flat)
+                values, grads32 = loss_and_grads(compute, [windows[i] for i in batch],
+                                                 [schedules[k] for k in live])
+            np.copyto(grads.flat, grads32.flat)
+            grads.flat *= 1.0 / len(batch)
+            diverged = []
+            for row, (k, value, g) in enumerate(zip(live, values, grads.flat)):
+                what = ("training loss" if not np.isfinite(value)
+                        else "gradient" if not np.all(np.isfinite(g)) else None)
+                if what is not None:
+                    outcomes[k] = DivergenceError(
+                        f"non-finite {what} at epoch {epoch}, batch {batch_no}",
+                        epoch=epoch, batch=batch_no)
+                    diverged.append(row)
+                    continue
+                epoch_loss[k] += value
+                if cfg.clip_norm > 0.0:
+                    # numpy's pairwise sum, not a BLAS dot: a threaded BLAS dot
+                    # sums in an order that depends on its thread count
+                    norm = np.sqrt(np.sum(g * g))
+                    if norm > cfg.clip_norm:
+                        g *= cfg.clip_norm / norm
+                        logs[k].clip_events += 1
+            if diverged:
+                leave(diverged)
+                if not live:
+                    return outcomes
+            adam_step(adam, master, grads)
+        val_losses = evaluate_loss(master, val_windows, [schedules[k] for k in live])
+        elapsed = time.perf_counter() - started
+        done = []
+        for row, (k, val_loss) in enumerate(zip(live, val_losses)):
+            if not np.isfinite(val_loss):
+                outcomes[k] = DivergenceError(f"non-finite validation loss at epoch {epoch}",
+                                              epoch=epoch)
+            else:
+                logs[k].rows.append(TrainLogRow(epoch, epoch_loss[k] / len(order), val_loss,
+                                                elapsed))
+                if not policies[k].update(epoch, val_loss, master.nets[row]):
+                    continue
+                logs[k].stopped_early = True
+                outcomes[k] = result(row)
+            done.append(row)
+        if done:
+            leave(done)
+            if not live:
+                return outcomes
+    for row, k in enumerate(live):
+        outcomes[k] = result(row)
+    return outcomes
 
-    best = policy.best_params if policy.best_params is not None else params
-    log.best_epoch = policy.best_epoch
-    log.best_val_loss = policy.best_loss
-    return clone_params(best), log
 
-
-def evaluate_loss(params: ModelParams, windows: list[ImputationWindow], schedule) -> float:
-    """Mean window loss over a window list, no parameter updates."""
+def evaluate_loss(params: ModelParams | NetworkStack, windows: list[ImputationWindow],
+                  schedule):
+    """Mean window loss over a window list, no parameter updates; for a
+    stack, with one schedule per network, a list of each network's."""
     if not windows:
         raise ValueError("cannot evaluate on an empty window set")
-    losses = loss(forward(params, windows, schedule))
-    return float(np.sum(losses)) / len(windows)
+    traces = forward(params, windows, schedule)
+    if isinstance(params, NetworkStack):
+        return [float(np.sum(loss(trace))) / len(windows) for trace in traces]
+    return float(np.sum(loss(traces))) / len(windows)
 
 
 def split_validation(windows: list[ImputationWindow], fraction: float

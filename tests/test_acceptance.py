@@ -194,8 +194,8 @@ def test_c7_determinism_and_persistence(tmp_path):
     net = NetworkConfig(input_dim=1, hidden_dim=6)
     cfg = TrainConfig(lr=5e-3, epochs=4, batch_size=16, seed=0)
 
-    params_a, _ = train(net, fit, val, cfg)
-    params_b, _ = train(net, fit, val, cfg)
+    (params_a, _), = train((net,), fit, val, cfg)
+    (params_b, _), = train((net,), fit, val, cfg)
     save_checkpoint(tmp_path / "a.ckpt", params_a, stats)
     save_checkpoint(tmp_path / "b.ckpt", params_b, stats)
     identical = (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()

@@ -2,7 +2,7 @@ import argparse
 
 import pytest
 
-from gapfill.cli import _build_parser
+from gapfill.cli import _build_parser, main
 from gapfill.config import (
     ConfigError,
     default_config,
@@ -151,9 +151,16 @@ def test_header_modes_parse():
             parse_config_text(f"{section}\nheader = true\n")
 
 
-def test_dataset_column_named_twice_rejected():
-    with pytest.raises(ConfigError, match=r"dataset:a\.columns: each column may be named once"):
-        parse_config_text("[dataset:a]\npath = a.csv\ncolumns = 0,0\n")
+def test_dataset_column_named_twice_rejected(tmp_path, capsys):
+    # one check, once the file is read: `eval` names the file column and exits 1
+    data = tmp_path / "a.csv"
+    data.write_text("x,y\n" + "".join(f"{i},{-i}\n" for i in range(40)))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[paths]\nreport = {tmp_path}/report\nborda = {tmp_path}/borda\n"
+                   f"[dataset:a]\npath = {data}\ncolumns = 0,0\n")
+    assert main(["eval", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == "error: dataset:a.columns: file column 0 is selected twice\n"
+    assert not (tmp_path / "report.csv").exists()
 
 
 def test_dataset_needs_path():

@@ -1,4 +1,5 @@
 import csv
+import math
 import multiprocessing
 import os
 import time
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gapfill.eval as eval_module
+import gapfill.optim
 from gapfill.data import (
     DataError,
     SeriesTable,
@@ -238,6 +240,10 @@ def one_dataset():
     return [BenchmarkDataset("d", synth("sine", 120, 0.05, seed=0, period=15.0))]
 
 
+def two_datasets():
+    return [*one_dataset(), BenchmarkDataset("e", synth("sine", 120, 0.05, seed=1, period=11.0))]
+
+
 class TestVariantList:
     @pytest.mark.parametrize("variants", [["seq2seq", "seq2seq", "RNN_FW"], []],
                              ids=["repeated", "empty"])
@@ -270,24 +276,48 @@ class TestCellIsolation:
     @needs_fork  # the patched trainer reaches workers through fork
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_unexpected_exception_fails_only_its_cell(self, jobs, monkeypatch):
-        real_train = eval_module.train
+        # a dataset's networks train as one unit: an exception fails its cells only
+        real_train_dataset = eval_module._train_dataset
 
-        def flaky_train(net, *args):
-            if net.forward_only:
+        def flaky_train(job):
+            if job[0] == "e":
                 raise RuntimeError("worker blew up")
-            return real_train(net, *args)
+            return real_train_dataset(job)
 
-        monkeypatch.setattr(eval_module, "train", flaky_train)
+        monkeypatch.setattr(eval_module, "_train_dataset", flaky_train)
         cfg = tiny_benchmark_config(epochs=1)
         cfg.jobs = jobs
-        report = run_benchmark([BenchmarkDataset("d", synth("sine", 120, 0.05, seed=0,
-                                                            period=15.0))],
-                               ["seq2seqImp", "seq2seq"], cfg)
-        assert report.failed_cells == [("d", "seq2seq")]
-        error = report.cells[("d", "seq2seq")].error
-        assert error.endswith("RuntimeError: worker blew up")
-        assert "in flaky_train" in error  # the traceback, a worker's included, is kept
-        assert report.cells[("d", "seq2seqImp")].metrics is not None
+        report = run_benchmark(two_datasets(), ["seq2seqImp", "seq2seq"], cfg)
+        assert report.failed_cells == [("e", "seq2seqImp"), ("e", "seq2seq")]
+        for variant in ("seq2seqImp", "seq2seq"):
+            error = report.cells[("e", variant)].error
+            assert error.endswith("RuntimeError: worker blew up")
+            assert "in flaky_train" in error  # the traceback, a worker's included, is kept
+            assert report.cells[("d", variant)].metrics is not None
+
+    @needs_fork  # the patched pass reaches workers through fork
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_diverged_network_fails_only_its_cells(self, jobs, monkeypatch):
+        variants = ["seq2seqImp", "RNN_FW", "seq2seq", "seq2seqImp-noscale"]
+        cfg = tiny_benchmark_config(epochs=2)
+        cfg.jobs = jobs
+        clean = run_benchmark(two_datasets(), variants, cfg)
+        real = gapfill.optim.loss_and_grads
+
+        def forward_only_diverges(stack, windows, schedules):
+            values, grads = real(stack, windows, schedules)
+            return [math.nan if p.config.forward_only else v
+                    for p, v in zip(stack.nets, values)], grads
+
+        monkeypatch.setattr(gapfill.optim, "loss_and_grads", forward_only_diverges)
+        report = run_benchmark(two_datasets(), variants, cfg)
+        assert report.failed_cells == [("d", "seq2seq"), ("e", "seq2seq")]
+        for dataset in ("d", "e"):
+            assert (report.cells[(dataset, "seq2seq")].error
+                    == "non-finite training loss at epoch 1, batch 0")
+        # the networks that trained on are the ones a clean run trains
+        assert {cell: result for cell, result in report.cells.items() if cell[1] != "seq2seq"} \
+            == {cell: result for cell, result in clean.cells.items() if cell[1] != "seq2seq"}
 
 
 @needs_fork
@@ -296,8 +326,7 @@ class TestWorkers:
                              [(500, 2, 1), (2, 2, 1), (3, 2, 1), (2, 1, 0)])
     def test_starts_one_worker_fewer_than_the_trainers(self, monkeypatch, jobs, trainings,
                                                        workers):
-        # seq2seqImp and RNN_FW read one trained network, seq2seq another
-        variants = {1: ["seq2seqImp", "RNN_FW"], 2: ["seq2seqImp", "seq2seq"]}[trainings]
+        # a training is one dataset's stack of networks, however many it holds
         started = []
         real_start = multiprocessing.context.ForkProcess.start
 
@@ -308,7 +337,7 @@ class TestWorkers:
         monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", counting_start)
         cfg = tiny_benchmark_config(epochs=1)
         cfg.jobs = jobs
-        report = run_benchmark(one_dataset(), variants, cfg)
+        report = run_benchmark(two_datasets()[:trainings], ["seq2seqImp", "seq2seq"], cfg)
         assert len(started) == workers
         assert report.complete
 
@@ -318,50 +347,52 @@ class TestWorkers:
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         cfg = tiny_benchmark_config(epochs=1)
         cfg.jobs = 2
-        report = run_benchmark(one_dataset(), ["seq2seqImp", "seq2seq"], cfg)
+        report = run_benchmark(two_datasets(), ["seq2seqImp", "seq2seq"], cfg)
         assert started == []
         assert report.complete
 
     def test_a_dead_worker_fails_only_the_cells_it_took(self, monkeypatch):
         caller = os.getpid()
         died = multiprocessing.get_context("fork").Event()
-        real_train = eval_module.train
+        real_train_dataset = eval_module._train_dataset
 
-        def train_or_die(*args):
+        def train_or_die(job):
             if os.getpid() != caller:
                 died.set()
                 os._exit(1)
-            assert died.wait(timeout=60)  # the worker has taken the other cell
-            return real_train(*args)
+            assert died.wait(timeout=60)  # the worker has taken the other dataset
+            return real_train_dataset(job)
 
-        monkeypatch.setattr(eval_module, "train", train_or_die)
+        monkeypatch.setattr(eval_module, "_train_dataset", train_or_die)
         cfg = tiny_benchmark_config(epochs=1)
         cfg.jobs = 2
-        report = run_benchmark(one_dataset(), ["seq2seqImp", "seq2seq"], cfg)
-        assert len(report.failed_cells) == 1
-        error = report.cells[report.failed_cells[0]].error
-        assert error == "training worker 1 exited with code 1 before returning this cell"
+        report = run_benchmark(two_datasets(), ["seq2seqImp", "seq2seq"], cfg)
+        assert len(report.failed_cells) == 2
+        assert len({dataset for dataset, _ in report.failed_cells}) == 1
+        for cell in report.failed_cells:
+            assert report.cells[cell].error == ("training worker 1 exited with code 1 "
+                                                "before returning this dataset")
         assert multiprocessing.active_children() == []
 
     def test_a_caller_that_raises_kills_its_workers(self, monkeypatch):
         caller = os.getpid()
         training = multiprocessing.get_context("fork").Event()
-        real_train = eval_module.train
+        real_train_dataset = eval_module._train_dataset
 
-        def stuck_or_interrupted(*args):
+        def stuck_or_interrupted(job):
             if os.getpid() != caller:
                 training.set()
                 time.sleep(120)
-                return real_train(*args)
+                return real_train_dataset(job)
             assert training.wait(timeout=60)
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(eval_module, "train", stuck_or_interrupted)
+        monkeypatch.setattr(eval_module, "_train_dataset", stuck_or_interrupted)
         cfg = tiny_benchmark_config(epochs=1)
         cfg.jobs = 2
         started = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
-            run_benchmark(one_dataset(), ["seq2seqImp", "seq2seq"], cfg)
+            run_benchmark(two_datasets(), ["seq2seqImp", "seq2seq"], cfg)
         assert time.monotonic() - started < 60
         assert multiprocessing.active_children() == []
 

@@ -24,6 +24,7 @@ from gapfill.model import (
     merge_input_grads,
     n_params,
     params_from_flat,
+    stack_networks,
 )
 from gapfill.model import _arena_params
 from gapfill.numerics import Rng, ShapeError
@@ -253,6 +254,17 @@ class TestLoss:
             assert np.array_equal(loss(trace), base), name
 
 
+    def test_float32_loss_is_the_value_of_loss_and_grads_to_the_bit(self):
+        # both score a float32 network in float32, the truth cast to it
+        rng = Rng(17)
+        cfg = NetworkConfig(input_dim=1, hidden_dim=8)
+        p32 = _arena_params(cfg, init_model_params(cfg, rng).flat.astype(np.float32))
+        windows = [random_window(rng, 1, 4, 4, 4) for _ in range(32)]
+        schedule = make_schedule(4)
+        assert (float(np.sum(loss(forward(p32, windows, schedule))))
+                == loss_and_grads(p32, windows, schedule)[0])
+
+
 class TestBackward:
     def test_zero_residuals_give_zero_gradient(self):
         params = zero_model(merge_bias=[0.0])
@@ -385,7 +397,7 @@ class TestImpute:
         rows = []
         real_step = model_module.lstm_step
         monkeypatch.setattr(model_module, "lstm_step",
-                            lambda cell, x, state: rows.append(x.shape[1])
+                            lambda cell, x, state: rows.append(x.shape[-2])
                             or real_step(cell, x, state))
         impute(params, before, after, lengths)
         # contexts are right-aligned: a window's first real step is L - its context
@@ -678,3 +690,74 @@ class TestBatchedPath:
             forward(params, windows, [make_schedule(2)])
         with pytest.raises(ShapeError, match="for a gap of 3"):
             forward(params, windows, [make_schedule(2), make_schedule(3)])
+
+
+class TestNetworkStack:
+    """A stack of networks computes, network by network, what each computes alone."""
+
+    KINDS = {"full": {}, "noscale": {"schedule_variant": "constant"},
+             "forward_only": {"forward_only": True}}
+
+    def networks(self, rng, kinds, merge_hidden=0):
+        return [init_model_params(NetworkConfig(input_dim=2, hidden_dim=3, merge_hidden=merge_hidden,
+                                                **self.KINDS[kind]), rng) for kind in kinds]
+
+    # a forward-only network of a two-stream stack runs on the two-stream plan,
+    # which is its own when each window's `before` and `after` have one length
+    @pytest.mark.parametrize("shapes", [[(4, 3, 4)] * 5, [(2, 3, 2), (4, 1, 4), (1, 2, 1)]],
+                             ids=["dense", "ragged"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("kinds, merge_hidden", [
+        (("full", "noscale", "forward_only"), 0), (("forward_only", "full"), 3),
+        (("forward_only", "forward_only"), 0), (("noscale",), 0)])
+    def test_each_network_gives_what_it_gives_alone(self, kinds, merge_hidden, dtype, shapes):
+        rng = Rng(53)
+        nets = [_arena_params(p.config, p.flat.astype(dtype))
+                for p in self.networks(rng, kinds, merge_hidden)]
+        stack = stack_networks(nets)
+        assert all(p.flat.base is stack.flat or p.flat.base is stack.flat.base
+                   for p in stack.nets)
+        windows = [random_window(rng, 2, *shape) for shape in shapes]
+        schedules = [[make_schedule(t, p.config.schedule_variant) for _, t, _ in shapes]
+                     for p in nets]
+        traces = forward(stack, windows, schedules)
+        values, grads = loss_and_grads(stack, windows, schedules)
+        assert grads.flat.dtype == dtype and grads.flat.shape == stack.flat.shape
+        for k, params in enumerate(nets):
+            alone = forward(params, windows, schedules[k])
+            for name in ("h_fw", "pred_fw", "h_bw", "pred_bw", "merged", "merge_hidden_acts"):
+                got, want = getattr(traces[k], name), getattr(alone, name)
+                assert (got is None) == (want is None), name
+                assert got is None or got.tobytes() == want.tobytes(), (k, name)
+            value, g = loss_and_grads(params, windows, schedules[k])
+            assert values[k] == value
+            assert np.array_equal(grads.nets[k].flat, g.flat)  # -0.0 may read 0.0
+            if params.config.forward_only:
+                used = {"enc_fw.w", "enc_fw.b", "dec_fw.w", "dec_fw.b", "head_fw.w", "head_fw.b"}
+                for path, tensor in iter_params(grads.nets[k]):
+                    assert path in used or not tensor.any(), path
+
+    def test_a_stack_is_the_rows_of_one_array(self):
+        nets = self.networks(Rng(3), ("full", "forward_only"))
+        stack = stack_networks(nets)
+        assert stack.flat.shape == (2, n_params(nets[0].config))
+        for k, params in enumerate(stack.nets):
+            assert np.shares_memory(params.flat, stack.flat)
+            assert params.flat.tobytes() == nets[k].flat.tobytes()
+            assert np.shares_memory(stack.lstm_w[k], params.lstm_w)
+            params.head_b[1, 0] = 7.0 + k
+            assert stack.head_b[k, 1, 0] == 7.0 + k
+
+    def test_networks_of_two_layouts_do_not_stack(self):
+        rng = Rng(5)
+        with pytest.raises(ShapeError, match="one arena layout"):
+            stack_networks([*self.networks(rng, ("full",)), *self.networks(rng, ("full",), 3)])
+
+    def test_a_stack_takes_one_schedule_per_network(self):
+        rng = Rng(9)
+        stack = stack_networks(self.networks(rng, ("full", "noscale")))
+        window = random_window(rng, 2, 3, 2, 3)
+        with pytest.raises(ShapeError, match="one per network"):
+            forward(stack, [window], make_schedule(2))
+        with pytest.raises(ShapeError, match="disagree on the gap lengths"):
+            forward(stack, [window], [make_schedule(2), make_schedule(3)])

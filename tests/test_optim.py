@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import hashlib
+import itertools
 import os
 import subprocess
 import sys
@@ -20,7 +21,7 @@ from gapfill.model import (
     n_params,
     params_from_flat,
 )
-from gapfill.numerics import Rng
+from gapfill.numerics import Rng, ShapeError
 
 from _reference import adam_step_expression
 from gapfill.optim import (
@@ -161,7 +162,7 @@ class TestTrain:
         windows = sine_windows()
         fit, val = split_validation(windows, 0.1)
         cfg = TrainConfig(lr=5e-3, epochs=6, batch_size=16, seed=0, patience=10)
-        params, log = train(NetworkConfig(input_dim=1, hidden_dim=6), fit, val, cfg)
+        (params, log), = train((NetworkConfig(input_dim=1, hidden_dim=6),), fit, val, cfg)
         assert log.rows[-1].val_loss < log.rows[0].val_loss
         assert log.best_val_loss <= min(r.val_loss for r in log.rows)
 
@@ -170,7 +171,7 @@ class TestTrain:
         fit, val = split_validation(windows, 0.2)
         net = NetworkConfig(input_dim=1, hidden_dim=3)
         cfg = TrainConfig(lr=0.0, epochs=3, batch_size=8, seed=7)
-        params, _ = train(net, fit, val, cfg)
+        (params, _), = train((net,), fit, val, cfg)
         fresh = init_model_params(net, Rng(7))
         for (pa, ta), (pb, tb) in zip(iter_params(params), iter_params(fresh)):
             assert pa == pb
@@ -181,8 +182,8 @@ class TestTrain:
         fit, val = split_validation(windows, 0.2)
         net = NetworkConfig(input_dim=1, hidden_dim=4)
         cfg = TrainConfig(lr=3e-3, epochs=4, batch_size=8, seed=3)
-        a, _ = train(net, fit, val, cfg)
-        b, _ = train(net, fit, val, cfg)
+        (a, _), = train((net,), fit, val, cfg)
+        (b, _), = train((net,), fit, val, cfg)
         for (pa, ta), (pb, tb) in zip(iter_params(a), iter_params(b)):
             assert np.array_equal(ta, tb), pa
 
@@ -191,7 +192,7 @@ class TestTrain:
         fit, val = split_validation(windows, 0.15)
         net = NetworkConfig(input_dim=1, hidden_dim=5)
         cfg = TrainConfig(lr=8e-3, epochs=10, batch_size=16, seed=1, patience=3)
-        params, log = train(net, fit, val, cfg)
+        (params, log), = train((net,), fit, val, cfg)
         schedule = make_schedule(3, net.schedule_variant)
         returned = evaluate_loss(params, val, schedule)
         assert returned == pytest.approx(log.best_val_loss, rel=1e-9)
@@ -201,8 +202,9 @@ class TestTrain:
         windows = sine_windows(n=60)
         fit, val = split_validation(windows, 0.2)
         cfg = TrainConfig(lr=1e200, epochs=4, batch_size=8, seed=0)
+        outcome, = train((NetworkConfig(input_dim=1, hidden_dim=3),), fit, val, cfg)
         with pytest.raises(DivergenceError, match="epoch"):
-            train(NetworkConfig(input_dim=1, hidden_dim=3), fit, val, cfg)
+            raise outcome
 
     @pytest.mark.filterwarnings("error")
     def test_divergence_in_the_float32_copy_raises_no_warning(self):
@@ -210,8 +212,9 @@ class TestTrain:
         windows = sine_windows(n=60)
         fit, val = split_validation(windows, 0.2)
         cfg = TrainConfig(lr=1e200, epochs=4, batch_size=8, seed=0)
+        outcome, = train((NetworkConfig(input_dim=1, hidden_dim=3),), fit, val, cfg)
         with pytest.raises(DivergenceError, match="epoch 1, batch 1") as info:
-            train(NetworkConfig(input_dim=1, hidden_dim=3), fit, val, cfg)
+            raise outcome
         assert (info.value.epoch, info.value.batch) == (1, 1)
 
     def test_a_batch_runs_every_step_in_float32_and_validation_in_float64(self, monkeypatch):
@@ -249,19 +252,19 @@ class TestTrain:
                                     rng.normal_array((la, 2)))
                    for lb, la in [(2, 5), (4, 1), (3, 3)]]
         net = NetworkConfig(input_dim=2, hidden_dim=4, merge_hidden=3)
-        train(net, windows, windows[:2], TrainConfig(epochs=1, batch_size=8, seed=2))
+        train((net,), windows, windows[:2], TrainConfig(epochs=1, batch_size=8, seed=2))
         assert dtypes == {"batch": {np.dtype(np.float32)}, "validation": {np.dtype(np.float64)}}
 
     def test_empty_window_sets_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            train(NetworkConfig(), [], [], TrainConfig())
+            train((NetworkConfig(),), [], [], TrainConfig())
 
     def test_constant_gap_task_converges_toward_zero(self):
         # identical windows with zero-variance targets: loss should collapse
         base = ImputationWindow(np.full((3, 1), 0.3), np.full((2, 1), 0.3), np.full((3, 1), 0.3))
         windows = [base] * 12
         cfg = TrainConfig(lr=2e-2, epochs=30, batch_size=4, seed=0, patience=30)
-        params, log = train(NetworkConfig(input_dim=1, hidden_dim=3), windows, [base], cfg)
+        (params, log), = train((NetworkConfig(input_dim=1, hidden_dim=3),), windows, [base], cfg)
         assert log.rows[-1].train_loss < 0.02 * log.rows[0].train_loss
         val_losses = [r.val_loss for r in log.rows]
         assert min(val_losses) == log.best_val_loss
@@ -270,7 +273,7 @@ class TestTrain:
         windows = sine_windows(n=60)
         fit, val = split_validation(windows, 0.2)
         cfg = TrainConfig(lr=1e-3, epochs=2, batch_size=8, seed=0, clip_norm=1e-6)
-        _, log = train(NetworkConfig(input_dim=1, hidden_dim=3), fit, val, cfg)
+        (_, log), = train((NetworkConfig(input_dim=1, hidden_dim=3),), fit, val, cfg)
         assert log.clip_events > 0
 
     @staticmethod
@@ -298,7 +301,7 @@ class TestTrain:
             "from test_optim import sine_windows\n"
             "fit, val = split_validation(sine_windows(n=120), 0.2)\n"
             "cfg = TrainConfig(epochs=1, batch_size=8, seed=0, clip_norm=1e-3)\n"
-            "params, log = train(NetworkConfig(hidden_dim=64), fit, val, cfg)\n"
+            "(params, log), = train((NetworkConfig(hidden_dim=64),), fit, val, cfg)\n"
             "assert log.clip_events > 0\n"
             "print(hashlib.sha256(params.flat.tobytes()).hexdigest())\n")
         assert len(self._digests_by_blas_thread_count(script)) == 1
@@ -321,7 +324,7 @@ class TestTrain:
             "files = []\n"
             "for k in range(2):\n"
             f"    path = pathlib.Path({str(tmp_path)!r}) / f'{{k}}.ckpt'\n"
-            "    save_checkpoint(path, train(NetworkConfig(hidden_dim=64), fit, val, cfg)[0],\n"
+            "    save_checkpoint(path, train((NetworkConfig(hidden_dim=64),), fit, val, cfg)[0][0],\n"
             "                    stats)\n"
             "    files.append(path.read_bytes())\n"
             "assert files[0] == files[1]\n"
@@ -333,10 +336,83 @@ class TestTrain:
         fit, val = split_validation(windows, 0.2)
         net = NetworkConfig(input_dim=1, hidden_dim=4)
         cfg = TrainConfig(lr=3e-3, epochs=3, batch_size=8, seed=3)
-        plain, _ = train(net, fit, val, cfg)
-        clipped, log = train(net, fit, val, dataclasses.replace(cfg, clip_norm=1e6))
+        (plain, _), = train((net,), fit, val, cfg)
+        (clipped, log), = train((net,), fit, val, dataclasses.replace(cfg, clip_norm=1e6))
         assert log.clip_events == 0
         assert clipped.flat.tobytes() == plain.flat.tobytes()
+
+
+KINDS = {"full": NetworkConfig(hidden_dim=3),
+         "noscale": NetworkConfig(hidden_dim=3, schedule_variant="constant"),
+         "forward_only": NetworkConfig(hidden_dim=3, forward_only=True)}
+SUBSETS = [kinds for r in (1, 2, 3) for kinds in itertools.combinations(KINDS, r)]
+# patience 1 stops the three networks at epochs 7, 9 and 6 on these windows
+STOPPING = TrainConfig(lr=4e-2, epochs=12, batch_size=8, seed=3, patience=1)
+
+
+def log_rows(log):
+    return [(r.epoch, r.train_loss, r.val_loss) for r in log.rows]
+
+
+def assert_same_training(got, want):
+    (params, log), (alone, alone_log) = got, want
+    assert params.flat.tobytes() == alone.flat.tobytes()
+    assert log_rows(log) == log_rows(alone_log)
+    assert ((log.best_epoch, log.best_val_loss, log.stopped_early, log.clip_events)
+            == (alone_log.best_epoch, alone_log.best_val_loss, alone_log.stopped_early,
+                alone_log.clip_events))
+
+
+class TestStackedTraining:
+    @pytest.mark.parametrize("clip_norm", [0.0, 0.05])
+    @pytest.mark.parametrize("kinds", SUBSETS, ids="+".join)
+    def test_each_network_trains_as_it_trains_alone(self, kinds, clip_norm):
+        fit, val = split_validation(sine_windows(n=160), 0.2)
+        cfg = dataclasses.replace(STOPPING, clip_norm=clip_norm)
+        stacked = train([KINDS[k] for k in kinds], fit, val, cfg)
+        assert len(stacked) == len(kinds)
+        for kind, outcome in zip(kinds, stacked):
+            (alone,) = train((KINDS[kind],), fit, val, cfg)
+            assert_same_training(outcome, alone)
+        if len(kinds) == 3 and not clip_norm:
+            assert len({len(log.rows) for _, log in stacked}) == 3  # three different stops
+
+    @pytest.mark.parametrize("what", ["training loss", "gradient"])
+    def test_a_diverged_network_leaves_the_stack_alone(self, monkeypatch, what):
+        fit, val = split_validation(sine_windows(n=160), 0.2)
+        kinds = ("full", "forward_only", "noscale")
+        alone = [train((KINDS[k],), fit, val, STOPPING)[0] for k in kinds]
+        real = gapfill.optim.loss_and_grads
+        calls = []
+        per_epoch = -(-len(fit) // STOPPING.batch_size)
+        at = per_epoch + 5  # epoch 2, batch 4
+
+        def forward_only_diverges(stack, windows, schedules):
+            values, grads = real(stack, windows, schedules)
+            calls.append(len(stack.nets))
+            if len(calls) == at:
+                row = [p.config.forward_only for p in stack.nets].index(True)
+                if what == "training loss":
+                    values[row] = float("nan")
+                else:
+                    grads.nets[row].head_b[0, 0] = np.inf
+            return values, grads
+
+        monkeypatch.setattr(gapfill.optim, "loss_and_grads", forward_only_diverges)
+        full, diverged, noscale = train([KINDS[k] for k in kinds], fit, val, STOPPING)
+        assert isinstance(diverged, DivergenceError)
+        assert str(diverged) == f"non-finite {what} at epoch 2, batch 4"
+        assert (diverged.epoch, diverged.batch) == (2, 4)
+        assert calls[at - 1:at + 1] == [3, 2]  # it left the stack at once
+        assert_same_training(full, alone[0])
+        assert_same_training(noscale, alone[2])
+
+    def test_networks_of_two_layouts_are_rejected(self):
+        fit, val = split_validation(sine_windows(n=60), 0.2)
+        with pytest.raises(ShapeError, match="one arena layout"):
+            train([KINDS["full"], NetworkConfig(hidden_dim=4)], fit, val, STOPPING)
+        with pytest.raises(ValueError, match="no networks"):
+            train([], fit, val, STOPPING)
 
 
 class TestValidationSplit:
@@ -359,7 +435,7 @@ def test_write_train_log(tmp_path):
     windows = sine_windows(n=60)
     fit, val = split_validation(windows, 0.2)
     cfg = TrainConfig(lr=1e-3, epochs=2, batch_size=8, seed=0)
-    _, log = train(NetworkConfig(input_dim=1, hidden_dim=2), fit, val, cfg)
+    (_, log), = train((NetworkConfig(input_dim=1, hidden_dim=2),), fit, val, cfg)
     text, rows = tmp_path / "log.txt", tmp_path / "log.csv"
     write_train_log(log, text, rows)
     assert "epoch" in text.read_text()
