@@ -221,13 +221,14 @@ def _stack_arena(configs, flat: np.ndarray) -> NetworkStack:
     `_arena_params`'s. Training builds its float64 master and float32
     compute copy here."""
     configs = tuple(configs)
-    shapes = _arena_shapes(configs[0])
-    if any(_arena_shapes(c) != shapes for c in configs):
+    spans = _spans(configs[0])
+    if any(_spans(c) != spans for c in configs):
         raise ShapeError("the networks of a stack need one arena layout: equal input_dim, "
                          "hidden_dim and merge_hidden")
-    if flat.shape != (len(configs), n_params(configs[0])) or not flat.flags.c_contiguous:
+    n = spans[-1][1]
+    if flat.shape != (len(configs), n) or not flat.flags.c_contiguous:
         raise ShapeError(f"a stack of {len(configs)} networks needs a contiguous "
-                         f"({len(configs)}, {n_params(configs[0])}) arena, got {flat.shape}")
+                         f"({len(configs)}, {n}) arena, got {flat.shape}")
     lstm_w, lstm_b, head_w, head_b, *_ = _blocks(configs[0], flat)
     return NetworkStack(flat, lstm_w, lstm_b, head_w, head_b,
                         tuple(_arena_params(c, row) for c, row in zip(configs, flat)))
@@ -341,13 +342,15 @@ class StreamTrace:
     Outputs are packed step-major, one row per real (window, gap step)
     pair: decoder step t's rows are `_Plan.offsets[t]:offsets[t + 1]`.
     Stream 0 processes row i's gap positions 1..T_i; stream 1, the
-    backward stream, processes T_i..1. The leading axis is the network's.
+    backward stream, processes T_i..1. The leading axes are the cells'
+    (`_Cells`): network k's stream s is `h[cells.where[k][s]]`.
     """
 
-    h: np.ndarray  # (K, S, N, hidden)
-    pred: np.ndarray  # (K, S, N, input_dim): local predictions
+    h: np.ndarray  # (K, S, N, hidden), or (C, N, hidden) for gathered cells
+    pred: np.ndarray  # (..., N, input_dim): local predictions
     enc_tapes: list[CellTape] | None
     dec_tapes: list[CellTape] | None
+    cells: _Cells
 
 
 @dataclass
@@ -556,6 +559,40 @@ def _grow(a: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True)
+class _Cells:
+    """The cells one pass over a stack runs, as indexes into its arrays.
+
+    When every network runs all S streams of the batch, they are every
+    cell, (K, S) views of the stack's arrays. In a two-stream stack that
+    holds forward-only networks they are the (network, stream) pairs in
+    use, gathered on one axis of C, so a forward-only network steps no
+    backward cell; their gradients are then gathered too, and written back.
+    """
+
+    enc: tuple  # the encoder cells in `lstm_w` / `lstm_b`
+    dec: tuple  # the decoder cells
+    head: tuple  # the heads in `head_w` / `head_b`
+    streams: slice | np.ndarray  # each cell's stream, into `_Batch.context` and `_Plan.first`
+    where: tuple[tuple[tuple[int, ...], ...], ...]  # network k's stream s: a cell's index
+    gathered: bool
+
+
+def _cells(stack: NetworkStack, streams: int) -> _Cells:
+    """The cells a pass over `stack` on a batch of `streams` streams runs."""
+    forward_only = [p.config.forward_only for p in stack.nets]
+    if streams == 1 or not any(forward_only):
+        every = (slice(None), slice(0, streams))
+        return _Cells(every, (slice(None), slice(2, 2 + streams)), every, slice(0, streams),
+                      tuple(tuple((k, s) for s in range(streams)) for k in range(len(forward_only))),
+                      False)
+    pairs = [(k, s) for k, only in enumerate(forward_only) for s in range(1 if only else 2)]
+    kk, ss = (np.array(a) for a in zip(*pairs))
+    where = tuple(tuple((c,) for c, (j, _) in enumerate(pairs) if j == k)
+                  for k in range(len(forward_only)))
+    return _Cells((kk, ss), (kk, ss + 2), (kk, ss), ss, where, True)
+
+
 def _run_stream(stack: NetworkStack, batch: _Batch, keep_tapes: bool) -> StreamTrace:
     """Encode the S stacked contexts, then decode each row's gap, stepping
     only the live rows, for every network of the stack at once.
@@ -570,37 +607,40 @@ def _run_stream(stack: NetworkStack, batch: _Batch, keep_tapes: bool) -> StreamT
     Steps where every row is live run on the whole arrays.
     """
     plan = batch.plan
-    S, _, _, d = batch.context.shape
-    K = len(stack.nets)
-    context = np.broadcast_to(batch.context, (K, *batch.context.shape))  # every network reads it
-    enc = ForwardCell(stack.lstm_w[:, 0:S], stack.lstm_b[:, 0:S])
-    dec = ForwardCell(stack.lstm_w[:, 2:2 + S], stack.lstm_b[:, 2:2 + S])
-    head_w, head_b = np.swapaxes(stack.head_w[:, :S], -1, -2), stack.head_b[:, :S, None]
+    d = batch.context.shape[-1]
+    cells = _cells(stack, batch.context.shape[0])
+    enc = ForwardCell(stack.lstm_w[cells.enc], stack.lstm_b[cells.enc])
+    dec = ForwardCell(stack.lstm_w[cells.dec], stack.lstm_b[cells.dec])
+    lead = enc.b.shape[:-1]
+    # every network reads the batch's context
+    context = np.broadcast_to(batch.context[cells.streams], (*lead, *batch.context.shape[1:]))
+    first = plan.first[cells.streams]
+    head_w, head_b = np.swapaxes(stack.head_w[cells.head], -1, -2), stack.head_b[cells.head][..., None, :]
     enc_tapes: list[CellTape] | None = [] if keep_tapes else None
     dec_tapes: list[CellTape] | None = [] if keep_tapes else None
-    state = zero_state(enc.hidden_dim, K, S, plan.enc_live[0], dtype=context.dtype)
+    state = zero_state(enc.hidden_dim, *lead, plan.enc_live[0], dtype=context.dtype)
     for t, (k, partial) in enumerate(zip(plan.enc_live, plan.partial)):
         state = LstmState(_grow(state.h, k), _grow(state.c, k))
         new, tape = lstm_step(enc, _prefix(context[..., t, :], k), state)
         if partial:
-            real = (plan.first[:, :k] <= t)[..., None]
+            real = (first[..., :k] <= t)[..., None]
             new = LstmState(np.where(real, new.h, state.h), np.where(real, new.c, state.c))
         state = new
         if enc_tapes is not None:
             enc_tapes.append(tape)
     x = context[..., -1, :]
     off = plan.offsets
-    hs = np.empty((K, S, off[-1], dec.hidden_dim), context.dtype)
-    preds = np.empty((K, S, off[-1], d), context.dtype)
+    hs = np.empty((*lead, off[-1], dec.hidden_dim), context.dtype)
+    preds = np.empty((*lead, off[-1], d), context.dtype)
     for t, m in enumerate(plan.dec_live):
         state, tape = lstm_step(dec, _prefix(x, m),
                                 LstmState(_prefix(state.h, m), _prefix(state.c, m)))
         if dec_tapes is not None:
             dec_tapes.append(tape)
-        hs[:, :, off[t]:off[t + 1]] = state.h
+        hs[..., off[t]:off[t + 1], :] = state.h
         x = np.matmul(state.h, head_w) + head_b
-        preds[:, :, off[t]:off[t + 1]] = x
-    return StreamTrace(hs, preds, enc_tapes, dec_tapes)
+        preds[..., off[t]:off[t + 1], :] = x
+    return StreamTrace(hs, preds, enc_tapes, dec_tapes, cells)
 
 
 def _stream_backward(stack: NetworkStack, st: StreamTrace, batch: _Batch, d_pred: np.ndarray,
@@ -608,9 +648,10 @@ def _stream_backward(stack: NetworkStack, st: StreamTrace, batch: _Batch, d_pred
     """Backpropagate the S stacked streams of every network, newest decoder
     step first.
 
-    `d_pred` (K, S, N, d) is the loss gradient on each local prediction and
-    `dh_merge` (K, S, N, h) the merge layer's gradient on each decoder
-    hidden vector, both packed like `st`, in processing order. The gradient
+    `d_pred` (..., N, d) is the loss gradient on each local prediction and
+    `dh_merge` (..., N, h) the merge layer's gradient on each decoder
+    hidden vector, both packed like `st`, cell by cell, in processing
+    order. The gradient
     w.r.t. a prediction combines its own loss term with the gradient
     flowing out of the next step's input, because predictions are
     self-fed. Each step runs on the rows its forward step ran on: a row
@@ -621,37 +662,43 @@ def _stream_backward(stack: NetworkStack, st: StreamTrace, batch: _Batch, d_pred
     row's gradients through untouched and add nothing to the parameter
     gradients.
     """
-    K, S, _, d = d_pred.shape
-    plan = batch.plan
+    plan, cells = batch.plan, st.cells
     off = plan.offsets
-    dec = LstmParams(stack.lstm_w[:, 2:2 + S], stack.lstm_b[:, 2:2 + S])
-    g_dec = LstmParams(g.lstm_w[:, 2:2 + S], g.lstm_b[:, 2:2 + S])
-    head_w = stack.head_w[:, :S]
-    dh = dc = np.zeros((K, S, 0, dec.hidden_dim), d_pred.dtype)
-    d_in = np.zeros((K, S, 0, d), d_pred.dtype)
+    # views of `g` to accumulate into, or gathered copies of its zeros to write back
+    g_dec = LstmParams(g.lstm_w[cells.dec], g.lstm_b[cells.dec])
+    g_head_w, g_head_b = g.head_w[cells.head], g.head_b[cells.head]
+    dec = LstmParams(stack.lstm_w[cells.dec], stack.lstm_b[cells.dec])
+    head_w = stack.head_w[cells.head]
+    dh = dc = np.zeros((*d_pred.shape[:-2], 0, dec.hidden_dim), d_pred.dtype)
+    d_in = np.zeros((*d_pred.shape[:-2], 0, d_pred.shape[-1]), d_pred.dtype)
     d_preds = np.empty_like(d_pred)
     for t in reversed(range(len(plan.dec_live))):
         m, step = plan.dec_live[t], slice(off[t], off[t + 1])
-        d_preds[:, :, step] = d_pred[:, :, step] + _grow(d_in, m)
-        dh = _grow(dh, m) + np.matmul(d_preds[:, :, step], head_w)
+        d_preds[..., step, :] = d_pred[..., step, :] + _grow(d_in, m)
+        dh = _grow(dh, m) + np.matmul(d_preds[..., step, :], head_w)
         if dh_merge is not None:
-            dh = dh + dh_merge[:, :, step]
+            dh = dh + dh_merge[..., step, :]
         d_in, dh, dc = lstm_step_backward(dec, st.dec_tapes[t], dh, _grow(dc, m), g_dec)
-    g.head_w[:, :S] += np.matmul(np.swapaxes(d_preds, -1, -2), st.h)
-    g.head_b[:, :S] += d_preds.sum(axis=-2)
+    g_head_w += np.matmul(np.swapaxes(d_preds, -1, -2), st.h)
+    g_head_b += d_preds.sum(axis=-2)
 
-    enc = LstmParams(stack.lstm_w[:, 0:S], stack.lstm_b[:, 0:S])
-    g_enc = LstmParams(g.lstm_w[:, 0:S], g.lstm_b[:, 0:S])
+    enc = LstmParams(stack.lstm_w[cells.enc], stack.lstm_b[cells.enc])
+    g_enc = LstmParams(g.lstm_w[cells.enc], g.lstm_b[cells.enc])
+    first = plan.first[cells.streams]
     for t in reversed(range(len(plan.enc_live))):
         k = plan.enc_live[t]
         dh, dc = _prefix(dh, k), _prefix(dc, k)
         if not plan.partial[t]:
             _, dh, dc = lstm_step_backward(enc, st.enc_tapes[t], dh, dc, g_enc)
             continue
-        real = (plan.first[:, :k] <= t)[..., None]
+        real = (first[..., :k] <= t)[..., None]
         _, dh_new, dc_new = lstm_step_backward(enc, st.enc_tapes[t], np.where(real, dh, 0.0),
                                                np.where(real, dc, 0.0), g_enc)
         dh, dc = np.where(real, dh_new, dh), np.where(real, dc_new, dc)
+    if cells.gathered:
+        g.lstm_w[cells.enc], g.lstm_b[cells.enc] = g_enc.w, g_enc.b
+        g.lstm_w[cells.dec], g.lstm_b[cells.dec] = g_dec.w, g_dec.b
+        g.head_w[cells.head], g.head_b[cells.head] = g_head_w, g_head_b
 
 
 def _merge_input(gamma: np.ndarray, gamma_prime: np.ndarray, h_fw: np.ndarray,
@@ -669,12 +716,13 @@ def _forward(stack: NetworkStack, batch: _Batch,
     rev = batch.plan.rev
     out = []
     for k, params in enumerate(stack.nets):
-        h_fw, pred_fw = st.h[k, 0], st.pred[k, 0]
+        fw, *bw = st.cells.where[k]
+        h_fw, pred_fw = st.h[fw], st.pred[fw]
         if params.config.forward_only:
             out.append(_Pairs(h_fw, pred_fw, None, None, pred_fw, None))
             continue
         # the backward stream runs over each gap in reverse: `rev` puts it in position order
-        h_bw, pred_bw = st.h[k, 1][rev], st.pred[k, 1][rev]
+        h_bw, pred_bw = st.h[bw[0]][rev], st.pred[bw[0]][rev]
         u = _merge_input(batch.gamma[k], batch.gamma_prime[k], h_fw, h_bw)
         hidden_acts = None
         if params.config.merge_hidden > 0:
@@ -805,22 +853,22 @@ def loss_and_grads(params, windows, schedule):
     coef = (2.0 / (batch.gap_len * cfg.input_dim)).astype(dtype, copy=False)
     coef = coef[batch.plan.rows, None]
     g = _stack_arena([p.config for p in stack.nets], np.zeros_like(stack.flat))
-    K, S = st.h.shape[:2]
     d_pred = np.zeros(st.pred.shape, dtype)
-    # a forward-only network of a two-stream stack takes zeros on its unused stream
-    dh_merge = None if S == 1 else np.zeros(st.h.shape, dtype)
+    # the merge's gradient, zero on a forward-only network's cell
+    dh_merge = None if batch.context.shape[0] == 1 else np.zeros(st.h.shape, dtype)
     rev = batch.plan.rev
     values = []
     for k, (net, p) in enumerate(zip(stack.nets, pairs)):
         values.append(float(np.sum(sum(_loss_terms(p, batch, truth)))))
-        d_pred[k, 0] = coef * (p.pred_fw - truth)
+        fw, *bw = st.cells.where[k]
+        d_pred[fw] = coef * (p.pred_fw - truth)
         if net.config.forward_only:
             continue
         dh_fw, dh_bw = _merge_backward(net, p, batch.gamma[k], batch.gamma_prime[k],
                                        coef * (p.merged - truth), g.nets[k].merge)
         # the backward stream runs over each gap in reverse: map to its order
-        d_pred[k, 1] = (coef * (p.pred_bw - truth))[rev]
-        dh_merge[k, 0], dh_merge[k, 1] = dh_fw, dh_bw[rev]
+        d_pred[bw[0]] = (coef * (p.pred_bw - truth))[rev]
+        dh_merge[fw], dh_merge[bw[0]] = dh_fw, dh_bw[rev]
     _stream_backward(stack, st, batch, d_pred, dh_merge, g)
     if isinstance(params, NetworkStack):
         return values, g
