@@ -28,11 +28,16 @@ case B = 1.
 
 K networks that share a window list run as one stack (`NetworkStack`):
 their arenas are the rows of one (K, n) array, and each step of all of
-them is one (K, S, B, .) step, where S is 2 if any of them has two
-streams. Each network keeps its own weights, schedule, merge and loss
-terms; a forward-only network in a two-stream stack runs its unused
-backward cells on zero gradients, so their parameters get gradient 0.
-One network is the stack of one.
+them is one stacked step over their cells, (K, S, B, .) where every
+network runs the batch's S streams. Each network keeps its own weights,
+schedule, merge and loss terms. A forward-only network in a stack with
+two-stream networks runs its one stream on the two-stream batch; it steps
+no backward cell, so those parameters get gradient 0. Its bits are its
+own alone when the two-stream batch keeps its row order: on a dense batch
+(as every extracted batch is) or when each window's `before` and `after`
+have one length. Otherwise its rows run in another order, and its
+gradient, summed in that order, may differ in the last bits. One network
+is the stack of one.
 
 Windows in a batch may differ in shape. Contexts are right-aligned: a row
 keeps the zero state until its first real row, so a shorter context reads
@@ -651,16 +656,15 @@ def _stream_backward(stack: NetworkStack, st: StreamTrace, batch: _Batch, d_pred
     `d_pred` (..., N, d) is the loss gradient on each local prediction and
     `dh_merge` (..., N, h) the merge layer's gradient on each decoder
     hidden vector, both packed like `st`, cell by cell, in processing
-    order. The gradient
-    w.r.t. a prediction combines its own loss term with the gradient
-    flowing out of the next step's input, because predictions are
-    self-fed. Each step runs on the rows its forward step ran on: a row
-    enters the decoder's gradients, with zeros, at the last step of its
-    gap, and carries them into the encoder's in the same row order; it
-    leaves the encoder's at its first live step, before which it holds no
-    parameters. Encoder steps before a stream's first real row pass that
-    row's gradients through untouched and add nothing to the parameter
-    gradients.
+    order. The gradient w.r.t. a prediction combines its own loss term
+    with the gradient flowing out of the next step's input, because
+    predictions are self-fed. Each step runs on the rows its forward step
+    ran on: a row enters the decoder's gradients, with zeros, at the last
+    step of its gap, and carries them into the encoder's in the same row
+    order; it leaves the encoder's at its first live step, before which it
+    holds no parameters. Encoder steps before a stream's first real row
+    pass that row's gradients through untouched and add nothing to the
+    parameter gradients.
     """
     plan, cells = batch.plan, st.cells
     off = plan.offsets
@@ -843,7 +847,9 @@ def loss_and_grads(params, windows, schedule):
 
     For a NetworkStack, with one schedule per network as for `forward`,
     returns a list of each network's loss and the gradients as a stack of
-    the same networks: each network's values are what it gives alone.
+    the same networks: each network's values are what it gives alone, but
+    for the last bits of a forward-only network's gradient on some ragged
+    batches (see the module docstring).
     """
     stack, schedules = _as_stack(params, schedule)
     cfg, dtype = stack.nets[0].config, stack.flat.dtype

@@ -185,7 +185,9 @@ def train(
     and gradient accumulation order are all driven by one seeded stream.
     The networks need one arena layout, so they draw the same initial
     values and see the same mini-batches, and each one's outcome is, bit
-    for bit, what training it alone gives. Each mini-batch's losses and
+    for bit, what training it alone gives (but for the last bits of a
+    forward-only network beside two-stream ones, when the windows' `before`
+    and `after` lengths vary: see `model`). Each mini-batch's losses and
     gradients come from one batched pass over the stack in float32, on a
     copy of the float64 master weights refilled before every batch; each
     network's gradient is cast up to float64 for its scaling, its clipping
