@@ -174,17 +174,13 @@ def lstm_step_backward(
     dc = dh * o * (1.0 - tc * tc)
     dc += dc_in
     d_act = np.empty_like(act)
-    np.multiply(dc, g, out=d_act[..., :h])
-    np.multiply(dc, tape.c_prev, out=d_act[..., h:2 * h])
-    np.multiply(dh, tc, out=d_act[..., 2 * h:3 * h])
-    np.multiply(dc, i, out=d_act[..., 3 * h:])
-    # each gate's derivative, taken over whole rows: s (1 - s) for the
-    # sigmoids i, f, o, then 1 - g^2 for tanh over the g columns
-    deriv = np.subtract(1.0, act)
-    deriv *= act
-    np.multiply(g, g, out=deriv[..., 3 * h:])
-    np.subtract(1.0, deriv[..., 3 * h:], out=deriv[..., 3 * h:])
-    d_act *= deriv
+    # sigmoid gates: d/da sigmoid(a) = s (1 - s)
+    sig = act[..., :3 * h]
+    d_act[..., :h] = dc * g
+    d_act[..., h:2 * h] = dc * tape.c_prev
+    d_act[..., 2 * h:3 * h] = dh * tc
+    d_act[..., :3 * h] *= sig * (1.0 - sig)
+    d_act[..., 3 * h:] = dc * i * (1.0 - g * g)
 
     acc.w += np.matmul(np.swapaxes(d_act, -1, -2), tape.xh)
     acc.b += d_act.sum(axis=-2)

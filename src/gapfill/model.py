@@ -28,16 +28,15 @@ case B = 1.
 
 K networks that share a window list run as one stack (`NetworkStack`):
 their arenas are the rows of one (K, n) array, and each step of all of
-them is one stacked step over their cells, (K, S, B, .) where every
-network runs the batch's S streams. Each network keeps its own weights,
-schedule, merge and loss terms. A forward-only network in a stack with
-two-stream networks runs its one stream on the two-stream batch; it steps
-no backward cell, so those parameters get gradient 0. Its bits are its
-own alone when the two-stream batch keeps its row order: on a dense batch
-(as every extracted batch is) or when each window's `before` and `after`
-have one length. Otherwise its rows run in another order, and its
-gradient, summed in that order, may differ in the last bits. One network
-is the stack of one.
+them is one (K, S, B, .) step, where S is 2 if any of them has two
+streams. Each network keeps its own weights, schedule, merge and loss
+terms. A forward-only network in a two-stream stack steps its backward
+cells too, but they score nothing: their gradient is set to 0. Its own
+stream's bits are its own alone when the two-stream batch keeps its row
+order: on a dense batch (as every extracted batch is) or when each
+window's `before` and `after` have one length. Otherwise its rows run in
+another order, and its gradient, summed in that order, may differ in the
+last bits. One network is the stack of one.
 
 Windows in a batch may differ in shape. Contexts are right-aligned: a row
 keeps the zero state until its first real row, so a shorter context reads
@@ -347,15 +346,13 @@ class StreamTrace:
     Outputs are packed step-major, one row per real (window, gap step)
     pair: decoder step t's rows are `_Plan.offsets[t]:offsets[t + 1]`.
     Stream 0 processes row i's gap positions 1..T_i; stream 1, the
-    backward stream, processes T_i..1. The leading axes are the cells'
-    (`_Cells`): network k's stream s is `h[cells.where[k][s]]`.
+    backward stream, processes T_i..1. The leading axis is the network's.
     """
 
-    h: np.ndarray  # (K, S, N, hidden), or (C, N, hidden) for gathered cells
-    pred: np.ndarray  # (..., N, input_dim): local predictions
+    h: np.ndarray  # (K, S, N, hidden)
+    pred: np.ndarray  # (K, S, N, input_dim): local predictions
     enc_tapes: list[CellTape] | None
     dec_tapes: list[CellTape] | None
-    cells: _Cells
 
 
 @dataclass
@@ -564,40 +561,6 @@ def _grow(a: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class _Cells:
-    """The cells one pass over a stack runs, as indexes into its arrays.
-
-    When every network runs all S streams of the batch, they are every
-    cell, (K, S) views of the stack's arrays. In a two-stream stack that
-    holds forward-only networks they are the (network, stream) pairs in
-    use, gathered on one axis of C, so a forward-only network steps no
-    backward cell; their gradients are then gathered too, and written back.
-    """
-
-    enc: tuple  # the encoder cells in `lstm_w` / `lstm_b`
-    dec: tuple  # the decoder cells
-    head: tuple  # the heads in `head_w` / `head_b`
-    streams: slice | np.ndarray  # each cell's stream, into `_Batch.context` and `_Plan.first`
-    where: tuple[tuple[tuple[int, ...], ...], ...]  # network k's stream s: a cell's index
-    gathered: bool
-
-
-def _cells(stack: NetworkStack, streams: int) -> _Cells:
-    """The cells a pass over `stack` on a batch of `streams` streams runs."""
-    forward_only = [p.config.forward_only for p in stack.nets]
-    if streams == 1 or not any(forward_only):
-        every = (slice(None), slice(0, streams))
-        return _Cells(every, (slice(None), slice(2, 2 + streams)), every, slice(0, streams),
-                      tuple(tuple((k, s) for s in range(streams)) for k in range(len(forward_only))),
-                      False)
-    pairs = [(k, s) for k, only in enumerate(forward_only) for s in range(1 if only else 2)]
-    kk, ss = (np.array(a) for a in zip(*pairs))
-    where = tuple(tuple((c,) for c, (j, _) in enumerate(pairs) if j == k)
-                  for k in range(len(forward_only)))
-    return _Cells((kk, ss), (kk, ss + 2), (kk, ss), ss, where, True)
-
-
 def _run_stream(stack: NetworkStack, batch: _Batch, keep_tapes: bool) -> StreamTrace:
     """Encode the S stacked contexts, then decode each row's gap, stepping
     only the live rows, for every network of the stack at once.
@@ -612,40 +575,37 @@ def _run_stream(stack: NetworkStack, batch: _Batch, keep_tapes: bool) -> StreamT
     Steps where every row is live run on the whole arrays.
     """
     plan = batch.plan
-    d = batch.context.shape[-1]
-    cells = _cells(stack, batch.context.shape[0])
-    enc = ForwardCell(stack.lstm_w[cells.enc], stack.lstm_b[cells.enc])
-    dec = ForwardCell(stack.lstm_w[cells.dec], stack.lstm_b[cells.dec])
-    lead = enc.b.shape[:-1]
-    # every network reads the batch's context
-    context = np.broadcast_to(batch.context[cells.streams], (*lead, *batch.context.shape[1:]))
-    first = plan.first[cells.streams]
-    head_w, head_b = np.swapaxes(stack.head_w[cells.head], -1, -2), stack.head_b[cells.head][..., None, :]
+    S, _, _, d = batch.context.shape
+    K = len(stack.nets)
+    context = np.broadcast_to(batch.context, (K, *batch.context.shape))  # every network reads it
+    enc = ForwardCell(stack.lstm_w[:, 0:S], stack.lstm_b[:, 0:S])
+    dec = ForwardCell(stack.lstm_w[:, 2:2 + S], stack.lstm_b[:, 2:2 + S])
+    head_w, head_b = np.swapaxes(stack.head_w[:, :S], -1, -2), stack.head_b[:, :S, None]
     enc_tapes: list[CellTape] | None = [] if keep_tapes else None
     dec_tapes: list[CellTape] | None = [] if keep_tapes else None
-    state = zero_state(enc.hidden_dim, *lead, plan.enc_live[0], dtype=context.dtype)
+    state = zero_state(enc.hidden_dim, K, S, plan.enc_live[0], dtype=context.dtype)
     for t, (k, partial) in enumerate(zip(plan.enc_live, plan.partial)):
         state = LstmState(_grow(state.h, k), _grow(state.c, k))
         new, tape = lstm_step(enc, _prefix(context[..., t, :], k), state)
         if partial:
-            real = (first[..., :k] <= t)[..., None]
+            real = (plan.first[:, :k] <= t)[..., None]
             new = LstmState(np.where(real, new.h, state.h), np.where(real, new.c, state.c))
         state = new
         if enc_tapes is not None:
             enc_tapes.append(tape)
     x = context[..., -1, :]
     off = plan.offsets
-    hs = np.empty((*lead, off[-1], dec.hidden_dim), context.dtype)
-    preds = np.empty((*lead, off[-1], d), context.dtype)
+    hs = np.empty((K, S, off[-1], dec.hidden_dim), context.dtype)
+    preds = np.empty((K, S, off[-1], d), context.dtype)
     for t, m in enumerate(plan.dec_live):
         state, tape = lstm_step(dec, _prefix(x, m),
                                 LstmState(_prefix(state.h, m), _prefix(state.c, m)))
         if dec_tapes is not None:
             dec_tapes.append(tape)
-        hs[..., off[t]:off[t + 1], :] = state.h
+        hs[:, :, off[t]:off[t + 1]] = state.h
         x = np.matmul(state.h, head_w) + head_b
-        preds[..., off[t]:off[t + 1], :] = x
-    return StreamTrace(hs, preds, enc_tapes, dec_tapes, cells)
+        preds[:, :, off[t]:off[t + 1]] = x
+    return StreamTrace(hs, preds, enc_tapes, dec_tapes)
 
 
 def _stream_backward(stack: NetworkStack, st: StreamTrace, batch: _Batch, d_pred: np.ndarray,
@@ -653,56 +613,50 @@ def _stream_backward(stack: NetworkStack, st: StreamTrace, batch: _Batch, d_pred
     """Backpropagate the S stacked streams of every network, newest decoder
     step first.
 
-    `d_pred` (..., N, d) is the loss gradient on each local prediction and
-    `dh_merge` (..., N, h) the merge layer's gradient on each decoder
-    hidden vector, both packed like `st`, cell by cell, in processing
-    order. The gradient w.r.t. a prediction combines its own loss term
-    with the gradient flowing out of the next step's input, because
-    predictions are self-fed. Each step runs on the rows its forward step
-    ran on: a row enters the decoder's gradients, with zeros, at the last
-    step of its gap, and carries them into the encoder's in the same row
-    order; it leaves the encoder's at its first live step, before which it
-    holds no parameters. Encoder steps before a stream's first real row
-    pass that row's gradients through untouched and add nothing to the
-    parameter gradients.
+    `d_pred` (K, S, N, d) is the loss gradient on each local prediction and
+    `dh_merge` (K, S, N, h) the merge layer's gradient on each decoder
+    hidden vector, both packed like `st`, in processing order. The gradient
+    w.r.t. a prediction combines its own loss term with the gradient
+    flowing out of the next step's input, because predictions are
+    self-fed. Each step runs on the rows its forward step ran on: a row
+    enters the decoder's gradients, with zeros, at the last step of its
+    gap, and carries them into the encoder's in the same row order; it
+    leaves the encoder's at its first live step, before which it holds no
+    parameters. Encoder steps before a stream's first real row pass that
+    row's gradients through untouched and add nothing to the parameter
+    gradients.
     """
-    plan, cells = batch.plan, st.cells
+    K, S, _, d = d_pred.shape
+    plan = batch.plan
     off = plan.offsets
-    # views of `g` to accumulate into, or gathered copies of its zeros to write back
-    g_dec = LstmParams(g.lstm_w[cells.dec], g.lstm_b[cells.dec])
-    g_head_w, g_head_b = g.head_w[cells.head], g.head_b[cells.head]
-    dec = LstmParams(stack.lstm_w[cells.dec], stack.lstm_b[cells.dec])
-    head_w = stack.head_w[cells.head]
-    dh = dc = np.zeros((*d_pred.shape[:-2], 0, dec.hidden_dim), d_pred.dtype)
-    d_in = np.zeros((*d_pred.shape[:-2], 0, d_pred.shape[-1]), d_pred.dtype)
+    dec = LstmParams(stack.lstm_w[:, 2:2 + S], stack.lstm_b[:, 2:2 + S])
+    g_dec = LstmParams(g.lstm_w[:, 2:2 + S], g.lstm_b[:, 2:2 + S])
+    head_w = stack.head_w[:, :S]
+    dh = dc = np.zeros((K, S, 0, dec.hidden_dim), d_pred.dtype)
+    d_in = np.zeros((K, S, 0, d), d_pred.dtype)
     d_preds = np.empty_like(d_pred)
     for t in reversed(range(len(plan.dec_live))):
         m, step = plan.dec_live[t], slice(off[t], off[t + 1])
-        d_preds[..., step, :] = d_pred[..., step, :] + _grow(d_in, m)
-        dh = _grow(dh, m) + np.matmul(d_preds[..., step, :], head_w)
+        d_preds[:, :, step] = d_pred[:, :, step] + _grow(d_in, m)
+        dh = _grow(dh, m) + np.matmul(d_preds[:, :, step], head_w)
         if dh_merge is not None:
-            dh = dh + dh_merge[..., step, :]
+            dh = dh + dh_merge[:, :, step]
         d_in, dh, dc = lstm_step_backward(dec, st.dec_tapes[t], dh, _grow(dc, m), g_dec)
-    g_head_w += np.matmul(np.swapaxes(d_preds, -1, -2), st.h)
-    g_head_b += d_preds.sum(axis=-2)
+    g.head_w[:, :S] += np.matmul(np.swapaxes(d_preds, -1, -2), st.h)
+    g.head_b[:, :S] += d_preds.sum(axis=-2)
 
-    enc = LstmParams(stack.lstm_w[cells.enc], stack.lstm_b[cells.enc])
-    g_enc = LstmParams(g.lstm_w[cells.enc], g.lstm_b[cells.enc])
-    first = plan.first[cells.streams]
+    enc = LstmParams(stack.lstm_w[:, 0:S], stack.lstm_b[:, 0:S])
+    g_enc = LstmParams(g.lstm_w[:, 0:S], g.lstm_b[:, 0:S])
     for t in reversed(range(len(plan.enc_live))):
         k = plan.enc_live[t]
         dh, dc = _prefix(dh, k), _prefix(dc, k)
         if not plan.partial[t]:
             _, dh, dc = lstm_step_backward(enc, st.enc_tapes[t], dh, dc, g_enc)
             continue
-        real = (first[..., :k] <= t)[..., None]
+        real = (plan.first[:, :k] <= t)[..., None]
         _, dh_new, dc_new = lstm_step_backward(enc, st.enc_tapes[t], np.where(real, dh, 0.0),
                                                np.where(real, dc, 0.0), g_enc)
         dh, dc = np.where(real, dh_new, dh), np.where(real, dc_new, dc)
-    if cells.gathered:
-        g.lstm_w[cells.enc], g.lstm_b[cells.enc] = g_enc.w, g_enc.b
-        g.lstm_w[cells.dec], g.lstm_b[cells.dec] = g_dec.w, g_dec.b
-        g.head_w[cells.head], g.head_b[cells.head] = g_head_w, g_head_b
 
 
 def _merge_input(gamma: np.ndarray, gamma_prime: np.ndarray, h_fw: np.ndarray,
@@ -720,13 +674,12 @@ def _forward(stack: NetworkStack, batch: _Batch,
     rev = batch.plan.rev
     out = []
     for k, params in enumerate(stack.nets):
-        fw, *bw = st.cells.where[k]
-        h_fw, pred_fw = st.h[fw], st.pred[fw]
+        h_fw, pred_fw = st.h[k, 0], st.pred[k, 0]
         if params.config.forward_only:
             out.append(_Pairs(h_fw, pred_fw, None, None, pred_fw, None))
             continue
         # the backward stream runs over each gap in reverse: `rev` puts it in position order
-        h_bw, pred_bw = st.h[bw[0]][rev], st.pred[bw[0]][rev]
+        h_bw, pred_bw = st.h[k, 1][rev], st.pred[k, 1][rev]
         u = _merge_input(batch.gamma[k], batch.gamma_prime[k], h_fw, h_bw)
         hidden_acts = None
         if params.config.merge_hidden > 0:
@@ -859,23 +812,29 @@ def loss_and_grads(params, windows, schedule):
     coef = (2.0 / (batch.gap_len * cfg.input_dim)).astype(dtype, copy=False)
     coef = coef[batch.plan.rows, None]
     g = _stack_arena([p.config for p in stack.nets], np.zeros_like(stack.flat))
+    S = st.h.shape[1]
     d_pred = np.zeros(st.pred.shape, dtype)
-    # the merge's gradient, zero on a forward-only network's cell
-    dh_merge = None if batch.context.shape[0] == 1 else np.zeros(st.h.shape, dtype)
+    # a forward-only network of a two-stream stack takes zeros on its unused stream
+    dh_merge = None if S == 1 else np.zeros(st.h.shape, dtype)
     rev = batch.plan.rev
     values = []
     for k, (net, p) in enumerate(zip(stack.nets, pairs)):
         values.append(float(np.sum(sum(_loss_terms(p, batch, truth)))))
-        fw, *bw = st.cells.where[k]
-        d_pred[fw] = coef * (p.pred_fw - truth)
+        d_pred[k, 0] = coef * (p.pred_fw - truth)
         if net.config.forward_only:
             continue
         dh_fw, dh_bw = _merge_backward(net, p, batch.gamma[k], batch.gamma_prime[k],
                                        coef * (p.merged - truth), g.nets[k].merge)
         # the backward stream runs over each gap in reverse: map to its order
-        d_pred[bw[0]] = (coef * (p.pred_bw - truth))[rev]
-        dh_merge[fw], dh_merge[bw[0]] = dh_fw, dh_bw[rev]
+        d_pred[k, 1] = (coef * (p.pred_bw - truth))[rev]
+        dh_merge[k, 0], dh_merge[k, 1] = dh_fw, dh_bw[rev]
     _stream_backward(stack, st, batch, d_pred, dh_merge, g)
+    for k, net in enumerate(stack.nets):
+        if net.config.forward_only and S == 2:
+            # its backward cells (enc_bw, dec_bw) and head ran on zero
+            # gradients, which leaves +-0: the same +0 as alone
+            g.lstm_w[k, 1::2], g.lstm_b[k, 1::2] = 0.0, 0.0
+            g.head_w[k, 1], g.head_b[k, 1] = 0.0, 0.0
     if isinstance(params, NetworkStack):
         return values, g
     return values[0], g.nets[0]

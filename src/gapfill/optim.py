@@ -68,6 +68,11 @@ class AdamState:
         self._scratch = np.empty((2, min(_ADAM_BLOCK, params.flat.size)))
 
 
+def _non_finite_path(params: ModelParams) -> str:
+    """The path of the first parameter of `params` that is not all finite."""
+    return next(path for path, t in iter_params(params) if not np.all(np.isfinite(t)))
+
+
 def adam_step(state: AdamState, params: ModelParams | NetworkStack,
               grads: ModelParams | NetworkStack):
     """One bias-corrected Adam update of every parameter, in place; for a
@@ -75,15 +80,16 @@ def adam_step(state: AdamState, params: ModelParams | NetworkStack,
 
     m <- b1*m + (1-b1)*g;  v <- b2*v + (1-b2)*g^2
     theta <- theta - lr * (m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps)
+
+    A non-finite ModelParams gradient raises ValueError naming its first
+    such parameter; a stack's caller checks each network's row itself, as
+    `train` does.
     """
     g = grads.flat
     if g.shape != params.flat.shape:
         raise ValueError(f"gradient has {g.size} floats, the parameters {params.flat.size}")
-    if not np.all(np.isfinite(g)):
-        nets = grads.nets if isinstance(grads, NetworkStack) else (grads,)
-        path = next(path for net in nets for path, t in iter_params(net)
-                    if not np.all(np.isfinite(t)))
-        raise ValueError(f"non-finite gradient for parameter {path}")
+    if isinstance(grads, ModelParams) and not np.all(np.isfinite(g)):
+        raise ValueError(f"non-finite gradient for parameter {_non_finite_path(grads)}")
     state.step_count += 1
     t = state.step_count
     cfg = state.cfg
@@ -255,8 +261,11 @@ def train(
             grads.flat *= 1.0 / len(batch)
             diverged = []
             for row, (k, value, g) in enumerate(zip(live, values, grads.flat)):
-                what = ("training loss" if not np.isfinite(value)
-                        else "gradient" if not np.all(np.isfinite(g)) else None)
+                what = None
+                if not np.isfinite(value):
+                    what = "training loss"
+                elif not np.all(np.isfinite(g)):
+                    what = f"gradient for parameter {_non_finite_path(grads.nets[row])}"
                 if what is not None:
                     outcomes[k] = DivergenceError(
                         f"non-finite {what} at epoch {epoch}, batch {batch_no}",

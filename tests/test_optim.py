@@ -377,7 +377,7 @@ class TestStackedTraining:
         if len(kinds) == 3 and not clip_norm:
             assert len({len(log.rows) for _, log in stacked}) == 3  # three different stops
 
-    @pytest.mark.parametrize("what", ["training loss", "gradient"])
+    @pytest.mark.parametrize("what", ["training loss", "gradient for parameter head_fw.b"])
     def test_a_diverged_network_leaves_the_stack_alone(self, monkeypatch, what):
         fit, val = split_validation(sine_windows(n=160), 0.2)
         kinds = ("full", "forward_only", "noscale")
